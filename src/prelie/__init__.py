@@ -3,7 +3,8 @@
 Modules:
     exactnum    rational scalars and Bernoulli numbers
     trees       rooted trees, forests, counting statistics, omega coefficients
-    lincomb     shared linear-combination plumbing
+    lincomb     the graded map TermMap, Tensor, and the shared loops:
+                bilinear, multiplicative_coproduct, project, pair
     freeprelie  graft/brace/Grossman-Larson products, Connes-Kreimer
                 coproduct, Magnus and exponential series
     words       the pre-Lie algebra of words and its coproduct

@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial
 
 from . import freeprelie, nc, words
@@ -128,7 +128,8 @@ def cmd_series(args) -> int:
                             % (args.which, args.method))
     series = compute(args.order, args.method)
     if args.check:
-        results = {m: compute(args.order, m) for m in methods}
+        results = {m: series if m == args.method else compute(args.order, m)
+                   for m in methods}
         base = results[args.method]
         for m in methods:
             if results[m] != base:
@@ -177,7 +178,10 @@ def cmd_forest(args) -> int:
     if args.basis == "ck":
         basis = CKBasis()
     else:
-        basis = WordBasis(args.alphabet)
+        try:
+            basis = WordBasis(args.alphabet)
+        except ValueError as exc:
+            return _input_error("bad --alphabet: %s" % exc)
     try:
         if ":" in args.index:
             g, o = args.index.split(":", 1)
@@ -330,7 +334,7 @@ def _suite_words(order: int):
         for (l, r), c in words.word_dual_coproduct(w).terms.items():
             by_n.setdefault(len(r), {}).setdefault(l[0], []).append((r, c))
         for ncuts in range(1, L):
-            for cuts in _choose_cuts(L, ncuts):
+            for cuts in combinations(range(1, L), ncuts):
                 lens = [b - a for a, b in zip((0,) + cuts, cuts + (L,))]
                 for alpha in words.enumerate_words(alphabet, lens[0]):
                     for gam in product(*[words.enumerate_words(alphabet, m)
@@ -353,11 +357,6 @@ def _suite_words(order: int):
             if len(l[0]) + sum(len(u) for u in r) != len(w):
                 grading_ok, bad = False, {"w": w}
     yield ("coproduct-grading", grading_ok, cases, bad)
-
-
-def _choose_cuts(L: int, ncuts: int):
-    from itertools import combinations
-    return combinations(range(1, L), ncuts)
 
 
 def _suite_forest(order: int):
@@ -449,27 +448,29 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_order is not None and args.max_order < 1:
+        return _input_error("--max-order must be >= 1")
     selected = list(SUITES) if args.suite == "all" else [args.suite]
-    cap = TREE_CAP if args.suite != "forest" else FOREST_CAP
-    if args.max_order is not None and args.max_order > cap \
-            and not args.unsafe_uncapped:
-        return _input_error("--max-order %d exceeds the cap %d "
-                            "(pass --unsafe-uncapped to override)"
-                            % (args.max_order, cap))
+    orders = {name: args.max_order or SUITES[name][1] for name in selected}
+    for name, order in orders.items():
+        cap = FOREST_CAP if name == "forest" else TREE_CAP
+        if order > cap and not args.unsafe_uncapped:
+            return _input_error("%s suite order %d exceeds the cap %d "
+                                "(pass --unsafe-uncapped to override)"
+                                % (name, order, cap))
     failures = 0
-    for name in selected:
-        run, default_order = SUITES[name]
-        order = args.max_order if args.max_order is not None else default_order
-        if name == "forest" and order > FOREST_CAP and not args.unsafe_uncapped:
-            return _input_error("forest suite order %d exceeds the cap %d" %
-                                (order, FOREST_CAP))
-        for identity, ok, cases, record in run(order):
-            status = "PASS" if ok else "FAIL"
-            print("%s %s.%s (%d instances)" % (status, name, identity, cases))
-            if not ok:
+    for name, order in orders.items():
+        for identity, ok, cases, record in SUITES[name][0](order):
+            # an identity checked on no instance has shown nothing
+            passed = ok and cases > 0
+            print("%s %s.%s (%d instances)"
+                  % ("PASS" if passed else "FAIL", name, identity, cases))
+            if not passed:
                 failures += 1
+                detail = {"instance": record} if not ok else \
+                    {"reason": "no instances"}
                 print(json.dumps({"suite": name, "identity": identity,
-                                  "instance": record}), file=sys.stderr)
+                                  **detail}), file=sys.stderr)
     return 1 if failures else 0
 
 

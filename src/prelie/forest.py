@@ -24,8 +24,9 @@ from itertools import combinations_with_replacement, product
 from math import factorial
 
 from . import freeprelie
+from .lincomb import TermMap
 from .trees import Forest, enumerate_trees, tree_by_rank, tree_from_string, tree_rank
-from .words import WordPoly, WordTensor, enumerate_words, monomial, word_dual_coproduct
+from .words import WordTensor, monomial, word_dual_coproduct
 
 __all__ = [
     "BasisProvider", "CKBasis", "WordBasis",
@@ -326,11 +327,9 @@ def forest_formula(i, k: int, flavor: str, basis: BasisProvider) -> dict:
         raise ValueError("k must be >= 1")
     if flavor not in ("reduced", "full", "irr"):
         raise ValueError("flavor must be reduced, full or irr")
-    acc: dict = {}
-    for T, lam in enumerate_decorated_trees(i, basis):
-        for slots in _slot_maps(T, k, flavor):
-            acc[slots] = acc.get(slots, Fraction(0)) + lam
-    return {slots: c for slots, c in acc.items() if c}
+    return TermMap((slots, lam)
+                   for T, lam in enumerate_decorated_trees(i, basis)
+                   for slots in _slot_maps(T, k, flavor)).terms
 
 
 def decorated_string(T: DecoratedTree, basis: BasisProvider) -> str:

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from .exactnum import bernoulli
-from .lincomb import TermMap, iterate_coproduct
+from .lincomb import (Tensor, TermMap, bilinear, iterate_coproduct,
+                      multiplicative_coproduct, pair, project)
 from .trees import (
-    EMPTY_FOREST, Forest, LEAF, RootedTree, b_plus, enumerate_trees,
+    EMPTY_FOREST, Forest, RootedTree, b_plus, enumerate_trees,
     murua_omega, sigma, tree_factorial,
 )
 
@@ -41,39 +42,10 @@ __all__ = [
 ]
 
 
-def _min_order(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class TreeSeries(TermMap):
     """Finite rational combination of rooted trees, with a truncation order."""
 
-    __slots__ = ("order",)
-
-    def __init__(self, terms=None, order=None):
-        super().__init__(terms)
-        self.order = order
-        if order is not None:
-            for t in [t for t in self.terms if t.size > order]:
-                del self.terms[t]
-
-    def _with(self, terms, other=None):
-        order = self.order if other is None else _min_order(self.order, other.order)
-        return TreeSeries(terms, order)
-
-    @staticmethod
-    def sort_key(t):
-        return (t.size, t.key)
-
-    def truncated(self, order):
-        return TreeSeries(self.terms, _min_order(self.order, order))
-
-    def max_grade(self):
-        return max((t.size for t in self.terms), default=0)
+    __slots__ = ()
 
     def to_json(self):
         return [{"forest": t.key, "coeff": str(c)} for t, c in self.items()]
@@ -82,53 +54,13 @@ class TreeSeries(TermMap):
 class ForestPoly(TermMap):
     """Finite rational combination of forests (empty forest = the unit 1)."""
 
-    __slots__ = ("order",)
-
-    def __init__(self, terms=None, order=None):
-        super().__init__(terms)
-        self.order = order
-        if order is not None:
-            for f in [f for f in self.terms if f.size > order]:
-                del self.terms[f]
-
-    def _with(self, terms, other=None):
-        order = self.order if other is None else _min_order(self.order, other.order)
-        return ForestPoly(terms, order)
-
-    @staticmethod
-    def sort_key(f):
-        return (f.size, f.key)
-
-    def truncated(self, order):
-        return ForestPoly(self.terms, _min_order(self.order, order))
-
-    def to_json(self):
-        return [{"forest": f.key, "coeff": str(c)} for f, c in self.items()]
+    __slots__ = ()
 
 
-class TensorPoly(TermMap):
+class TensorPoly(Tensor):
     """Rational combination of k-tuples of forests (Sweedler tensors)."""
 
-    __slots__ = ("arity",)
-
-    def __init__(self, arity, terms=None):
-        super().__init__(terms)
-        self.arity = arity
-        for key in self.terms:
-            if len(key) != arity:
-                raise ValueError("tensor term %r does not have arity %d" % (key, arity))
-
-    def _with(self, terms, other=None):
-        return TensorPoly(self.arity, terms)
-
-    def _check(self, other):
-        super()._check(other)
-        if self.arity != other.arity:
-            raise TypeError("tensor arities differ: %d vs %d" % (self.arity, other.arity))
-
-    @staticmethod
-    def sort_key(slots):
-        return tuple((f.size, f.key) for f in slots)
+    __slots__ = ()
 
 
 def tree_series_to_poly(s: TreeSeries) -> ForestPoly:
@@ -166,15 +98,7 @@ def graft(t: RootedTree, u: RootedTree) -> TreeSeries:
 
 def prelie(a: TreeSeries, b: TreeSeries, order=None) -> TreeSeries:
     """Bilinear extension of graft, truncated to order if given."""
-    order = _min_order(order, _min_order(a.order, b.order))
-    acc: dict = {}
-    for t, ca in a.terms.items():
-        for u, cb in b.terms.items():
-            if order is not None and t.size + u.size > order:
-                continue
-            for r, c in graft(t, u).terms.items():
-                acc[r] = acc.get(r, Fraction(0)) + ca * cb * c
-    return TreeSeries(acc, order)
+    return bilinear(a, b, graft, order)
 
 
 _BRACE: dict[tuple, TreeSeries] = {}
@@ -247,28 +171,17 @@ def _gl_monomial(fa: Forest, fb: Forest) -> ForestPoly:
 
 def gl_product(a: ForestPoly, b: ForestPoly, order=None) -> ForestPoly:
     """Grossman-Larson product, bilinear over monomials; unit = empty forest."""
-    order = _min_order(order, _min_order(a.order, b.order))
-    acc: dict = {}
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            if order is not None and fa.size + fb.size > order:
-                continue
-            for f, c in _gl_monomial(fa, fb).terms.items():
-                acc[f] = acc.get(f, Fraction(0)) + ca * cb * c
-    return ForestPoly(acc, order)
+    return bilinear(a, b, _gl_monomial, order)
+
+
+def _juxtapose(fa: Forest, fb: Forest) -> Forest:
+    return Forest(fa.trees + fb.trees)
 
 
 def poly_mul(a: ForestPoly, b: ForestPoly, order=None) -> ForestPoly:
     """Commutative polynomial product (forest juxtaposition)."""
-    order = _min_order(order, _min_order(a.order, b.order))
-    acc: dict = {}
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            if order is not None and fa.size + fb.size > order:
-                continue
-            f = Forest(fa.trees + fb.trees)
-            acc[f] = acc.get(f, Fraction(0)) + ca * cb
-    return ForestPoly(acc, order)
+    return bilinear(a, b, lambda fa, fb: ForestPoly({_juxtapose(fa, fb): 1}),
+                    order)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +230,19 @@ _DELTA_FOREST: dict[str, dict] = {}
 def _delta_forest(f: Forest) -> dict:
     """Full coproduct of a forest monomial as {(left, right): Fraction}."""
     out = _DELTA_FOREST.get(f.key)
-    if out is not None:
-        return out
-    acc = {(EMPTY_FOREST, EMPTY_FOREST): Fraction(1)}
-    for t in f.trees:
-        tree_terms = [(Forest((trunk,)), pruning, Fraction(count))
-                      for trunk, pruning, count in _cut_terms(t)]
-        tree_terms.append((EMPTY_FOREST, Forest((t,)), Fraction(1)))
-        nxt: dict = {}
-        for (lf, rf), c in acc.items():
-            for tl, tr, d in tree_terms:
-                key = (Forest(lf.trees + tl.trees), Forest(rf.trees + tr.trees))
-                nxt[key] = nxt.get(key, Fraction(0)) + c * d
-        acc = nxt
-    _DELTA_FOREST[f.key] = acc
-    return acc
+    if out is None:
+        out = multiplicative_coproduct(f.trees, _delta_tree, EMPTY_FOREST,
+                                       _juxtapose)
+        _DELTA_FOREST[f.key] = out
+    return out
+
+
+def _delta_tree(t: RootedTree) -> dict:
+    """Coproduct of one tree: every cut as trunk (x) pruning, plus 1 (x) t."""
+    out = {(Forest((trunk,)), pruning): Fraction(count)
+           for trunk, pruning, count in _cut_terms(t)}
+    out[(EMPTY_FOREST, Forest((t,)))] = Fraction(1)
+    return out
 
 
 def _as_forest_poly(x) -> ForestPoly:
@@ -350,12 +261,7 @@ def _as_forest_poly(x) -> ForestPoly:
 def ck_coproduct(x) -> TensorPoly:
     """Connes-Kreimer coproduct: 1 (x) t + sum over admissible cuts, trunk (x)
     pruning (the empty cut giving t (x) 1); multiplicative on forests."""
-    poly = _as_forest_poly(x)
-    acc: dict = {}
-    for f, c in poly.terms.items():
-        for key, d in _delta_forest(f).items():
-            acc[key] = acc.get(key, Fraction(0)) + c * d
-    return TensorPoly(2, acc)
+    return iterated_coproduct(x, 2)
 
 
 def iterated_coproduct(x, k: int) -> TensorPoly:
@@ -366,53 +272,29 @@ def iterated_coproduct(x, k: int) -> TensorPoly:
 
 def reduced_iterated_coproduct(x, k: int) -> TensorPoly:
     """(Id - unit counit)^(x)k of delta^[k]: drop terms with an empty slot."""
-    full = iterated_coproduct(x, k)
-    kept = {slots: c for slots, c in full.terms.items()
-            if all(len(s.trees) > 0 for s in slots)}
-    return TensorPoly(k, kept)
+    return TensorPoly(k, project(iterated_coproduct(x, k).terms, "reduced"))
 
 
 def irr_iterated_coproduct(x, k: int) -> TensorPoly:
     """delta_irr^[k]: project every slot onto single-tree monomials."""
-    full = iterated_coproduct(x, k)
-    kept = {slots: c for slots, c in full.terms.items()
-            if all(len(s.trees) == 1 for s in slots)}
-    return TensorPoly(k, kept)
+    return TensorPoly(k, project(iterated_coproduct(x, k).terms, "irr"))
 
 
 # ---------------------------------------------------------------------------
 # pairing
 
-def _sigma_bplus(f: Forest) -> int:
-    return sigma(b_plus(f))
-
-
 def pairing(a, b) -> Fraction:
     """<s|t> = sigma(B+(t)) when the forests are isomorphic, else 0; bilinear."""
-    pa, pb = _as_forest_poly(a), _as_forest_poly(b)
-    small, big = (pa, pb) if len(pa.terms) <= len(pb.terms) else (pb, pa)
-    out = Fraction(0)
-    for f, c in small.terms.items():
-        d = big.terms.get(f)
-        if d is not None:
-            out += c * d * _sigma_bplus(f)
-    return out
+    return pair(_as_forest_poly(a).terms, _as_forest_poly(b).terms,
+                lambda f: sigma(b_plus(f)))
 
 
 def tensor_pairing(a: TensorPoly, b: TensorPoly) -> Fraction:
     """Slotwise product extension of the pairing to equal-arity tensors."""
     if a.arity != b.arity:
         raise ValueError("tensor arities differ")
-    out = Fraction(0)
-    small, big = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    for slots, c in small.terms.items():
-        d = big.terms.get(slots)
-        if d is not None:
-            w = c * d
-            for f in slots:
-                w *= _sigma_bplus(f)
-            out += w
-    return out
+    return pair(a.terms, b.terms,
+                lambda slots: prod(sigma(b_plus(f)) for f in slots))
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +390,7 @@ def sol1(x: ForestPoly) -> ForestPoly:
 
 def poly_exp(a: TreeSeries, order: int) -> ForestPoly:
     """Polynomial (juxtaposition) exponential sum_n a^n / n!, by total grade."""
-    if isinstance(a, TreeSeries):
-        p = tree_series_to_poly(a).truncated(order)
-    else:
-        p = a.truncated(order)
+    p = _as_forest_poly(a).truncated(order)
     if any(f.size == 0 for f in p.terms):
         raise ValueError("poly_exp needs grade >= 1 terms only")
     out = ForestPoly({EMPTY_FOREST: 1}, order)

@@ -4,8 +4,7 @@ A non-crossing partition of [n] has no blocks interleaving as a < b < c < d
 with a, c in one block and b, d in another.  Irreducible: 1 and n share a
 block.  Interval: every block is a set of consecutive integers.  Nesting
 orders the blocks by strict enclosure (min(V) < min(W) and max(W) < max(V));
-its cover relation is a forest, one tree per outermost block, components
-ordered by their minima.
+its cover relation is a forest, one tree per outermost block.
 
 Cumulant brands (moment, free, boolean, monotone) are tables of exact
 rationals indexed by words over the declared variables.  Conversions follow
@@ -24,12 +23,13 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .exactnum import parse_rational
-from .trees import Forest, RootedTree, murua_omega, tree_factorial
+from .trees import Forest, RootedTree, forest_factorial
+from .trees import murua_omega_forest as forest_omega
 
 __all__ = [
-    "NCPartition", "NestingForest", "CumulantTable", "BRANDS",
+    "NCPartition", "CumulantTable", "BRANDS",
     "enumerate_nc", "enumerate_nc_irr", "enumerate_interval",
-    "enumerate_nc_irr_k", "nesting_forest", "forest_factorial", "forest_omega",
+    "enumerate_nc_irr_k", "nesting_forest",
     "convert", "exp_functional", "magnus_functional",
 ]
 
@@ -146,23 +146,10 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
-class NestingForest:
-    """Shapes of the nesting order's cover relation, one tree per outermost
-    block, in the order of the component minima."""
-
-    __slots__ = ("trees",)
-
-    def __init__(self, trees):
-        self.trees = tuple(trees)
-
-    def __eq__(self, other):
-        return isinstance(other, NestingForest) and self.trees == other.trees
-
-    def __repr__(self):
-        return "NestingForest(%r)" % (self.trees,)
-
-
-def nesting_forest(pi: NCPartition) -> NestingForest:
+def nesting_forest(pi: NCPartition) -> Forest:
+    """Shape of the nesting order's cover relation, one tree per outermost
+    block.  The partition weights only use this shape, and the forest
+    statistics (forest_factorial, forest_omega) are multiplicative."""
     blocks = pi.blocks
     idx = range(len(blocks))
 
@@ -185,23 +172,7 @@ def nesting_forest(pi: NCPartition) -> NestingForest:
     def build(i) -> RootedTree:
         return RootedTree(tuple(build(c) for c in children[i]))
 
-    roots = sorted((i for i in idx if parent[i] is None),
-                   key=lambda i: blocks[i][0])
-    return NestingForest(build(i) for i in roots)
-
-
-def forest_factorial(f: NestingForest) -> int:
-    out = 1
-    for t in f.trees:
-        out *= tree_factorial(t)
-    return out
-
-
-def forest_omega(f: NestingForest) -> Fraction:
-    out = Fraction(1)
-    for t in f.trees:
-        out *= murua_omega(t)
-    return out
+    return Forest(build(i) for i in idx if parent[i] is None)
 
 
 class CumulantTable:
@@ -260,6 +231,10 @@ class CumulantTable:
             raw = data["values"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("malformed cumulant table: %s" % exc) from None
+        if not isinstance(raw, dict) or \
+                not all(isinstance(v, str) for v in raw.values()):
+            raise ValueError('malformed cumulant table: "values" must map '
+                             'words to "p/q" strings')
         values = {w: parse_rational(v) for w, v in raw.items()}
         return cls(brand, variables, maxlen, values)
 

@@ -20,7 +20,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
-from .lincomb import TermMap, iterate_coproduct
+from .lincomb import (Tensor, TermMap, iterate_coproduct,
+                      multiplicative_coproduct, pair, project)
 
 __all__ = [
     "WordPoly", "WordTensor", "monomial", "enumerate_words",
@@ -37,10 +38,6 @@ def monomial(words) -> tuple:
     return words
 
 
-def _mono_grade(mono: tuple) -> int:
-    return sum(len(w) for w in mono)
-
-
 class WordPoly(TermMap):
     """Finite rational combination of word monomials; key () is the unit 1."""
 
@@ -48,31 +45,13 @@ class WordPoly(TermMap):
 
     @staticmethod
     def sort_key(mono):
-        return (_mono_grade(mono), len(mono), mono)
-
-    def to_json(self):
-        return [{"monomial": "·".join(m), "coeff": str(c)} for m, c in self.items()]
+        return (sum(len(w) for w in mono), len(mono), mono)
 
 
-class WordTensor(TermMap):
+class WordTensor(Tensor):
     """Rational combination of k-tuples of word monomials."""
 
-    __slots__ = ("arity",)
-
-    def __init__(self, arity, terms=None):
-        super().__init__(terms)
-        self.arity = arity
-        for key in self.terms:
-            if len(key) != arity:
-                raise ValueError("tensor term %r does not have arity %d" % (key, arity))
-
-    def _with(self, terms, other=None):
-        return WordTensor(self.arity, terms)
-
-    def _check(self, other):
-        super()._check(other)
-        if self.arity != other.arity:
-            raise TypeError("tensor arities differ: %d vs %d" % (self.arity, other.arity))
+    __slots__ = ()
 
     @staticmethod
     def sort_key(slots):
@@ -88,11 +67,8 @@ def enumerate_words(alphabet, n: int) -> list:
 
 def word_prelie(alpha: str, gamma: str) -> WordPoly:
     """alpha <| gamma: insert gamma between the two halves of each proper split."""
-    acc: dict = {}
-    for i in range(1, len(alpha)):
-        key = (alpha[:i] + gamma + alpha[i:],)
-        acc[key] = acc.get(key, Fraction(0)) + 1
-    return WordPoly(acc)
+    return WordPoly(((alpha[:i] + gamma + alpha[i:],), 1)
+                    for i in range(1, len(alpha)))
 
 
 def word_brace(alpha: str, gammas) -> WordPoly:
@@ -148,47 +124,33 @@ _DELTA_MONO: dict[tuple, dict] = {}
 def _delta_monomial(mono: tuple) -> dict:
     """Full coproduct of a monomial as {(left, right): Fraction}."""
     out = _DELTA_MONO.get(mono)
-    if out is not None:
-        return out
-    acc = {((), ()): Fraction(1)}
-    for w in mono:
-        word_terms = [(((w,), ()), Fraction(1)), (((), (w,)), Fraction(1))]
-        for (l, r), c in word_dual_coproduct(w).terms.items():
-            word_terms.append(((l, r), c))
-        nxt: dict = {}
-        for (la, ra), c in acc.items():
-            for (lb, rb), d in word_terms:
-                key = (monomial(la + lb), monomial(ra + rb))
-                nxt[key] = nxt.get(key, Fraction(0)) + c * d
-        acc = nxt
-    _DELTA_MONO[mono] = acc
-    return acc
+    if out is None:
+        out = multiplicative_coproduct(mono, _delta_word, (), _join)
+        _DELTA_MONO[mono] = out
+    return out
+
+
+def _delta_word(w: str) -> dict:
+    """delta_bar(w) + w (x) 1 + 1 (x) w."""
+    out = {((w,), ()): Fraction(1), ((), (w,)): Fraction(1)}
+    out.update(word_dual_coproduct(w).terms)
+    return out
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    return tuple(sorted(a + b))
 
 
 def word_full_coproduct(x: WordPoly) -> WordTensor:
     """delta = delta_bar + 1 (x) w + w (x) 1 on words, multiplicative on monomials."""
-    acc: dict = {}
-    for mono, c in x.terms.items():
-        for key, d in _delta_monomial(mono).items():
-            acc[key] = acc.get(key, Fraction(0)) + c * d
-    return WordTensor(2, acc)
+    return word_iterated_coproducts(x, 2)
 
 
 def word_iterated_coproducts(x: WordPoly, k: int, flavor: str = "full") -> WordTensor:
     """delta^[k] of x; flavor 'reduced' drops empty slots, 'irr' keeps only
     tensors of single words."""
-    full = WordTensor(k, iterate_coproduct(_delta_monomial, x.terms, k))
-    if flavor == "full":
-        return full
-    if flavor == "reduced":
-        kept = {slots: c for slots, c in full.terms.items()
-                if all(len(m) > 0 for m in slots)}
-    elif flavor == "irr":
-        kept = {slots: c for slots, c in full.terms.items()
-                if all(len(m) == 1 for m in slots)}
-    else:
-        raise ValueError("flavor must be full, reduced or irr")
-    return WordTensor(k, kept)
+    return WordTensor(k, project(iterate_coproduct(_delta_monomial, x.terms, k),
+                                 flavor))
 
 
 def _mono_pairing(u: tuple, v: tuple) -> int:
@@ -206,10 +168,4 @@ def word_pairing(x, y) -> Fraction:
         x = WordPoly({(x,): 1})
     if isinstance(y, str):
         y = WordPoly({(y,): 1})
-    small, big = (x, y) if len(x.terms) <= len(y.terms) else (y, x)
-    out = Fraction(0)
-    for mono, c in small.terms.items():
-        d = big.terms.get(mono)
-        if d is not None:
-            out += c * d * _mono_pairing(mono, mono)
-    return out
+    return pair(x.terms, y.terms, lambda mono: _mono_pairing(mono, mono))

@@ -259,3 +259,43 @@ def test_verify_all_quick(capsys):
     assert code == 0
     assert "PASS hopf.gl-ck-duality" in out
     assert "PASS hopf.coassociativity" in out
+
+
+def test_verify_rejects_bad_order(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "0")
+    assert code == 2 and out == "" and "must be >= 1" in err
+
+
+def test_verify_identity_on_no_instances_fails(capsys):
+    # words of length 1 have no odd factorization, so both word identities
+    # run on 0 instances at order 1
+    code, out, err = run(capsys, "verify", "--suite", "words", "--max-order", "1")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL words.brace-coproduct-duality (0 instances)",
+        "FAIL words.coproduct-grading (0 instances)"]
+    records = [json.loads(line) for line in err.splitlines()]
+    assert [r["reason"] for r in records] == ["no instances"] * 2
+
+
+def test_verify_checks_every_cap_before_running(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-order", "9")
+    assert code == 2 and out == ""
+    assert "forest suite order 9 exceeds the cap 8" in err
+
+
+@pytest.mark.parametrize("alphabet", ["aa", ""])
+def test_forest_rejects_bad_alphabet(capsys, alphabet):
+    code, out, err = run(capsys, "forest", "--basis", "words", "--index", "a",
+                         "--k", "2", "--alphabet", alphabet)
+    assert code == 2 and out == "" and "alphabet" in err
+
+
+@pytest.mark.parametrize("values", [["1", "2"], {"a": 3}])
+def test_cumulants_rejects_malformed_values(tmp_path, capsys, values):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"brand": "free", "variables": ["a"],
+                               "maxlen": 1, "values": values}))
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert code == 2 and out == "" and "values" in err
