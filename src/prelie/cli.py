@@ -4,7 +4,8 @@ dumps, cumulant conversion, and the self-verification suites.
 Exit codes: 0 success, 1 verification failure, 2 input error.  Output is
 deterministic for a given configuration; rationals are always rendered as
 strings ("p/q").  Enumeration orders are capped (12 for tree tables, 8 for
-forest-formula indices) unless --unsafe-uncapped is given.
+forest-formula indices, 7 for cumulant word lengths) unless --unsafe-uncapped
+is given.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .trees import (LEAF, enumerate_forests, enumerate_trees,
 
 TREE_CAP = 12
 FOREST_CAP = 8
+CUMULANT_CAP = 7
 
 
 def _write_output(text: str, path):
@@ -47,14 +49,17 @@ def _input_error(message: str) -> int:
     return 2
 
 
+def _over_cap(what: str, value: int, cap: int) -> int:
+    return _input_error("%s %d exceeds the cap %d (pass --unsafe-uncapped to "
+                        "override)" % (what, value, cap))
+
+
 # ---------------------------------------------------------------------------
 # trees
 
 def cmd_trees(args) -> int:
     if args.max_order > TREE_CAP and not args.unsafe_uncapped:
-        return _input_error("--max-order %d exceeds the cap %d "
-                            "(pass --unsafe-uncapped to override)"
-                            % (args.max_order, TREE_CAP))
+        return _over_cap("--max-order", args.max_order, TREE_CAP)
     if args.max_order < 1:
         return _input_error("--max-order must be >= 1")
     rows = []
@@ -117,9 +122,7 @@ def cmd_series(args) -> int:
     if args.order < 1:
         return _input_error("--order must be >= 1")
     if args.order > TREE_CAP and not args.unsafe_uncapped:
-        return _input_error("--order %d exceeds the cap %d "
-                            "(pass --unsafe-uncapped to override)"
-                            % (args.order, TREE_CAP))
+        return _over_cap("--order", args.order, TREE_CAP)
     compute = _series_exp if args.which == "exp" else _series_magnus
     methods = ("closed", "fixed-point") if args.which == "exp" \
         else ("closed", "fixed-point", "sol1")
@@ -163,6 +166,8 @@ def cmd_cumulants(args) -> int:
     if table.brand != args.source:
         return _input_error("table brand is %r but --from is %r"
                             % (table.brand, args.source))
+    if table.maxlen > CUMULANT_CAP and not args.unsafe_uncapped:
+        return _over_cap("table maxlen", table.maxlen, CUMULANT_CAP)
     try:
         out = nc.convert(table, args.target, route=args.route)
     except ValueError as exc:
@@ -182,6 +187,11 @@ def cmd_forest(args) -> int:
             basis = WordBasis(args.alphabet)
         except ValueError as exc:
             return _input_error("bad --alphabet: %s" % exc)
+    # a bracket tree has one "[" per vertex; count them before the parse,
+    # which recurses once per level
+    if args.basis == "ck" and args.index.count("[") > FOREST_CAP \
+            and not args.unsafe_uncapped:
+        return _over_cap("index grade", args.index.count("["), FOREST_CAP)
     try:
         if ":" in args.index:
             g, o = args.index.split(":", 1)
@@ -195,9 +205,7 @@ def cmd_forest(args) -> int:
         return _input_error("--k must be >= 1")
     grade = basis.grade(index)
     if grade > FOREST_CAP and not args.unsafe_uncapped:
-        return _input_error("index grade %d exceeds the cap %d "
-                            "(pass --unsafe-uncapped to override)"
-                            % (grade, FOREST_CAP))
+        return _over_cap("index grade", grade, FOREST_CAP)
     lines = []
     for T, lam in enumerate_decorated_trees(index, basis):
         tree_str = decorated_string(T, basis)
@@ -420,9 +428,11 @@ def _suite_cumulants(order: int):
                 ok, bad = False, {"from": src, "to": tgt}
     yield ("direct-vs-via-moments", ok, cases, bad)
 
+    # through moments: the direct monotone -> boolean / free sums are the
+    # ones exp_functional and magnus_functional evaluate
     rho = rand_table("monotone")
-    beta = nc.convert(rho, "boolean")
-    nu = nc.convert(rho, "free")
+    beta = nc.convert(rho, "boolean", "via-moments")
+    nu = nc.convert(rho, "free", "via-moments")
     ok, bad, cases = True, None, 0
     for w in nc.iter_words(variables, N):
         checks = (
@@ -455,9 +465,7 @@ def cmd_verify(args) -> int:
     for name, order in orders.items():
         cap = FOREST_CAP if name == "forest" else TREE_CAP
         if order > cap and not args.unsafe_uncapped:
-            return _input_error("%s suite order %d exceeds the cap %d "
-                                "(pass --unsafe-uncapped to override)"
-                                % (name, order, cap))
+            return _over_cap("%s suite order" % name, order, cap)
     failures = 0
     for name, order in orders.items():
         for identity, ok, cases, record in SUITES[name][0](order):

@@ -7,20 +7,23 @@ orders the blocks by strict enclosure (min(V) < min(W) and max(W) < max(V));
 its cover relation is a forest, one tree per outermost block.
 
 Cumulant brands (moment, free, boolean, monotone) are tables of exact
-rationals indexed by words over the declared variables.  Conversions follow
-the partition sums: moments are NC / interval / weighted-NC sums of the
-respective cumulants, cumulant-to-cumulant passes are sums over irreducible
-non-crossing partitions weighted by nesting-forest data (signs, forest
-factorials, omega coefficients), and moments-to-cumulants inverts
-triangularly by word length.  exp_functional and magnus_functional are the
-same irreducible sums with 1/t(pi)! and omega(t(pi)) weights, applied to an
-arbitrary table used as a multilinear functional.
+rationals indexed by words over one-character variables.  Every conversion
+is a sum over non-crossing partitions pi (all, interval or irreducible) of a
+weight times the product of the table over the blocks of pi.  The weight is
+a statistic of the nesting forest t(pi) alone: 1, the sign (-1)^(|pi|-1),
+1/t(pi)!, omega(t(pi)), or a signed one of these.  So each (length, brand
+pair) sum is compiled once into (blocks, weight) terms, and the work per
+word is the block products.  Moments-to-cumulants inverts the cumulants-to-
+moments sum triangularly by word length.  exp_functional and
+magnus_functional are the monotone -> boolean and boolean -> monotone sums,
+applied to an arbitrary table used as a multilinear functional.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, islice, product
 
 from .exactnum import parse_rational
 from .trees import Forest, RootedTree, forest_factorial
@@ -75,38 +78,26 @@ class NCPartition:
         return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
 
 
-_NC_CACHE: dict[int, tuple] = {0: ((),)}
-
-
+@cache
 def _nc_blocks(n: int) -> tuple:
     """All non-crossing partitions of [n] as block tuples (shifted on use)."""
-    out = _NC_CACHE.get(n)
-    if out is not None:
-        return out
+    if n == 0:
+        return ((),)
     result = []
-    # the block of 1 is {v_1 = 1 < v_2 < ... < v_k}; the segments strictly
-    # between consecutive v's and after v_k are partitioned independently
+    # the block of 1 is v = {1 < v_2 < ... < v_k}; the gaps between
+    # consecutive elements and after v_k are partitioned independently
     for size in range(1, n + 1):
         for rest in combinations(range(2, n + 1), size - 1):
             v = (1,) + rest
-            segments = []
-            for a, b in zip(v, v[1:] + (n + 1,)):
-                segments.append((a + 1, b - 1))
-            choices = []
-            for a, b in segments:
-                m = b - a + 1
-                shifted = []
-                for sub in _nc_blocks(m):
-                    shifted.append(tuple(tuple(e + a - 1 for e in blk) for blk in sub))
-                choices.append(shifted)
+            # the gap between consecutive a < b of v holds a partition of
+            # its b - a - 1 elements, shifted by a
+            choices = [[tuple(tuple(e + a for e in blk) for blk in sub)
+                        for sub in _nc_blocks(b - a - 1)]
+                       for a, b in zip(v, v[1:] + (n + 1,))]
             for combo in product(*choices):
-                blocks = (v,)
-                for sub in combo:
-                    blocks += sub
+                blocks = (v,) + tuple(blk for sub in combo for blk in sub)
                 result.append(tuple(sorted(blocks, key=lambda b: b[0])))
-    out = tuple(result)
-    _NC_CACHE[n] = out
-    return out
+    return tuple(result)
 
 
 def enumerate_nc(n: int) -> list:
@@ -187,16 +178,23 @@ class CumulantTable:
         if brand not in BRANDS:
             raise ValueError("unknown brand %r (expected one of %s)"
                              % (brand, ", ".join(BRANDS)))
+        # words are read letter by letter, so a variable is one character
+        if not (isinstance(variables, (list, tuple)) and variables
+                and all(isinstance(v, str) and len(v) == 1 for v in variables)
+                and len(set(variables)) == len(variables)):
+            raise ValueError("variables must be a nonempty list of distinct "
+                             "one-character strings")
         variables = tuple(variables)
-        if not variables or len(set(variables)) != len(variables):
-            raise ValueError("variables must be distinct and nonempty")
         if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
         vals = {w: Fraction(v) for w, v in values.items()}
-        missing = [w for w in iter_words(variables, maxlen) if w not in vals]
+        # stop at 21: the words up to a huge maxlen cannot all be listed
+        missing = list(islice((w for w in iter_words(variables, maxlen)
+                               if w not in vals), 21))
         if missing:
-            raise ValueError("table is missing %d word(s): %s"
-                             % (len(missing), ", ".join(missing[:20])))
+            raise ValueError("table is missing %s word(s): %s" % (
+                len(missing) if len(missing) <= 20 else "more than 20",
+                ", ".join(missing[:20])))
         self.brand = brand
         self.variables = variables
         self.maxlen = maxlen
@@ -245,108 +243,73 @@ def iter_words(variables, maxlen: int):
             yield "".join(combo)
 
 
-def _restrict(w: str, block) -> str:
-    return "".join(w[i - 1] for i in block)
+def _inverse_factorial(forest):
+    return Fraction(1, forest_factorial(forest))
 
 
-def _pi_product(values: dict, pi: NCPartition, w: str) -> Fraction:
-    out = Fraction(1)
-    for block in pi.blocks:
-        out *= values[_restrict(w, block)]
-        if not out:
-            return out
-    return out
-
-
-# weights w(pi) in the stated sums; None marks the absent 1/weight cases
-def _w_free_to_moment(pi):
-    return Fraction(1)
-
-
-def _w_boolean_to_moment(pi):
-    return Fraction(1) if pi.is_interval() else None
-
-
-def _w_monotone_to_moment(pi):
-    return Fraction(1, forest_factorial(nesting_forest(pi)))
-
-
-_TO_MOMENT = {
-    "free": _w_free_to_moment,
-    "boolean": _w_boolean_to_moment,
-    "monotone": _w_monotone_to_moment,
+# Every partition sum of this module: (source, target) -> (the non-crossing
+# partitions pi it runs over, whether pi carries the sign (-1)^(|pi|-1), the
+# statistic of the nesting forest t(pi) that weights pi, None for 1).  The
+# X -> moment sums give moments, the irreducible ones are the direct
+# cumulant-to-cumulant relations; exp_functional is the monotone -> boolean
+# sum and magnus_functional the boolean -> monotone one.
+_SUMS = {
+    ("free", "moment"): ("all", False, None),
+    ("boolean", "moment"): ("interval", False, None),
+    ("monotone", "moment"): ("all", False, _inverse_factorial),
+    ("free", "boolean"): ("irreducible", False, None),
+    ("boolean", "free"): ("irreducible", True, None),
+    ("monotone", "boolean"): ("irreducible", False, _inverse_factorial),
+    ("monotone", "free"): ("irreducible", True, _inverse_factorial),
+    ("boolean", "monotone"): ("irreducible", False, forest_omega),
+    ("free", "monotone"): ("irreducible", True, forest_omega),
 }
 
-# direct cumulant-to-cumulant weights, summed over irreducible partitions
-def _w_free_to_boolean(pi):
-    return Fraction(1)
-
-
-def _w_boolean_to_free(pi):
-    return Fraction((-1) ** (len(pi) - 1))
-
-
-def _w_monotone_to_boolean(pi):
-    return Fraction(1, forest_factorial(nesting_forest(pi)))
-
-
-def _w_monotone_to_free(pi):
-    return Fraction((-1) ** (len(pi) - 1), forest_factorial(nesting_forest(pi)))
-
-
-def _w_boolean_to_monotone(pi):
-    return forest_omega(nesting_forest(pi))
-
-
-def _w_free_to_monotone(pi):
-    return Fraction((-1) ** (len(pi) - 1)) * forest_omega(nesting_forest(pi))
-
-
-_CUM_TO_CUM = {
-    ("free", "boolean"): _w_free_to_boolean,
-    ("boolean", "free"): _w_boolean_to_free,
-    ("monotone", "boolean"): _w_monotone_to_boolean,
-    ("monotone", "free"): _w_monotone_to_free,
-    ("boolean", "monotone"): _w_boolean_to_monotone,
-    ("free", "monotone"): _w_free_to_monotone,
+_KEEP = {
+    "all": lambda pi: True,
+    "interval": NCPartition.is_interval,
+    "irreducible": NCPartition.is_irreducible,
 }
 
 
-def _sum_over(values: dict, w: str, partitions, weight) -> Fraction:
-    out = Fraction(0)
-    for pi in partitions:
-        c = weight(pi)
-        if c is None or not c:
+@cache
+def _terms(n: int, pair: tuple) -> tuple:
+    """((blocks, weight), ...) of the sum for ``pair`` over partitions of
+    [n], blocks as 0-based positions, zero weights dropped."""
+    which, signed, statistic = _SUMS[pair]
+    out = []
+    for pi in enumerate_nc(n):
+        if not _KEEP[which](pi):
             continue
-        out += c * _pi_product(values, pi, w)
-    return out
+        c = statistic(nesting_forest(pi)) if statistic else 1
+        if signed and len(pi) % 2 == 0:
+            c = -c
+        if c:
+            out.append((tuple(tuple(i - 1 for i in b) for b in pi.blocks), c))
+    return tuple(out)
 
 
-def _cumulants_to_moments(table: CumulantTable) -> dict:
-    weight = _TO_MOMENT[table.brand]
-    out = {}
-    for w in iter_words(table.variables, table.maxlen):
-        out[w] = _sum_over(table.values, w, enumerate_nc(len(w)), weight)
+def _partition_sum(values: dict, w: str, terms) -> Fraction:
+    """sum over terms of weight * prod over blocks of values[w restricted]."""
+    out = Fraction(0)
+    for blocks, c in terms:
+        for block in blocks:
+            c *= values["".join([w[i] for i in block])]
+            if not c:
+                break
+        out += c
     return out
 
 
 def _moments_to_cumulants(moments: dict, target: str, variables, maxlen) -> dict:
-    """Invert the stated sum by word length: the full-block term has
-    coefficient 1, every other term only involves shorter restrictions."""
-    weight = _TO_MOMENT[target]
+    """Invert the target -> moment sum by word length: its one-block term is
+    the unknown itself with weight 1, every other term reads shorter words."""
     out: dict = {}
     for n in range(1, maxlen + 1):
+        rest = [t for t in _terms(n, (target, "moment")) if len(t[0]) > 1]
         for combo in product(variables, repeat=n):
             w = "".join(combo)
-            rest = Fraction(0)
-            for pi in enumerate_nc(n):
-                if len(pi) == 1:
-                    continue
-                c = weight(pi)
-                if c is None or not c:
-                    continue
-                rest += c * _pi_product(out, pi, w)
-            out[w] = moments[w] - rest
+            out[w] = moments[w] - _partition_sum(out, w, rest)
     return out
 
 
@@ -370,26 +333,21 @@ def convert(table: CumulantTable, target: str, route: str = "direct") -> Cumulan
         mid = table if table.brand == "moment" else convert(table, "moment")
         return convert(mid, target)
 
-    if target == "moment":
-        vals = _cumulants_to_moments(table)
-    elif table.brand == "moment":
+    if table.brand == "moment":
         vals = _moments_to_cumulants(table.values, target,
                                      table.variables, table.maxlen)
     else:
-        weight = _CUM_TO_CUM[(table.brand, target)]
-        vals = {}
-        for w in iter_words(table.variables, table.maxlen):
-            vals[w] = _sum_over(table.values, w, enumerate_nc_irr(len(w)), weight)
+        pair = (table.brand, target)
+        vals = {w: _partition_sum(table.values, w, _terms(len(w), pair))
+                for w in iter_words(table.variables, table.maxlen)}
     return CumulantTable(target, table.variables, table.maxlen, vals)
 
 
 def exp_functional(values: dict, w: str) -> Fraction:
     """<exp of the functional | w>: irreducible sum with 1/t(pi)! weights."""
-    return _sum_over(values, w, enumerate_nc_irr(len(w)),
-                     lambda pi: Fraction(1, forest_factorial(nesting_forest(pi))))
+    return _partition_sum(values, w, _terms(len(w), ("monotone", "boolean")))
 
 
 def magnus_functional(values: dict, w: str) -> Fraction:
     """<Magnus of the functional | w>: irreducible sum with omega weights."""
-    return _sum_over(values, w, enumerate_nc_irr(len(w)),
-                     lambda pi: forest_omega(nesting_forest(pi)))
+    return _partition_sum(values, w, _terms(len(w), ("boolean", "monotone")))

@@ -219,6 +219,15 @@ def test_criterion_8_cumulant_suite():
         assert nu.values[w] == -nc.exp_functional(rho.negated().values, w)
         assert rho.values[w] == nc.magnus_functional(beta.values, w)
         assert rho.values[w] == -nc.magnus_functional(nu.negated().values, w)
+    # the direct monotone -> boolean / free sums are the ones the functionals
+    # evaluate, so check them against the route through moments as well
+    beta_via = nc.convert(rho, "boolean", route="via-moments")
+    nu_via = nc.convert(rho, "free", route="via-moments")
+    for w in nc.iter_words(variables, N):
+        assert beta_via.values[w] == nc.exp_functional(rho.values, w)
+        assert nu_via.values[w] == -nc.exp_functional(rho.negated().values, w)
+        assert rho.values[w] == nc.magnus_functional(beta_via.values, w)
+        assert rho.values[w] == -nc.magnus_functional(nu_via.negated().values, w)
     _report(8, "cumulant round trips, route agreement and exp/Magnus "
                "functional theorems at N = 6", t0, budget=120)
 

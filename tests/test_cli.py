@@ -227,6 +227,10 @@ def test_forest_bad_index_and_caps(capsys):
     code, _, err = run(capsys, "forest", "--basis", "ck", "--index", "[]",
                        "--k", "0")
     assert code == 2 and "--k" in err
+    # the grade of a 1200-deep chain is read before the recursive parse
+    code, _, err = run(capsys, "forest", "--basis", "ck",
+                       "--index", "[" * 1200 + "]" * 1200, "--k", "2")
+    assert code == 2 and "index grade 1200 exceeds the cap 8" in err
 
 
 def test_forest_custom_alphabet(capsys):
@@ -299,3 +303,41 @@ def test_cumulants_rejects_malformed_values(tmp_path, capsys, values):
     code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
                          "--input", str(src))
     assert code == 2 and out == "" and "values" in err
+
+
+@pytest.mark.parametrize("variables, values", [
+    (5, {}),
+    ([1, 2], {}),
+    # a complete maxlen-2 table, but word keys are read letter by letter
+    (["a", "ab"], {w: "1" for w in ("a", "ab", "aa", "aab", "aba", "abab")}),
+])
+def test_cumulants_rejects_bad_variables(tmp_path, capsys, variables, values):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"brand": "free", "variables": variables,
+                               "maxlen": 2, "values": values}))
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "variables" in err
+
+
+def test_cumulants_cap_and_override(tmp_path, capsys):
+    src = tmp_path / "long.json"
+    _write_table(src, maxlen=8)
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert code == 2 and out == ""
+    assert "table maxlen 8 exceeds the cap 7" in err
+    code, out, _ = run(capsys, "--unsafe-uncapped", "cumulants", "--from",
+                       "free", "--to", "moment", "--input", str(src))
+    assert code == 0
+    got = CumulantTable.from_json(json.loads(out))
+    assert [got.values["a" * n] for n in (2, 4, 6, 8)] == [1, 2, 5, 14]
+    # a table claiming a huge maxlen fails its completeness check at once,
+    # without listing every missing word
+    src.write_text(json.dumps({"brand": "free", "variables": ["a", "b"],
+                               "maxlen": 100000, "values": {"a": "1"}}))
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert code == 2 and "missing more than 20 word(s): b, aa," in err
+

@@ -214,3 +214,12 @@ def test_functional_theorems_on_random_cumulants():
         assert nu.values[w] == -exp_functional(rho.negated().values, w)
         assert rho.values[w] == magnus_functional(beta.values, w)
         assert rho.values[w] == -magnus_functional(nu.negated().values, w)
+    # the direct monotone -> boolean / free sums are the ones the functionals
+    # evaluate, so check them against the route through moments as well
+    beta_via = convert(rho, "boolean", route="via-moments")
+    nu_via = convert(rho, "free", route="via-moments")
+    for w in iter_words(variables, N):
+        assert beta_via.values[w] == exp_functional(rho.values, w)
+        assert nu_via.values[w] == -exp_functional(rho.negated().values, w)
+        assert rho.values[w] == magnus_functional(beta_via.values, w)
+        assert rho.values[w] == -magnus_functional(nu_via.negated().values, w)
