@@ -10,6 +10,7 @@ Modules:
     words       the pre-Lie algebra of words and its coproduct
     forest      forest formulas for iterated coproducts over a basis
     nc          non-crossing partitions and cumulant conversions
+    checks      the cross-route identities that `prelie verify` reruns
     cli         command line entry points
 
 All arithmetic is exact (fractions.Fraction); no floats anywhere.

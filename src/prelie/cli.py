@@ -1,11 +1,11 @@
 """Command line interface: coefficient tables, series dumps, forest-formula
-dumps, cumulant conversion, and the self-verification suites.
+dumps, cumulant conversion, and the verification suites of ``prelie.checks``.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.  Output is
 deterministic for a given configuration; rationals are always rendered as
 strings ("p/q").  Enumeration orders are capped (12 for tree tables, 8 for
-forest-formula indices, 7 for cumulant word lengths) unless --unsafe-uncapped
-is given.
+forest-formula indices, 6 for the forest --k, 7 for cumulant word lengths)
+unless --unsafe-uncapped is given.
 """
 
 from __future__ import annotations
@@ -14,24 +14,19 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
-from fractions import Fraction
-from itertools import combinations, product
-from math import comb, factorial
+from math import factorial
 
-from . import freeprelie, nc, words
+from . import checks, freeprelie, nc
+from .checks import FOREST_CAP, SUITES, TREE_CAP
 from .exactnum import format_rational
 from .forest import (CKBasis, WordBasis, decorated_string,
-                     enumerate_decorated_trees, forest_formula, _slot_maps)
-from .trees import (LEAF, enumerate_forests, enumerate_trees,
-                    count_k_linearizations, count_weak_k_linearizations,
-                    murua_omega, murua_omega_recursive, num_linearizations,
+                     enumerate_decorated_trees, _slot_maps)
+from .trees import (LEAF, enumerate_trees, murua_omega, num_linearizations,
                     sigma, tree_factorial)
 
-TREE_CAP = 12
-FOREST_CAP = 8
 CUMULANT_CAP = 7
+K_CAP = 6  # forest --k: 3 s for a grade-8 corolla in full flavor
 
 
 def _write_output(text: str, path):
@@ -187,25 +182,30 @@ def cmd_forest(args) -> int:
             basis = WordBasis(args.alphabet)
         except ValueError as exc:
             return _input_error("bad --alphabet: %s" % exc)
-    # a bracket tree has one "[" per vertex; count them before the parse,
-    # which recurses once per level
-    if args.basis == "ck" and args.index.count("[") > FOREST_CAP \
-            and not args.unsafe_uncapped:
-        return _over_cap("index grade", args.index.count("["), FOREST_CAP)
+    # the grade is read off the text and checked before the index is:
+    # validating G:O lists every basis element of grade G, and a bracket
+    # tree, one "[" per vertex, is parsed by recursion
     try:
         if ":" in args.index:
             g, o = args.index.split(":", 1)
             index = (int(g), int(o))
-            basis.validate(index)
+            grade = index[0]
         else:
+            index = None
+            grade = args.index.count("[") if args.basis == "ck" \
+                else len(args.index)
+        if grade > FOREST_CAP and not args.unsafe_uncapped:
+            return _over_cap("index grade", grade, FOREST_CAP)
+        if index is None:
             index = basis.parse(args.index)
+        else:
+            basis.validate(index)
     except ValueError as exc:
         return _input_error("bad --index: %s" % exc)
     if args.k < 1:
         return _input_error("--k must be >= 1")
-    grade = basis.grade(index)
-    if grade > FOREST_CAP and not args.unsafe_uncapped:
-        return _over_cap("index grade", grade, FOREST_CAP)
+    if args.k > K_CAP and not args.unsafe_uncapped:
+        return _over_cap("--k", args.k, K_CAP)
     lines = []
     for T, lam in enumerate_decorated_trees(index, basis):
         tree_str = decorated_string(T, basis)
@@ -232,253 +232,23 @@ def cmd_forest(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _suite_trees(order: int):
-    # enumeration vs the Euler-transform style recursion on rooted-tree counts
-    target = max(order, 2)
-    a = [0, 1]
-    for n in range(1, target):
-        total = 0
-        for k in range(1, n + 1):
-            div_sum = sum(d * a[d] for d in range(1, k + 1) if k % d == 0)
-            total += div_sum * a[n - k + 1]
-        a.append(total // n)
-    counts_ok = all(len(enumerate_trees(n)) == a[n] for n in range(1, target + 1)
-                    if n < len(a))
-    yield ("tree-counts-vs-recursion", counts_ok, target, None)
-
-    cayley_ok = True
-    for n in range(1, order + 1):
-        s = sum(Fraction(factorial(n), sigma(t)) for t in enumerate_trees(n))
-        if s != n ** (n - 1):
-            cayley_ok = False
-    yield ("cayley-sum", cayley_ok, order, None)
-
-    omega_ok, bad = True, None
-    for n in range(1, order + 1):
-        for t in enumerate_trees(n):
-            if murua_omega(t) != murua_omega_recursive(t):
-                omega_ok, bad = False, {"tree": t.key}
-    yield ("omega-direct-vs-recursive", omega_ok,
-           sum(len(enumerate_trees(n)) for n in range(1, order + 1)), bad)
-
-    weak_ok, bad, cases = True, None, 0
-    for n in range(1, min(order, 5) + 1):
-        for f in enumerate_forests(n):
-            for k in range(1, 5):
-                lhs = count_weak_k_linearizations(f, k)
-                rhs = sum(comb(k, l) * count_k_linearizations(f, l)
-                          for l in range(1, k + 1))
-                cases += 1
-                if lhs != rhs:
-                    weak_ok, bad = False, {"forest": f.key, "k": k}
-    yield ("weak-vs-surjective-binomial", weak_ok, cases, bad)
-
-
-def _suite_hopf(order: int):
-    pool = [f for n in range(0, order + 1) for f in enumerate_forests(n)]
-    dual_ok, bad, cases = True, None, 0
-    for fz in pool:
-        if fz.size == 0:
-            continue
-        dz = freeprelie.ck_coproduct(fz)
-        for fx in pool:
-            for fy in pool:
-                if fx.size + fy.size != fz.size:
-                    continue
-                lhs = freeprelie.pairing(
-                    freeprelie.gl_product(freeprelie.ForestPoly({fx: 1}),
-                                          freeprelie.ForestPoly({fy: 1})),
-                    freeprelie.ForestPoly({fz: 1}))
-                rhs = freeprelie.tensor_pairing(
-                    freeprelie.TensorPoly(2, {(fx, fy): 1}), dz)
-                cases += 1
-                if lhs != rhs:
-                    dual_ok, bad = False, {"x": fx.key, "y": fy.key, "z": fz.key}
-    yield ("gl-ck-duality", dual_ok, cases, bad)
-
-    coassoc_ok, bad, cases = True, None, 0
-    for n in range(1, order + 1):
-        for t in enumerate_trees(n):
-            left = freeprelie.iterated_coproduct(t, 3)
-            right_terms = {}
-            for (a, b), c in freeprelie.ck_coproduct(t).terms.items():
-                for (b1, b2), d in freeprelie.ck_coproduct(
-                        freeprelie.ForestPoly({b: 1})).terms.items():
-                    key = (a, b1, b2)
-                    right_terms[key] = right_terms.get(key, Fraction(0)) + c * d
-            cases += 1
-            if left != freeprelie.TensorPoly(3, right_terms):
-                coassoc_ok, bad = False, {"tree": t.key}
-    yield ("coassociativity", coassoc_ok, cases, bad)
-
-
-def _suite_magnus(order: int):
-    m1 = freeprelie.magnus_closed_form(order)
-    m2 = freeprelie.magnus_fixed_point(freeprelie.TreeSeries({LEAF: 1}), order)
-    m3 = freeprelie.tree_part(freeprelie.sol1(
-        freeprelie.poly_exp(freeprelie.TreeSeries({LEAF: 1}), order)))
-    agree = m1 == m2 == m3
-    yield ("magnus-three-way", agree,
-           sum(len(enumerate_trees(n)) for n in range(1, order + 1)),
-           None if agree else {"order": order})
-
-    inv_order = min(order, 5)
-    composed = freeprelie.prelie_exp(
-        freeprelie.magnus_closed_form(inv_order), inv_order)
-    want = freeprelie.TreeSeries({LEAF: 1}, inv_order)
-    ok = composed == want
-    yield ("exp-after-magnus-identity", ok, inv_order,
-           None if ok else {"order": inv_order})
-
-
-def _suite_words(order: int):
-    alphabet = "ab"
-    dual_ok, bad, cases = True, None, 0
-    pool = [w for n in range(1, order + 1)
-            for w in words.enumerate_words(alphabet, n)]
-    for w in pool:
-        L = len(w)
-        by_n = {}
-        for (l, r), c in words.word_dual_coproduct(w).terms.items():
-            by_n.setdefault(len(r), {}).setdefault(l[0], []).append((r, c))
-        for ncuts in range(1, L):
-            for cuts in combinations(range(1, L), ncuts):
-                lens = [b - a for a, b in zip((0,) + cuts, cuts + (L,))]
-                for alpha in words.enumerate_words(alphabet, lens[0]):
-                    for gam in product(*[words.enumerate_words(alphabet, m)
-                                         for m in lens[1:]]):
-                        lhs = words.word_pairing(words.word_brace(alpha, gam), w)
-                        gm = words.monomial(gam)
-                        rhs = Fraction(0)
-                        for r, c in by_n.get(len(gam), {}).get(alpha, []):
-                            rhs += c * words._mono_pairing(gm, r)
-                        cases += 1
-                        if lhs != rhs:
-                            dual_ok, bad = False, {"alpha": alpha,
-                                                   "gammas": list(gam), "w": w}
-    yield ("brace-coproduct-duality", dual_ok, cases, bad)
-
-    grading_ok, bad, cases = True, None, 0
-    for w in pool:
-        for (l, r), _ in words.word_dual_coproduct(w).terms.items():
-            cases += 1
-            if len(l[0]) + sum(len(u) for u in r) != len(w):
-                grading_ok, bad = False, {"w": w}
-    yield ("coproduct-grading", grading_ok, cases, bad)
-
-
-def _suite_forest(order: int):
-    ck = CKBasis()
-    ok, bad, cases = True, None, 0
-    for n in range(1, order + 1):
-        for t in enumerate_trees(n):
-            i = ck.index_of(t)
-            for k in range(2, 5):
-                for flavor, direct in (
-                        ("full", freeprelie.iterated_coproduct),
-                        ("reduced", freeprelie.reduced_iterated_coproduct),
-                        ("irr", freeprelie.irr_iterated_coproduct)):
-                    got = ck.slot_tensor(forest_formula(i, k, flavor, ck), k)
-                    cases += 1
-                    if got != direct(t, k):
-                        ok, bad = False, {"tree": t.key, "k": k, "flavor": flavor}
-    yield ("ck-forest-formula-vs-direct", ok, cases, bad)
-
-    wb = WordBasis("ab")
-    ok, bad, cases = True, None, 0
-    max_len = min(order, 5)
-    for n in range(1, max_len + 1):
-        for w in words.enumerate_words("ab", n):
-            i = wb.index_of(w)
-            poly = words.WordPoly({(w,): 1})
-            for k in range(2, 5):
-                for flavor in ("full", "reduced", "irr"):
-                    got = wb.slot_tensor(forest_formula(i, k, flavor, wb), k)
-                    cases += 1
-                    if got != words.word_iterated_coproducts(poly, k, flavor):
-                        ok, bad = False, {"word": w, "k": k, "flavor": flavor}
-    yield ("word-forest-formula-vs-direct", ok, cases, bad)
-
-
-def _suite_cumulants(order: int):
-    rng = random.Random(20210917)
-    variables = ("a", "b")
-    N = min(order, 6)
-
-    def rand_table(brand):
-        return nc.CumulantTable(brand, variables, N, {
-            w: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            for w in nc.iter_words(variables, N)})
-
-    moments = rand_table("moment")
-    ok, bad, cases = True, None, 0
-    for brand in ("free", "boolean", "monotone"):
-        back = nc.convert(nc.convert(moments, brand), "moment")
-        cases += 1
-        if back != moments:
-            ok, bad = False, {"brand": brand}
-    yield ("moment-roundtrips", ok, cases, bad)
-
-    ok, bad, cases = True, None, 0
-    for src in nc.BRANDS:
-        tab = moments if src == "moment" else rand_table(src)
-        for tgt in nc.BRANDS:
-            cases += 1
-            if nc.convert(tab, tgt, "direct") != nc.convert(tab, tgt, "via-moments"):
-                ok, bad = False, {"from": src, "to": tgt}
-    yield ("direct-vs-via-moments", ok, cases, bad)
-
-    # through moments: the direct monotone -> boolean / free sums are the
-    # ones exp_functional and magnus_functional evaluate
-    rho = rand_table("monotone")
-    beta = nc.convert(rho, "boolean", "via-moments")
-    nu = nc.convert(rho, "free", "via-moments")
-    ok, bad, cases = True, None, 0
-    for w in nc.iter_words(variables, N):
-        checks = (
-            nc.exp_functional(rho.values, w) == beta.values[w],
-            -nc.exp_functional(rho.negated().values, w) == nu.values[w],
-            nc.magnus_functional(beta.values, w) == rho.values[w],
-            -nc.magnus_functional(nu.negated().values, w) == rho.values[w],
-        )
-        cases += 4
-        if not all(checks):
-            ok, bad = False, {"word": w}
-    yield ("exp-magnus-functionals", ok, cases, bad)
-
-
-SUITES = {
-    "trees": (_suite_trees, 6),
-    "hopf": (_suite_hopf, 6),
-    "magnus": (_suite_magnus, 6),
-    "words": (_suite_words, 5),
-    "forest": (_suite_forest, 5),
-    "cumulants": (_suite_cumulants, 6),
-}
-
-
 def cmd_verify(args) -> int:
     if args.max_order is not None and args.max_order < 1:
         return _input_error("--max-order must be >= 1")
     selected = list(SUITES) if args.suite == "all" else [args.suite]
-    orders = {name: args.max_order or SUITES[name][1] for name in selected}
+    orders = {name: args.max_order or SUITES[name].order for name in selected}
     for name, order in orders.items():
-        cap = FOREST_CAP if name == "forest" else TREE_CAP
-        if order > cap and not args.unsafe_uncapped:
-            return _over_cap("%s suite order" % name, order, cap)
+        if order > SUITES[name].cap and not args.unsafe_uncapped:
+            return _over_cap("%s suite order" % name, order, SUITES[name].cap)
     failures = 0
     for name, order in orders.items():
-        for identity, ok, cases, record in SUITES[name][0](order):
-            # an identity checked on no instance has shown nothing
-            passed = ok and cases > 0
+        for identity, instances, failure in checks.run(name, order):
             print("%s %s.%s (%d instances)"
-                  % ("PASS" if passed else "FAIL", name, identity, cases))
-            if not passed:
+                  % ("FAIL" if failure else "PASS", name, identity, instances))
+            if failure:
                 failures += 1
-                detail = {"instance": record} if not ok else \
-                    {"reason": "no instances"}
                 print(json.dumps({"suite": name, "identity": identity,
-                                  **detail}), file=sys.stderr)
+                                  **failure}), file=sys.stderr)
     return 1 if failures else 0
 
 

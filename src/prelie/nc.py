@@ -225,10 +225,14 @@ class CumulantTable:
         try:
             brand = data["brand"]
             variables = data["variables"]
-            maxlen = int(data["maxlen"])
+            maxlen = data["maxlen"]
             raw = data["values"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError("malformed cumulant table: %s" % exc) from None
+        # not int(): it truncates 1.9 and takes true or "7"
+        if type(maxlen) is not int:
+            raise ValueError('malformed cumulant table: "maxlen" must be an '
+                             'integer, not %s' % type(maxlen).__name__)
         if not isinstance(raw, dict) or \
                 not all(isinstance(v, str) for v in raw.values()):
             raise ValueError('malformed cumulant table: "values" must map '

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from prelie import cli
+from prelie import checks, cli
 from prelie.nc import CumulantTable, convert, iter_words
 
 
@@ -231,6 +231,29 @@ def test_forest_bad_index_and_caps(capsys):
     code, _, err = run(capsys, "forest", "--basis", "ck",
                        "--index", "[" * 1200 + "]" * 1200, "--k", "2")
     assert code == 2 and "index grade 1200 exceeds the cap 8" in err
+    # a grade:ordinal index is held against the cap before it is validated,
+    # which would enumerate every basis element of that grade
+    for basis in ("ck", "words"):
+        code, out, err = run(capsys, "forest", "--basis", basis,
+                             "--index", "40:0", "--k", "2")
+        assert code == 2 and out == ""
+        assert err == "error: index grade 40 exceeds the cap 8 (pass " \
+                      "--unsafe-uncapped to override)\n"
+
+
+def test_forest_k_cap_and_override(capsys):
+    code, out, err = run(capsys, "forest", "--basis", "ck", "--index", "[[]]",
+                         "--k", "7")
+    assert code == 2 and out == ""
+    assert err == "error: --k 7 exceeds the cap 6 (pass --unsafe-uncapped " \
+                  "to override)\n"
+    code, out, _ = run(capsys, "--unsafe-uncapped", "forest", "--basis", "ck",
+                       "--index", "[[]]", "--k", "7", "--flavor", "full")
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    # the 2-chain whole in one of the 7 slots, or cut at its edge into two
+    # of them: 7 + 21 terms
+    assert len(lines) == 28
 
 
 def test_forest_custom_alphabet(capsys):
@@ -280,6 +303,44 @@ def test_verify_identity_on_no_instances_fails(capsys):
         "FAIL words.coproduct-grading (0 instances)"]
     records = [json.loads(line) for line in err.splitlines()]
     assert [r["reason"] for r in records] == ["no instances"] * 2
+
+
+def test_verify_all_counts_are_pinned(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-order", "3")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "PASS trees.tree-counts-vs-recursion (3 instances)",
+        "PASS trees.cayley-sum (3 instances)",
+        "PASS trees.omega-direct-vs-recursive (4 instances)",
+        "PASS trees.weak-vs-surjective-binomial (28 instances)",
+        "PASS hopf.gl-ck-duality (60 instances)",
+        "PASS hopf.coassociativity (4 instances)",
+        "PASS magnus.magnus-three-way (4 instances)",
+        "PASS magnus.exp-after-magnus-identity (3 instances)",
+        "PASS words.brace-coproduct-duality (208 instances)",
+        "PASS words.coproduct-grading (8 instances)",
+        "PASS forest.ck-forest-formula-vs-direct (36 instances)",
+        "PASS forest.word-forest-formula-vs-direct (126 instances)",
+        "PASS cumulants.moment-roundtrips (3 instances)",
+        "PASS cumulants.direct-vs-via-moments (16 instances)",
+        "PASS cumulants.exp-magnus-functionals (56 instances)"]
+
+
+def test_verify_reports_the_first_failing_instance(capsys, monkeypatch):
+    def cayley_sum(order):
+        # the real identity with every instance from order 2 on falsified
+        for instance, got, want in checks.cayley_sum(order):
+            yield instance, got, want + (instance["order"] >= 2)
+
+    trees = checks.SUITES["trees"]
+    monkeypatch.setitem(checks.SUITES, "trees",
+                        trees._replace(identities=(cayley_sum,)))
+    code, out, err = run(capsys, "verify", "--suite", "trees", "--max-order", "3")
+    assert code == 1
+    assert out.splitlines() == ["FAIL trees.cayley-sum (3 instances)"]
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"suite": "trees", "identity": "cayley-sum",
+         "instance": {"order": 2}}]
 
 
 def test_verify_checks_every_cap_before_running(capsys):
@@ -341,3 +402,15 @@ def test_cumulants_cap_and_override(tmp_path, capsys):
                          "--input", str(src))
     assert code == 2 and "missing more than 20 word(s): b, aa," in err
 
+
+
+@pytest.mark.parametrize("maxlen", ["1.9", "true", '"1"', "1e400"])
+def test_cumulants_rejects_non_integer_maxlen(tmp_path, capsys, maxlen):
+    # int() would take each of these: 1.9 as maxlen 1, silently dropping aa
+    src = tmp_path / "bad.json"
+    src.write_text('{"brand": "free", "variables": ["a"], "maxlen": %s, '
+                   '"values": {"a": "1", "aa": "2"}}' % maxlen)
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert '"maxlen" must be an integer' in err
