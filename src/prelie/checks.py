@@ -23,6 +23,10 @@ from .trees import (LEAF, enumerate_forests, enumerate_trees,
 # orders past these take minutes or more: tree orders, forest-formula grades
 TREE_CAP = 12
 FOREST_CAP = 8
+# where sol1 runs (series --which magnus --method sol1 or --check, and the
+# magnus suite): on a 2-core machine --order 9 --check takes 4.9 s, sol1
+# alone 20 s at order 10 and --order 10 --check 38 s
+SOL1_CAP = 9
 
 
 def tree_counts_vs_recursion(order: int):
@@ -201,17 +205,21 @@ def exp_magnus_functionals(order: int):
         yield instance, -nc.magnus_functional(minus_nu, w), rho.values[w]
 
 
-# order is the suite's default order
+# order is the suite's default order; each cap is the last order a suite
+# finishes in seconds, measured on a 2-core machine: trees 7.0 s at 10 and
+# 34 s at 11, hopf 4.0 s at 7 and 39 s at 8, magnus 5.8 s at 9 and 27 s at
+# 10, words 4.9 s at 6 and over 60 s at 7, cumulants 3.8 s at 12 (its tables
+# stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
 
 
 SUITES = {
     "trees": Suite((tree_counts_vs_recursion, cayley_sum,
                     omega_direct_vs_recursive, weak_vs_surjective_binomial),
-                   6, TREE_CAP),
-    "hopf": Suite((gl_ck_duality, coassociativity), 6, TREE_CAP),
-    "magnus": Suite((magnus_three_way, exp_after_magnus_identity), 6, TREE_CAP),
-    "words": Suite((brace_coproduct_duality, coproduct_grading), 5, TREE_CAP),
+                   6, 10),
+    "hopf": Suite((gl_ck_duality, coassociativity), 6, 7),
+    "magnus": Suite((magnus_three_way, exp_after_magnus_identity), 6, SOL1_CAP),
+    "words": Suite((brace_coproduct_duality, coproduct_grading), 5, 6),
     "forest": Suite((ck_forest_formula_vs_direct,
                      word_forest_formula_vs_direct), 5, FOREST_CAP),
     "cumulants": Suite((moment_roundtrips, direct_vs_via_moments,

@@ -3,9 +3,10 @@ dumps, cumulant conversion, and the verification suites of ``prelie.checks``.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.  Output is
 deterministic for a given configuration; rationals are always rendered as
-strings ("p/q").  Enumeration orders are capped (12 for tree tables, 8 for
-forest-formula indices, 6 for the forest --k, 7 for cumulant word lengths)
-unless --unsafe-uncapped is given.
+strings ("p/q").  Enumeration orders are capped (12 for tree tables and
+series, 9 where sol1 runs, 8 for forest-formula indices, 6 for the forest
+--k, 7 for cumulant word lengths, and per suite for verify) unless
+--unsafe-uncapped is given.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from math import factorial
 
 from . import checks, freeprelie, nc
-from .checks import FOREST_CAP, SUITES, TREE_CAP
+from .checks import FOREST_CAP, SOL1_CAP, SUITES, TREE_CAP
 from .exactnum import format_rational
 from .forest import (CKBasis, WordBasis, decorated_string,
                      enumerate_decorated_trees, _slot_maps)
@@ -116,8 +117,11 @@ def _series_magnus(order: int, method: str):
 def cmd_series(args) -> int:
     if args.order < 1:
         return _input_error("--order must be >= 1")
-    if args.order > TREE_CAP and not args.unsafe_uncapped:
-        return _over_cap("--order", args.order, TREE_CAP)
+    # sol1 runs for --method sol1 and for every magnus --check
+    cap = SOL1_CAP if args.which == "magnus" and (
+        args.method == "sol1" or args.check) else TREE_CAP
+    if args.order > cap and not args.unsafe_uncapped:
+        return _over_cap("--order", args.order, cap)
     compute = _series_exp if args.which == "exp" else _series_magnus
     methods = ("closed", "fixed-point") if args.which == "exp" \
         else ("closed", "fixed-point", "sol1")
@@ -237,9 +241,12 @@ def cmd_verify(args) -> int:
         return _input_error("--max-order must be >= 1")
     selected = list(SUITES) if args.suite == "all" else [args.suite]
     orders = {name: args.max_order or SUITES[name].order for name in selected}
-    for name, order in orders.items():
-        if order > SUITES[name].cap and not args.unsafe_uncapped:
-            return _over_cap("%s suite order" % name, order, SUITES[name].cap)
+    over = [name for name, order in orders.items()
+            if order > SUITES[name].cap and not args.unsafe_uncapped]
+    for name in over:
+        _over_cap("%s suite order" % name, orders[name], SUITES[name].cap)
+    if over:
+        return 2
     failures = 0
     for name, order in orders.items():
         for identity, instances, failure in checks.run(name, order):

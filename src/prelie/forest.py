@@ -128,6 +128,10 @@ class WordBasis(BasisProvider):
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be nonempty without repeats")
+        if ":" in self.alphabet:
+            # a ":" in an index marks a grade:ordinal pair, never a word
+            raise ValueError("alphabet %r holds ':', which marks a "
+                             "grade:ordinal index" % "".join(self.alphabet))
         self._pos = {a: p for p, a in enumerate(self.alphabet)}
 
     def validate(self, i) -> None:

@@ -19,8 +19,8 @@ and every series operator takes an explicit order argument.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import factorial, prod
+from itertools import chain, groupby, product
+from math import comb, factorial, prod
 
 from .exactnum import bernoulli
 from .lincomb import (Tensor, TermMap, bilinear, iterate_coproduct,
@@ -354,24 +354,40 @@ _SOL1: dict[str, ForestPoly] = {}
 
 
 def _sol1_monomial(f: Forest) -> ForestPoly:
+    """sol1 of one monomial, summed over compositions of its multiplicities.
+
+    Ordered set partitions of the positions whose blocks hold the same
+    multisets of trees give the same GL product, and there are
+    prod_j m_j! / prod_(i,j) c_ij! of them for blocks c_1..c_k of the tree
+    multiplicities m.  The walk picks the blocks depth first, so a prefix
+    product B1 * ... * Bi is formed once and shared by every composition
+    that starts with it.
+    """
     out = _SOL1.get(f.key)
     if out is not None:
         return out
-    n = len(f.trees)
-    out = ForestPoly({})
-    for k in range(1, n + 1):
-        coeff = Fraction((-1) ** (k - 1), k)
-        layer = ForestPoly({})
-        for assign in product(range(k), repeat=n):
-            if len(set(assign)) != k:
-                continue  # ordered partitions: every block nonempty
-            blocks = [tuple(f.trees[i] for i in range(n) if assign[i] == j)
-                      for j in range(k)]
-            term = ForestPoly({Forest(blocks[0]): 1})
-            for block in blocks[1:]:
-                term = gl_product(term, ForestPoly({Forest(block): 1}))
-            layer = layer + term
-        out = out + layer.scaled(coeff)
+    # f.trees is sorted by key, so equal trees form runs
+    runs = [tuple(g) for _, g in groupby(f.trees, key=lambda t: t.key)]
+    acc: dict = {}
+
+    def walk(prefix, rem, k, weight):
+        if not any(rem):
+            c = Fraction((-1) ** (k - 1) * weight, k)
+            for g, d in prefix.terms.items():
+                acc[g] = acc.get(g, 0) + c * d
+            return
+        for block in product(*(range(r + 1) for r in rem)):
+            if not any(block):
+                continue
+            mono = ForestPoly({Forest(tuple(chain.from_iterable(
+                run[:c] for run, c in zip(runs, block)))): 1})
+            walk(mono if prefix is None else gl_product(prefix, mono),
+                 tuple(r - c for r, c in zip(rem, block)), k + 1,
+                 weight * prod(comb(r, c) for r, c in zip(rem, block)))
+
+    if runs:  # sol1(1) = 0
+        walk(None, tuple(len(run) for run in runs), 0, 1)
+    out = ForestPoly(acc)
     _SOL1[f.key] = out
     return out
 

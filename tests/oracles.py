@@ -8,7 +8,7 @@ exchange values.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from prelie.trees import Forest, RootedTree, labeled
@@ -165,6 +165,41 @@ def oudom_guin_brace(prelie_on_basis, x, args) -> dict:
                                    head[:i] + (s,) + head[i + 1:])
             for r, d in sub.items():
                 out[r] = out.get(r, Fraction(0)) - c * d
+    return {r: c for r, c in out.items() if c}
+
+
+def _ordered_set_partitions(items: tuple):
+    """Every ordered set partition of items, first block chosen first."""
+    if not items:
+        yield ()
+        return
+    for r in range(1, len(items) + 1):
+        for first in combinations(range(len(items)), r):
+            rest = tuple(x for i, x in enumerate(items) if i not in first)
+            for tail in _ordered_set_partitions(rest):
+                yield (tuple(items[i] for i in first),) + tail
+
+
+def brute_sol1(f: Forest, gl_on_basis) -> dict:
+    """sol1(f) = sum over ordered set partitions (I1..Ik) of the positions of
+    f's trees of ((-1)^(k-1)/k) f_I1 * ... * f_Ik, the Grossman-Larson
+    product given as gl_on_basis(forest, forest) -> {forest: coeff} and
+    chained left to right, one partition at a time."""
+    out: dict = {}
+    for blocks in _ordered_set_partitions(tuple(range(len(f.trees)))):
+        if not blocks:
+            continue  # sol1(1) = 0
+        forests = [Forest(tuple(f.trees[i] for i in b)) for b in blocks]
+        chain = {forests[0]: Fraction(1)}
+        for g in forests[1:]:
+            nxt: dict = {}
+            for x, c in chain.items():
+                for r, d in gl_on_basis(x, g).items():
+                    nxt[r] = nxt.get(r, 0) + c * d
+            chain = nxt
+        k = len(blocks)
+        for r, c in chain.items():
+            out[r] = out.get(r, 0) + Fraction((-1) ** (k - 1), k) * c
     return {r: c for r, c in out.items() if c}
 
 

@@ -65,7 +65,7 @@ def test_criterion_2_three_way_magnus_order_6():
     for n in range(1, 7):
         for t in enumerate_trees(n):
             assert closed.coeff(t) == Fraction(murua_omega(t), sigma(t))
-    _report(2, "closed form, fixed point and sol1 Magnus agree", t0, budget=30)
+    _report(2, "closed form, fixed point and sol1 Magnus agree", t0, budget=5)
 
 
 def test_criterion_3_omega_direct_vs_recursion():

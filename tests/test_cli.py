@@ -106,6 +106,23 @@ def test_series_cap(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_series_check_passes_at_order_8(capsys):
+    code, out, err = run(capsys, "series", "--which", "magnus",
+                         "--order", "8", "--check")
+    assert code == 0 and err == ""
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--method", "sol1"), ("--check",), ("--method", "fixed-point", "--check")])
+def test_series_sol1_cap(capsys, argv):
+    code, out, err = run(capsys, "series", "--which", "magnus",
+                         "--order", "10", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --order 10 exceeds the cap 9 (pass " \
+                  "--unsafe-uncapped to override)\n"
+
+
 # ---------------------------------------------------------------------------
 # cumulants
 
@@ -349,11 +366,29 @@ def test_verify_checks_every_cap_before_running(capsys):
     assert "forest suite order 9 exceeds the cap 8" in err
 
 
+def test_verify_names_every_suite_over_its_cap(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-order", "12")
+    assert code == 2 and out == ""
+    assert [line.split(" exceeds")[0] for line in err.splitlines()] == [
+        "error: %s suite order 12" % name
+        for name in ("trees", "hopf", "magnus", "words", "forest")]
+
+
 @pytest.mark.parametrize("alphabet", ["aa", ""])
 def test_forest_rejects_bad_alphabet(capsys, alphabet):
     code, out, err = run(capsys, "forest", "--basis", "words", "--index", "a",
                          "--k", "2", "--alphabet", alphabet)
     assert code == 2 and out == "" and "alphabet" in err
+
+
+@pytest.mark.parametrize("alphabet, index", [(":a", ":a"), ("1:", "1:1")])
+def test_forest_rejects_colon_in_alphabet(capsys, alphabet, index):
+    # ":" marks a grade:ordinal index, so "1:1" would be read as (1, 1)
+    code, out, err = run(capsys, "forest", "--basis", "words", "--index", index,
+                         "--k", "2", "--alphabet", alphabet)
+    assert code == 2 and out == ""
+    assert err == "error: bad --alphabet: alphabet %r holds ':', which marks " \
+                  "a grade:ordinal index\n" % alphabet
 
 
 @pytest.mark.parametrize("values", [["1", "2"], {"a": 3}])

@@ -276,6 +276,19 @@ def test_sol1_fixtures():
     assert sol1(poly(Forest((LEAF, LEAF)))) == ForestPoly({Forest((CHAIN2,)): -1})
 
 
+def test_sol1_matches_ordered_partition_oracle():
+    # every forest of grade <= 5, so repeated non-leaf trees ([[]][[]],
+    # [][[]][[]]) and mixed multiplicities are covered, and two forests with
+    # distinct trees of one size
+    def gl_on_basis(a, b):
+        return gl_product(poly(a), poly(b)).terms
+
+    forests = [f for n in range(6) for f in enumerate_forests(n)]
+    forests += [Forest((CHAIN3, CHERRY)), Forest((CHAIN3, CHERRY, CHAIN3))]
+    for f in forests:
+        assert sol1(poly(f)).terms == oracles.brute_sol1(f, gl_on_basis), f
+
+
 def test_exp_after_magnus_is_identity():
     omega = magnus_closed_form(4)
     assert prelie_exp(omega, 4) == TreeSeries({LEAF: 1}, 4)
