@@ -24,8 +24,8 @@ from .trees import (LEAF, enumerate_forests, enumerate_trees,
 TREE_CAP = 12
 FOREST_CAP = 8
 # where sol1 runs (series --which magnus --method sol1 or --check, and the
-# magnus suite): on a 2-core machine --order 9 --check takes 4.9 s, sol1
-# alone 20 s at order 10 and --order 10 --check 38 s
+# magnus suite): on a 2-core machine --order 9 --check takes 3.2-4.9 s,
+# sol1 alone 13-20 s at order 10 and --order 10 --check 16-38 s
 SOL1_CAP = 9
 
 
@@ -206,7 +206,7 @@ def exp_magnus_functionals(order: int):
 
 
 # order is the suite's default order; each cap is the last order a suite
-# finishes in seconds, measured on a 2-core machine: trees 7.0 s at 10 and
+# finishes within seconds, measured on a 2-core machine: trees 7.0 s at 10 and
 # 34 s at 11, hopf 4.0 s at 7 and 39 s at 8, magnus 5.8 s at 9 and 27 s at
 # 10, words 4.9 s at 6 and over 60 s at 7, cumulants 3.8 s at 12 (its tables
 # stop at length 6)

@@ -113,8 +113,7 @@ def test_series_check_passes_at_order_8(capsys):
     assert json.loads(out)
 
 
-@pytest.mark.parametrize("argv", [
-    ("--method", "sol1"), ("--check",), ("--method", "fixed-point", "--check")])
+@pytest.mark.parametrize("argv", [("--method", "sol1"), ("--check",)])
 def test_series_sol1_cap(capsys, argv):
     code, out, err = run(capsys, "series", "--which", "magnus",
                          "--order", "10", *argv)
