@@ -65,17 +65,16 @@ def weak_vs_surjective_binomial(order: int):
 
 def gl_ck_duality(order: int):
     """<x * y, z> = <x (x) y, Delta z> for forests with |x| + |y| = |z|."""
-    pool = [f for n in range(0, order + 1) for f in enumerate_forests(n)]
-    for fz in pool[1:]:  # all but the empty forest
-        dz = freeprelie.ck_coproduct(fz)
-        for fx in pool:
-            for fy in pool:
-                if fx.size + fy.size != fz.size:
-                    continue
-                lhs = freeprelie.pairing(freeprelie.gl_product(
-                    ForestPoly({fx: 1}), ForestPoly({fy: 1})), ForestPoly({fz: 1}))
-                rhs = freeprelie.tensor_pairing(TensorPoly(2, {(fx, fy): 1}), dz)
-                yield {"x": fx.key, "y": fy.key, "z": fz.key}, lhs, rhs
+    by_grade = [enumerate_forests(n) for n in range(order + 1)]
+    for n in range(1, order + 1):  # all but the empty forest
+        for fz in by_grade[n]:
+            dz = freeprelie.ck_coproduct(fz)
+            for a in range(n + 1):
+                for fx, fy in product(by_grade[a], by_grade[n - a]):
+                    lhs = freeprelie.pairing(freeprelie.gl_product(
+                        ForestPoly({fx: 1}), ForestPoly({fy: 1})), ForestPoly({fz: 1}))
+                    rhs = freeprelie.tensor_pairing(TensorPoly(2, {(fx, fy): 1}), dz)
+                    yield {"x": fx.key, "y": fy.key, "z": fz.key}, lhs, rhs
 
 
 def coassociativity(order: int):
@@ -207,9 +206,9 @@ def exp_magnus_functionals(order: int):
 
 # order is the suite's default order; each cap is the last order a suite
 # finishes within seconds, measured on a 2-core machine: trees 7.0 s at 10 and
-# 34 s at 11, hopf 4.0 s at 7 and 39 s at 8, magnus 5.8 s at 9 and 27 s at
-# 10, words 4.9 s at 6 and over 60 s at 7, cumulants 3.8 s at 12 (its tables
-# stop at length 6)
+# 34 s at 11, hopf 3.4-3.8 s at 7 and 28-32 s at 8, magnus 5.8 s at 9 and 27 s
+# at 10, words 4.9 s at 6 and over 60 s at 7, cumulants 3.8 s at 12 (its
+# tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
 
 

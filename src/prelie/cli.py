@@ -187,8 +187,8 @@ def cmd_forest(args) -> int:
         except ValueError as exc:
             return _input_error("bad --alphabet: %s" % exc)
     # the grade is read off the text and checked before the index is:
-    # validating G:O lists every basis element of grade G, and a bracket
-    # tree, one "[" per vertex, is parsed by recursion
+    # validating G:O, or ranking a bracket tree (one "[" per vertex), lists
+    # every basis element of grade G
     try:
         if ":" in args.index:
             g, o = args.index.split(":", 1)

@@ -19,6 +19,7 @@ and every series operator takes an explicit order argument.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, groupby, product
 from math import comb, factorial, prod
 
@@ -76,24 +77,20 @@ def tree_part(p: ForestPoly) -> TreeSeries:
 # ---------------------------------------------------------------------------
 # pre-Lie product and braces
 
-_GRAFT: dict[tuple, TreeSeries] = {}
-
-
 def graft(t: RootedTree, u: RootedTree) -> TreeSeries:
     """t <| u: sum over vertices v of t of (t with u's root attached below v)."""
-    memo_key = (t.key, u.key)
-    out = _GRAFT.get(memo_key)
-    if out is not None:
-        return out
+    return _graft(t, u)
+
+
+@cache
+def _graft(t: RootedTree, u: RootedTree) -> TreeSeries:
     terms: dict = {RootedTree(t.children + (u,)): Fraction(1)}
     for i, c in enumerate(t.children):
         rest = t.children[:i] + t.children[i + 1:]
-        for sub, coeff in graft(c, u).terms.items():
+        for sub, coeff in _graft(c, u).terms.items():
             grown = RootedTree(rest + (sub,))
             terms[grown] = terms.get(grown, Fraction(0)) + coeff
-    out = TreeSeries(terms)
-    _GRAFT[memo_key] = out
-    return out
+    return TreeSeries(terms)
 
 
 def prelie(a: TreeSeries, b: TreeSeries, order=None) -> TreeSeries:
@@ -101,9 +98,7 @@ def prelie(a: TreeSeries, b: TreeSeries, order=None) -> TreeSeries:
     return bilinear(a, b, graft, order)
 
 
-_BRACE: dict[tuple, TreeSeries] = {}
-
-
+@cache
 def _brace_basis(t: RootedTree, args: tuple) -> TreeSeries:
     """Symmetric brace t{args} by the Oudom-Guin recursion.
 
@@ -114,16 +109,11 @@ def _brace_basis(t: RootedTree, args: tuple) -> TreeSeries:
         return TreeSeries({t: 1})
     if len(args) == 1:
         return graft(t, args[0])
-    memo_key = (t.key,) + tuple(u.key for u in args)
-    out = _BRACE.get(memo_key)
-    if out is not None:
-        return out
     head, last = args[:-1], args[-1]
     out = prelie(_brace_basis(t, head), TreeSeries({last: 1}))
     for i in range(len(head)):
         for s, c in graft(head[i], last).terms.items():
             out = out - _brace_basis(t, head[:i] + (s,) + head[i + 1:]).scaled(c)
-    _BRACE[memo_key] = out
     return out
 
 
@@ -137,14 +127,8 @@ def brace(t: RootedTree, args) -> TreeSeries:
 # ---------------------------------------------------------------------------
 # Grossman-Larson product
 
-_GL: dict[tuple, ForestPoly] = {}
-
-
+@cache
 def _gl_monomial(fa: Forest, fb: Forest) -> ForestPoly:
-    memo_key = (fa.key, fb.key)
-    out = _GL.get(memo_key)
-    if out is not None:
-        return out
     a_trees, b_trees = fa.trees, fb.trees
     ell, m = len(a_trees), len(b_trees)
     acc: dict = {}
@@ -164,9 +148,7 @@ def _gl_monomial(fa: Forest, fb: Forest) -> ForestPoly:
         for trees, c in partial:
             f = Forest(trees)
             acc[f] = acc.get(f, Fraction(0)) + c
-    out = ForestPoly(acc)
-    _GL[memo_key] = out
-    return out
+    return ForestPoly(acc)
 
 
 def gl_product(a: ForestPoly, b: ForestPoly, order=None) -> ForestPoly:
@@ -187,9 +169,7 @@ def poly_mul(a: ForestPoly, b: ForestPoly, order=None) -> ForestPoly:
 # ---------------------------------------------------------------------------
 # Connes-Kreimer coproduct
 
-_CUTS: dict[str, tuple] = {}
-
-
+@cache
 def _cut_terms(t: RootedTree):
     """All admissible cuts of t, the empty cut included.
 
@@ -199,9 +179,6 @@ def _cut_terms(t: RootedTree):
     kept (recursing into the branch); cutting two edges on one root-to-leaf
     path is thereby impossible.
     """
-    out = _CUTS.get(t.key)
-    if out is not None:
-        return out
     options = []
     for c in t.children:
         opts = [(None, (c,), 1)]
@@ -219,22 +196,13 @@ def _cut_terms(t: RootedTree):
         trunk = RootedTree(kept)
         key = (trunk, Forest(pruned))
         acc[key] = acc.get(key, 0) + count
-    out = tuple((trunk, pruning, count) for (trunk, pruning), count in acc.items())
-    _CUTS[t.key] = out
-    return out
+    return tuple((trunk, pruning, count) for (trunk, pruning), count in acc.items())
 
 
-_DELTA_FOREST: dict[str, dict] = {}
-
-
+@cache
 def _delta_forest(f: Forest) -> dict:
     """Full coproduct of a forest monomial as {(left, right): Fraction}."""
-    out = _DELTA_FOREST.get(f.key)
-    if out is None:
-        out = multiplicative_coproduct(f.trees, _delta_tree, EMPTY_FOREST,
-                                       _juxtapose)
-        _DELTA_FOREST[f.key] = out
-    return out
+    return multiplicative_coproduct(f.trees, _delta_tree, EMPTY_FOREST, _juxtapose)
 
 
 def _delta_tree(t: RootedTree) -> dict:
@@ -350,9 +318,7 @@ def magnus_fixed_point(a: TreeSeries, order: int) -> TreeSeries:
     return omega
 
 
-_SOL1: dict[str, ForestPoly] = {}
-
-
+@cache
 def _sol1_monomial(f: Forest) -> ForestPoly:
     """sol1 of one monomial, summed over compositions of its multiplicities.
 
@@ -363,9 +329,6 @@ def _sol1_monomial(f: Forest) -> ForestPoly:
     product B1 * ... * Bi is formed once and shared by every composition
     that starts with it.
     """
-    out = _SOL1.get(f.key)
-    if out is not None:
-        return out
     # f.trees is sorted by key, so equal trees form runs
     runs = [tuple(g) for _, g in groupby(f.trees, key=lambda t: t.key)]
     acc: dict = {}
@@ -387,9 +350,7 @@ def _sol1_monomial(f: Forest) -> ForestPoly:
 
     if runs:  # sol1(1) = 0
         walk(None, tuple(len(run) for run in runs), 0, 1)
-    out = ForestPoly(acc)
-    _SOL1[f.key] = out
-    return out
+    return ForestPoly(acc)
 
 
 def sol1(x: ForestPoly) -> ForestPoly:

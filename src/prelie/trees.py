@@ -22,8 +22,9 @@ root-containing vertex selections of B-(t); the two must agree on every tree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .exactnum import bernoulli
 
@@ -97,29 +98,26 @@ class Forest:
 EMPTY_FOREST = Forest()
 
 
-def _parse_trees(s: str, pos: int, stop: int):
-    trees = []
-    while pos < stop:
-        if s[pos] != "[":
-            raise ValueError("bad bracket string at position %d: %r" % (pos, s))
-        depth = 0
-        for j in range(pos, stop):
-            if s[j] == "[":
-                depth += 1
-            elif s[j] == "]":
-                depth -= 1
-                if depth == 0:
-                    break
+def _parse_trees(s: str) -> list:
+    """The trees of juxtaposed bracket strings, in one left-to-right pass;
+    ``stack`` holds the children found so far of each open bracket."""
+    stack: list = [[]]
+    for pos, ch in enumerate(s):
+        if ch == "[":
+            stack.append([])
+        elif ch == "]" and len(stack) > 1:
+            kids = stack.pop()
+            stack[-1].append(RootedTree(kids))
         else:
-            raise ValueError("unbalanced brackets: %r" % (s,))
-        trees.append(RootedTree(_parse_trees(s, pos + 1, j)))
-        pos = j + 1
-    return trees
+            raise ValueError("bad bracket string at position %d: %r" % (pos, s))
+    if len(stack) > 1:
+        raise ValueError("unbalanced brackets: %r" % (s,))
+    return stack[0]
 
 
 def tree_from_string(s: str) -> RootedTree:
     """Parse a canonical (or any) bracket string into a tree."""
-    trees = _parse_trees(s, 0, len(s))
+    trees = _parse_trees(s)
     if len(trees) != 1:
         raise ValueError("expected exactly one tree, got %d in %r" % (len(trees), s))
     return trees[0]
@@ -127,7 +125,7 @@ def tree_from_string(s: str) -> RootedTree:
 
 def forest_from_string(s: str) -> Forest:
     """Parse juxtaposed bracket strings into a forest ("" is the empty forest)."""
-    return Forest(_parse_trees(s, 0, len(s)))
+    return Forest(_parse_trees(s))
 
 
 def b_plus(f: Forest) -> RootedTree:
@@ -140,50 +138,50 @@ def b_minus(t: RootedTree) -> Forest:
     return Forest(t.children)
 
 
-_TREES: dict[int, tuple] = {}
-_FORESTS: dict[int, tuple] = {}
-_RANK: dict[int, dict[str, int]] = {}
-
-
 def enumerate_trees(n: int):
     """All rooted trees with n vertices, ascending canonical key; stable order."""
     if n < 1:
         raise ValueError("enumerate_trees needs n >= 1, got %r" % (n,))
-    if n not in _TREES:
-        _TREES[n] = tuple(sorted((b_plus(f) for f in enumerate_forests(n - 1)),
-                                 key=lambda t: t.key))
-    return list(_TREES[n])
+    return list(_trees(n))
+
+
+@cache
+def _trees(n: int) -> tuple:
+    return tuple(sorted((b_plus(f) for f in _forests(n - 1)), key=lambda t: t.key))
 
 
 def enumerate_forests(n: int):
     """All forests with n total vertices, ascending canonical key."""
     if n < 0:
         raise ValueError("enumerate_forests needs n >= 0, got %r" % (n,))
-    if n not in _FORESTS:
-        pool = [t for s in range(1, n + 1) for t in enumerate_trees(s)]
+    return list(_forests(n))
 
-        def pick(total, start):
-            if total == 0:
-                yield ()
-                return
-            for i in range(start, len(pool)):
-                t = pool[i]
-                if t.size <= total:
-                    for rest in pick(total - t.size, i):
-                        yield (t,) + rest
 
-        _FORESTS[n] = tuple(sorted((Forest(ts) for ts in pick(n, 0)),
-                                   key=lambda f: f.key))
-    return list(_FORESTS[n])
+@cache
+def _forests(n: int) -> tuple:
+    pool = [t for s in range(1, n + 1) for t in _trees(s)]
+
+    def pick(total, start):
+        if total == 0:
+            yield ()
+            return
+        for i in range(start, len(pool)):
+            t = pool[i]
+            if t.size <= total:
+                for rest in pick(total - t.size, i):
+                    yield (t,) + rest
+
+    return tuple(sorted((Forest(ts) for ts in pick(n, 0)), key=lambda f: f.key))
 
 
 def tree_rank(t: RootedTree) -> int:
     """Ordinal of t within enumerate_trees(t.size); (size, rank) is stable."""
-    ranks = _RANK.get(t.size)
-    if ranks is None:
-        ranks = {u.key: i for i, u in enumerate(enumerate_trees(t.size))}
-        _RANK[t.size] = ranks
-    return ranks[t.key]
+    return _ranks(t.size)[t.key]
+
+
+@cache
+def _ranks(size: int) -> dict:
+    return {u.key: i for i, u in enumerate(enumerate_trees(size))}
 
 
 def tree_by_rank(size: int, rank: int) -> RootedTree:
@@ -193,8 +191,9 @@ def tree_by_rank(size: int, rank: int) -> RootedTree:
     return ts[rank]
 
 
+# a dict, not a cache: perfbench's recursion test clears it to count sigma's
+# re-entrant calls
 _SIGMA: dict[str, int] = {}
-_FACTORIAL: dict[str, int] = {}
 
 
 def sigma(t: RootedTree) -> int:
@@ -214,13 +213,12 @@ def sigma(t: RootedTree) -> int:
 
 def tree_factorial(t: RootedTree) -> int:
     """t! = |t| * product of branch factorials."""
-    out = _FACTORIAL.get(t.key)
-    if out is None:
-        out = t.size
-        for c in t.children:
-            out *= tree_factorial(c)
-        _FACTORIAL[t.key] = out
-    return out
+    return _tree_factorial(t)
+
+
+@cache
+def _tree_factorial(t: RootedTree) -> int:
+    return t.size * prod(_tree_factorial(c) for c in t.children)
 
 
 def forest_factorial(f: Forest) -> int:
@@ -245,6 +243,8 @@ def _as_forest(p) -> Forest:
     raise TypeError("expected RootedTree or Forest, got %r" % (type(p),))
 
 
+# keyed on the forest's key, not the forest: _surj builds a new Forest at
+# every peeling step, and a cache would keep every one of them alive
 _SURJ: dict[tuple, int] = {}
 
 
@@ -296,9 +296,6 @@ def _surj(f: Forest, k: int) -> int:
     return out
 
 
-_WEAK: dict[tuple, int] = {}
-
-
 def count_weak_k_linearizations(p, k: int) -> int:
     """Count strictly order preserving maps from p into {1..k} (not nec. onto).
 
@@ -314,35 +311,30 @@ def count_weak_k_linearizations(p, k: int) -> int:
     return out
 
 
+@cache
 def _weak_tree(t: RootedTree, k: int) -> int:
     if k <= 0:
         return 0
-    memo_key = (t.key, k)
-    out = _WEAK.get(memo_key)
-    if out is None:
-        out = 0
-        for j in range(1, k + 1):
-            term = 1
-            for c in t.children:
-                term *= _weak_tree(c, k - j)
-                if term == 0:
-                    break
-            out += term
-        _WEAK[memo_key] = out
+    out = 0
+    for j in range(1, k + 1):
+        term = 1
+        for c in t.children:
+            term *= _weak_tree(c, k - j)
+            if term == 0:
+                break
+        out += term
     return out
-
-
-_OMEGA: dict[str, Fraction] = {}
 
 
 def murua_omega(t: RootedTree) -> Fraction:
     """omega(t) = sum_{k=1..|t|} ((-1)^(k-1)/k) * |k-lin(t)|."""
-    out = _OMEGA.get(t.key)
-    if out is None:
-        out = sum((Fraction((-1) ** (k - 1), k) * count_k_linearizations(t, k)
-                   for k in range(1, t.size + 1)), Fraction(0))
-        _OMEGA[t.key] = out
-    return out
+    return _omega(t)
+
+
+@cache
+def _omega(t: RootedTree) -> Fraction:
+    return sum((Fraction((-1) ** (k - 1), k) * count_k_linearizations(t, k)
+                for k in range(1, t.size + 1)), Fraction(0))
 
 
 def murua_omega_forest(f: Forest) -> Fraction:
@@ -421,15 +413,11 @@ class LabeledForest:
         return Forest(self._shape(v, kids) for v in tops)
 
 
-_LABELED: dict[str, LabeledForest] = {}
-
-
 def labeled(f: Forest) -> LabeledForest:
-    lf = _LABELED.get(f.key)
-    if lf is None:
-        lf = LabeledForest(f)
-        _LABELED[f.key] = lf
-    return lf
+    return _labeled(f)
+
+
+_labeled = cache(LabeledForest)
 
 
 def root_subforests(f: Forest):
@@ -463,9 +451,6 @@ def cut_above(f: Forest, sel) -> Forest:
     return lf.cut_forest(sel)
 
 
-_OMEGA_REC: dict[str, Fraction] = {}
-
-
 def murua_omega_recursive(t: RootedTree) -> Fraction:
     """omega via the Bernoulli recursion over root-containing selections.
 
@@ -473,23 +458,23 @@ def murua_omega_recursive(t: RootedTree) -> Fraction:
     (B_|s| / s!) * omega(cut-above-s forest), with s! the forest factorial of
     the selection's induced shape and omega multiplicative over components.
     """
-    out = _OMEGA_REC.get(t.key)
-    if out is not None:
-        return out
+    return _omega_rec(t)
+
+
+@cache
+def _omega_rec(t: RootedTree) -> Fraction:
     if t.size == 1:
-        out = Fraction(1)
-    else:
-        f = b_minus(t)
-        out = Fraction(0)
-        for sel in root_subforests(f):
-            b = bernoulli(len(sel))
-            if b == 0:
-                continue
-            term = b / forest_factorial(induced_subforest(f, sel))
-            for comp in cut_above(f, sel).trees:
-                term *= murua_omega_recursive(comp)
-                if term == 0:
-                    break
-            out += term
-    _OMEGA_REC[t.key] = out
+        return Fraction(1)
+    f = b_minus(t)
+    out = Fraction(0)
+    for sel in root_subforests(f):
+        b = bernoulli(len(sel))
+        if b == 0:
+            continue
+        term = b / forest_factorial(induced_subforest(f, sel))
+        for comp in cut_above(f, sel).trees:
+            term *= _omega_rec(comp)
+            if term == 0:
+                break
+        out += term
     return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
@@ -118,16 +119,10 @@ def word_dual_coproduct(w: str) -> WordTensor:
     return WordTensor(2, acc)
 
 
-_DELTA_MONO: dict[tuple, dict] = {}
-
-
+@cache
 def _delta_monomial(mono: tuple) -> dict:
     """Full coproduct of a monomial as {(left, right): Fraction}."""
-    out = _DELTA_MONO.get(mono)
-    if out is None:
-        out = multiplicative_coproduct(mono, _delta_word, (), _join)
-        _DELTA_MONO[mono] = out
-    return out
+    return multiplicative_coproduct(mono, _delta_word, (), _join)
 
 
 def _delta_word(w: str) -> dict:

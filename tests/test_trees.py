@@ -66,6 +66,13 @@ def test_parser_rejects_malformed(bad):
         forest_from_string(bad)
 
 
+def test_deep_chain_parses_without_recursion():
+    text = "[" * 1200 + "]" * 1200
+    t = tree_from_string(text)
+    assert t.size == 1200
+    assert t.key == text
+
+
 def test_tree_from_string_rejects_forests_and_empty():
     with pytest.raises(ValueError):
         tree_from_string("")
