@@ -67,14 +67,17 @@ def gl_ck_duality(order: int):
     """<x * y, z> = <x (x) y, Delta z> for forests with |x| + |y| = |z|."""
     by_grade = [enumerate_forests(n) for n in range(order + 1)]
     for n in range(1, order + 1):  # all but the empty forest
+        # each x * y and x (x) y once per grade, not once per z
+        pairs = [({"x": fx.key, "y": fy.key},
+                  freeprelie.gl_product(ForestPoly({fx: 1}), ForestPoly({fy: 1})),
+                  TensorPoly(2, {(fx, fy): 1}))
+                 for a in range(n + 1)
+                 for fx, fy in product(by_grade[a], by_grade[n - a])]
         for fz in by_grade[n]:
-            dz = freeprelie.ck_coproduct(fz)
-            for a in range(n + 1):
-                for fx, fy in product(by_grade[a], by_grade[n - a]):
-                    lhs = freeprelie.pairing(freeprelie.gl_product(
-                        ForestPoly({fx: 1}), ForestPoly({fy: 1})), ForestPoly({fz: 1}))
-                    rhs = freeprelie.tensor_pairing(TensorPoly(2, {(fx, fy): 1}), dz)
-                    yield {"x": fx.key, "y": fy.key, "z": fz.key}, lhs, rhs
+            z, dz = ForestPoly({fz: 1}), freeprelie.ck_coproduct(fz)
+            for xy, gl, tensor in pairs:
+                yield ({**xy, "z": fz.key}, freeprelie.pairing(gl, z),
+                       freeprelie.tensor_pairing(tensor, dz))
 
 
 def coassociativity(order: int):
@@ -205,8 +208,8 @@ def exp_magnus_functionals(order: int):
 
 
 # order is the suite's default order; each cap is the last order a suite
-# finishes within seconds, measured on a 2-core machine: trees 7.0 s at 10 and
-# 34 s at 11, hopf 3.4-3.8 s at 7 and 28-32 s at 8, magnus 5.8 s at 9 and 27 s
+# finishes within seconds, measured on a 2-core machine: trees 5.2 s at 10 and
+# 28 s at 11, hopf 3.6-4.0 s at 8 and 28 s at 9, magnus 5.8 s at 9 and 27 s
 # at 10, words 4.9 s at 6 and over 60 s at 7, cumulants 3.8 s at 12 (its
 # tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
@@ -216,7 +219,7 @@ SUITES = {
     "trees": Suite((tree_counts_vs_recursion, cayley_sum,
                     omega_direct_vs_recursive, weak_vs_surjective_binomial),
                    6, 10),
-    "hopf": Suite((gl_ck_duality, coassociativity), 6, 7),
+    "hopf": Suite((gl_ck_duality, coassociativity), 6, 8),
     "magnus": Suite((magnus_three_way, exp_after_magnus_identity), 6, SOL1_CAP),
     "words": Suite((brace_coproduct_duality, coproduct_grading), 5, 6),
     "forest": Suite((ck_forest_formula_vs_direct,

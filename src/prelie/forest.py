@@ -309,9 +309,8 @@ def _slot_maps(T: DecoratedTree, k: int, flavor: str):
                 slots_acc[vals[p] - 1].append(verts[p][0])
             yield tuple(tuple(sorted(s)) for s in slots_acc)
             return
-        d2, parent = verts[pos]
+        parent = verts[pos][1]
         lo = 1 if parent < 0 else vals[parent] + 1
-        # unplaced vertices each need a value; leave headroom when surjective
         for v in range(lo, k + 1):
             vals[pos] = v
             yield from assign(pos + 1)

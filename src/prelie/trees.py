@@ -14,17 +14,21 @@ maps on a concrete vertex set, not of maps up to isomorphism.
 
 Statistics: sigma(t) is the automorphism count, tree_factorial the usual
 t! = |t| * (branch factorials), num_linearizations m(t) = |t|!/t!, and
-murua_omega the alternating sum over k of k-linearization counts.
-murua_omega_recursive recomputes omega through the Bernoulli-weighted sum over
-root-containing vertex selections of B-(t); the two must agree on every tree.
+murua_omega the alternating sum over k of k-linearization counts a_k.  The
+a_k come from one order polynomial per tree: W_t(x), the number of strictly
+order preserving maps from t into {1..x}, is sum_k a_k C(x, k) (Stanley, EC1
+3.12), built from the branches' coefficients by a binomial-basis product and
+an index shift for the root.  murua_omega_recursive recomputes omega through
+the Bernoulli-weighted sum over root-containing vertex selections of B-(t);
+the two must agree on every tree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .exactnum import bernoulli
 
@@ -243,57 +247,45 @@ def _as_forest(p) -> Forest:
     raise TypeError("expected RootedTree or Forest, got %r" % (type(p),))
 
 
-# keyed on the forest's key, not the forest: _surj builds a new Forest at
-# every peeling step, and a cache would keep every one of them alive
-_SURJ: dict[tuple, int] = {}
-
-
 def count_k_linearizations(p, k: int) -> int:
     """Count surjective strictly order preserving maps from p onto {1..k}.
 
-    Peels level sets: f^-1(1) is a nonempty subset of the roots; what remains
-    (chosen roots replaced by their branches) is mapped onto {2..k}.  Root
-    multiplicities are handled with binomials so the result counts maps on the
-    concrete vertex set.
+    Reads a_k off the order polynomial W_p(x) = sum_k a_k C(x, k), which
+    counts the maps from p into {1..x}: the product of the polynomials of
+    p's trees (see _surjections).  a_k is 0 past the grade of p.
     """
     if k < 1:
         raise ValueError("count_k_linearizations needs k >= 1, got %r" % (k,))
-    return _surj(_as_forest(p), k)
+    a = _forest_surjections(_as_forest(p).trees)
+    return a[k] if k < len(a) else 0
 
 
-def _surj(f: Forest, k: int) -> int:
-    if k == 0:
-        return 1 if f.size == 0 else 0
-    if f.size == 0:
-        return 0
-    memo_key = (f.key, k)
-    out = _SURJ.get(memo_key)
-    if out is not None:
-        return out
-    mult: dict[str, int] = {}
-    shape: dict[str, RootedTree] = {}
-    for t in f.trees:
-        mult[t.key] = mult.get(t.key, 0) + 1
-        shape[t.key] = t
-    keys = sorted(mult)
-    out = 0
+def _binomial_product(p: tuple, q: tuple) -> tuple:
+    """Binomial-basis coefficients of a product of two polynomials given in
+    that basis: C(x,i) C(x,j) = sum_k C(k,i) C(i,k-j) C(x,k)."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            if a and b:
+                for k in range(max(i, j), i + j + 1):
+                    out[k] += a * b * comb(k, i) * comb(i, k - j)
+    return tuple(out)
 
-    def choose(idx, ways, picked_children, leftover):
-        nonlocal out
-        if idx == len(keys):
-            if len(leftover) < len(f.trees):  # f^-1(1) must be nonempty
-                out += ways * _surj(Forest(picked_children + leftover), k - 1)
-            return
-        key = keys[idx]
-        t, m = shape[key], mult[key]
-        for c in range(m + 1):
-            choose(idx + 1, ways * comb(m, c),
-                   picked_children + list(t.children) * c,
-                   leftover + [t] * (m - c))
 
-    choose(0, 1, [], [])
-    _SURJ[memo_key] = out
-    return out
+def _forest_surjections(trees) -> tuple:
+    """(a_0, ..., a_n) of a forest of grade n: its trees' polynomials multiply."""
+    return reduce(_binomial_product, map(_surjections, trees), (1,))
+
+
+@cache
+def _surjections(t: RootedTree) -> tuple:
+    """(a_0, ..., a_|t|), a_k the number of surjective k-linearizations of t.
+
+    The root takes a value y <= x and its branches map into the x - y values
+    above it, so W_t(x) = sum_{z<x} prod_branches W_c(z); as
+    sum_{z<x} C(z,k) = C(x,k+1), the root shifts every coefficient up by one.
+    """
+    return (0,) + _forest_surjections(t.children)
 
 
 def count_weak_k_linearizations(p, k: int) -> int:
@@ -333,8 +325,10 @@ def murua_omega(t: RootedTree) -> Fraction:
 
 @cache
 def _omega(t: RootedTree) -> Fraction:
-    return sum((Fraction((-1) ** (k - 1), k) * count_k_linearizations(t, k)
-                for k in range(1, t.size + 1)), Fraction(0))
+    # integer terms over L = lcm(1..|t|), so one Fraction is normalised
+    a, L = _surjections(t), lcm(*range(1, t.size + 1))
+    return Fraction(sum((-1) ** (k - 1) * a[k] * (L // k)
+                        for k in range(1, t.size + 1)), L)
 
 
 def murua_omega_forest(f: Forest) -> Fraction:

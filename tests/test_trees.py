@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from prelie import trees
 from prelie.trees import (
     EMPTY_FOREST, Forest, LEAF, RootedTree, b_minus, b_plus,
     count_k_linearizations, count_weak_k_linearizations, cut_above,
@@ -178,6 +179,13 @@ def test_k_linearization_boundaries():
         count_k_linearizations(Forest((LEAF,)), 0)
 
 
+def test_top_k_linearization_count_is_linear_extension_count():
+    # the order polynomial's top coefficient against |t|!/t!
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            assert count_k_linearizations(t, n) == num_linearizations(t)
+
+
 @settings(deadline=None)
 @given(forests_st, st.integers(min_value=1, max_value=5))
 def test_weak_equals_binomial_sum_of_surjective(f, k):
@@ -219,6 +227,33 @@ def test_omega_recursive_matches_direct_small():
     for n in range(1, 8):
         for t in enumerate_trees(n):
             assert murua_omega_recursive(t) == murua_omega(t)
+
+
+def _route_called(*args):
+    raise AssertionError("a checked route called the route it is checked against")
+
+
+def _clear_omega_caches():
+    for memo in (trees._surjections, trees._omega, trees._omega_rec,
+                 trees._weak_tree):
+        memo.cache_clear()
+
+
+def test_omega_routes_do_not_call_each_other(monkeypatch):
+    # the selection recursion and the weak count run without the order
+    # polynomial, and the order polynomial runs without the recursion
+    small = [t for n in range(1, 9) for t in enumerate_trees(n)]
+    _clear_omega_caches()
+    with monkeypatch.context() as m:
+        m.setattr(trees, "_surjections", _route_called)
+        recursive = [murua_omega_recursive(t) for t in small]
+        for t in small:
+            count_weak_k_linearizations(t, t.size)
+    _clear_omega_caches()
+    with monkeypatch.context() as m:
+        m.setattr(trees, "_omega_rec", _route_called)
+        assert [murua_omega(t) for t in small] == recursive
+    _clear_omega_caches()
 
 
 # ---------------------------------------------------------------------------
