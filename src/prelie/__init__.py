@@ -13,7 +13,8 @@ Modules:
     checks      the cross-route identities that `prelie verify` reruns
     cli         command line entry points
 
-All arithmetic is exact (fractions.Fraction); no floats anywhere.
+All arithmetic is exact: int or fractions.Fraction, never float; a Fraction
+appears where a division does.
 """
 
 from .exactnum import Rational, bernoulli, format_rational, parse_rational

@@ -90,7 +90,7 @@ def coassociativity(order: int):
                 for (b1, b2), d in freeprelie.ck_coproduct(
                         ForestPoly({b: 1})).terms.items():
                     key = (a, b1, b2)
-                    right[key] = right.get(key, Fraction(0)) + c * d
+                    right[key] = right.get(key, 0) + c * d
             yield {"tree": t.key}, left, TensorPoly(3, right)
 
 

@@ -156,7 +156,7 @@ def cmd_cumulants(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
         return _input_error("cannot read table: %s" % exc)
     try:
         table = nc.CumulantTable.from_json(data)

@@ -1,10 +1,11 @@
 """Exact rational arithmetic and Bernoulli numbers.
 
-Every scalar in the engine is a ``fractions.Fraction``: always in lowest terms,
-positive denominator, unbounded integers, no floating point anywhere.  The
-stdlib type already guarantees all of that, so ``Rational`` is just an alias
-plus the string format used by the JSON/CSV interfaces ("p/q", or "p" when the
-denominator is 1).
+Every scalar in the engine is an int or a ``fractions.Fraction``, never a
+float; a Fraction appears where a division does.  Both are exact: unbounded
+integers, and Fractions always in lowest terms with a positive denominator.
+The stdlib types already guarantee all of that, so ``Rational`` is just an
+alias plus the string format used by the JSON/CSV interfaces ("p/q", or "p"
+when the denominator is 1).
 
 Bernoulli convention: B1 = -1/2 (the "first" Bernoulli numbers).  This is the
 convention under which the tree-indexed Magnus recursions in this package are

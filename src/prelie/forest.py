@@ -10,7 +10,7 @@ symmetry factor sym over the child forest; dropping it breaks the formula as
 soon as a vertex has two distinct child trees rooted at the same basis index.
 
 Two providers are included: the Connes-Kreimer basis (rooted trees, structure
-constants by admissible-cut enumeration) and the word basis (odd
+constants read off the coproduct of freeprelie) and the word basis (odd
 factorizations).  Basis indices are (grade, ordinal) pairs tied to the
 deterministic enumerations of the trees/words modules.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
 
@@ -96,13 +95,11 @@ class CKBasis(BasisProvider):
         return (t.size, tree_rank(t))
 
     def _delta_bar_terms(self, i) -> tuple:
-        t = self.tree(i)
         out = []
-        for trunk, pruning, count in freeprelie._cut_terms(t):
-            if len(pruning.trees) == 0:
-                continue  # empty cut: the t (x) 1 corner is not in delta_bar
-            I = tuple(sorted(self.index_of(p) for p in pruning.trees))
-            out.append((self.index_of(trunk), I, Fraction(count)))
+        for (trunk, pruning), c in freeprelie._delta_tree(self.tree(i)).items():
+            if trunk and pruning:  # skip the 1 (x) t and t (x) 1 corners
+                I = tuple(sorted(self.index_of(p) for p in pruning.trees))
+                out.append((self.index_of(trunk.trees[0]), I, c))
         return tuple(out)
 
     def label(self, i) -> str:
@@ -169,6 +166,8 @@ class WordBasis(BasisProvider):
         return self.word(i)
 
     def parse(self, text: str):
+        if not text:
+            raise ValueError("the empty word is not a basis element")
         return self.index_of(text)
 
     def slot_tensor(self, terms: dict, arity: int):
@@ -230,20 +229,21 @@ def sym(children) -> int:
     return out
 
 
-def lambda_coeff(T: DecoratedTree, basis: BasisProvider) -> Fraction:
+def lambda_coeff(T: DecoratedTree, basis: BasisProvider):
     """The coefficient lambda(T): per-vertex structure constants times
-    symmetry factors of child forests, 1 on leaves."""
+    symmetry factors of child forests, 1 on leaves.  An int for both bases
+    here, whose structure constants count cuts or factorizations."""
     basis.validate(T.d1)
     if not T.children:
-        return Fraction(1)
+        return 1
     I = tuple(sorted(c.d1 for c in T.children))
-    const = Fraction(0)
+    const = 0
     for i0, terms_I, c in basis.delta_bar(T.d1):
         if i0 == T.d2 and terms_I == I:
             const = c
             break
     if not const:
-        return Fraction(0)
+        return 0
     out = const * sym(T.children)
     for c in T.children:
         out *= lambda_coeff(c, basis)
@@ -258,7 +258,7 @@ def enumerate_decorated_trees(i, basis: BasisProvider) -> tuple:
     if out is not None:
         return out
     basis.validate(i)
-    result = [(leaf(i), Fraction(1))]
+    result = [(leaf(i), 1)]
     for i0, I, const in basis.delta_bar(i):
         mult = Counter(I)
         pools = []

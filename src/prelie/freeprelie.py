@@ -2,10 +2,18 @@
 
 Products: graft (the pre-Lie product, sum over attachment vertices), the
 symmetric brace t{u1,...,un} by the Oudom-Guin recursion, and the
-Grossman-Larson product on forest polynomials.  Coproduct: Connes-Kreimer by
-admissible cuts (trunk on the left, pruning on the right), with iterated,
-reduced and irreducible variants.  The sigma-weighted pairing makes the
-coproduct dual to the Grossman-Larson product.
+Grossman-Larson product on forest polynomials.  Coproduct: Connes-Kreimer,
+the admissible cuts with the trunk on the left and the pruning on the right,
+with iterated, reduced and irreducible variants.  It is multiplicative on
+forests, and on a tree B+(f) it follows from the coproduct of the branch
+forest f by the B+ cocycle
+
+    Delta(B+(f)) = 1 (x) B+(f) + (B+ (x) id) Delta(f),
+
+so every cut of B+(f) but the total one keeps the root and cuts f.  The
+sigma-weighted pairing makes the coproduct dual to the Grossman-Larson
+product.  Coefficients of the products and coproducts are ints; the series
+operators make Fractions where they divide.
 
 Series operators: prelie_exp (exp under graft), the Magnus series three ways
 (closed form via Murua coefficients, fixed point with Bernoulli weights, and
@@ -27,7 +35,7 @@ from .exactnum import bernoulli
 from .lincomb import (Tensor, TermMap, bilinear, iterate_coproduct,
                       multiplicative_coproduct, pair, project)
 from .trees import (
-    EMPTY_FOREST, Forest, RootedTree, b_plus, enumerate_trees,
+    EMPTY_FOREST, Forest, RootedTree, b_minus, b_plus, enumerate_trees,
     murua_omega, sigma, tree_factorial,
 )
 
@@ -84,12 +92,12 @@ def graft(t: RootedTree, u: RootedTree) -> TreeSeries:
 
 @cache
 def _graft(t: RootedTree, u: RootedTree) -> TreeSeries:
-    terms: dict = {RootedTree(t.children + (u,)): Fraction(1)}
+    terms: dict = {RootedTree(t.children + (u,)): 1}
     for i, c in enumerate(t.children):
         rest = t.children[:i] + t.children[i + 1:]
         for sub, coeff in _graft(c, u).terms.items():
             grown = RootedTree(rest + (sub,))
-            terms[grown] = terms.get(grown, Fraction(0)) + coeff
+            terms[grown] = terms.get(grown, 0) + coeff
     return TreeSeries(terms)
 
 
@@ -137,7 +145,7 @@ def _gl_monomial(fa: Forest, fb: Forest) -> ForestPoly:
         for pos, dest in enumerate(assign):
             groups[dest].append(b_trees[pos])
         # distribute the product of brace series over the a-factors
-        partial = [(tuple(groups[0]), Fraction(1))]
+        partial = [(tuple(groups[0]), 1)]
         for i in range(ell):
             # braces are symmetric in their arguments: sort for memo reuse
             args = tuple(sorted(groups[i + 1], key=lambda u: u.key))
@@ -147,7 +155,7 @@ def _gl_monomial(fa: Forest, fb: Forest) -> ForestPoly:
                        for r, d in fac.terms.items()]
         for trees, c in partial:
             f = Forest(trees)
-            acc[f] = acc.get(f, Fraction(0)) + c
+            acc[f] = acc.get(f, 0) + c
     return ForestPoly(acc)
 
 
@@ -170,46 +178,18 @@ def poly_mul(a: ForestPoly, b: ForestPoly, order=None) -> ForestPoly:
 # Connes-Kreimer coproduct
 
 @cache
-def _cut_terms(t: RootedTree):
-    """All admissible cuts of t, the empty cut included.
-
-    Returns ((trunk, pruning, count), ...): trunk the root component, pruning
-    the forest of detached subtrees, count the number of cuts producing the
-    pair.  An edge below the root may be cut (detaching that whole branch) or
-    kept (recursing into the branch); cutting two edges on one root-to-leaf
-    path is thereby impossible.
-    """
-    options = []
-    for c in t.children:
-        opts = [(None, (c,), 1)]
-        for trunk, pruning, count in _cut_terms(c):
-            opts.append((trunk, pruning.trees, count))
-        options.append(opts)
-    acc: dict = {}
-    for combo in product(*options):
-        kept = tuple(tr for tr, _, _ in combo if tr is not None)
-        pruned: tuple = ()
-        count = 1
-        for _, pr, cnt in combo:
-            pruned += pr
-            count *= cnt
-        trunk = RootedTree(kept)
-        key = (trunk, Forest(pruned))
-        acc[key] = acc.get(key, 0) + count
-    return tuple((trunk, pruning, count) for (trunk, pruning), count in acc.items())
-
-
-@cache
 def _delta_forest(f: Forest) -> dict:
-    """Full coproduct of a forest monomial as {(left, right): Fraction}."""
+    """Full coproduct of a forest monomial as {(left, right): count}."""
     return multiplicative_coproduct(f.trees, _delta_tree, EMPTY_FOREST, _juxtapose)
 
 
+@cache
 def _delta_tree(t: RootedTree) -> dict:
-    """Coproduct of one tree: every cut as trunk (x) pruning, plus 1 (x) t."""
-    out = {(Forest((trunk,)), pruning): Fraction(count)
-           for trunk, pruning, count in _cut_terms(t)}
-    out[(EMPTY_FOREST, Forest((t,)))] = Fraction(1)
+    """Coproduct of one tree by the B+ cocycle: 1 (x) t, plus B+(left) (x)
+    right over the terms of the coproduct of t's branch forest."""
+    out = {(EMPTY_FOREST, Forest((t,))): 1}
+    for (left, right), c in _delta_forest(b_minus(t)).items():
+        out[(Forest((b_plus(left),)), right)] = c
     return out
 
 
@@ -251,13 +231,14 @@ def irr_iterated_coproduct(x, k: int) -> TensorPoly:
 # ---------------------------------------------------------------------------
 # pairing
 
-def pairing(a, b) -> Fraction:
-    """<s|t> = sigma(B+(t)) when the forests are isomorphic, else 0; bilinear."""
+def pairing(a, b):
+    """<s|t> = sigma(B+(t)) when the forests are isomorphic, else 0; bilinear,
+    so an int on integer combinations."""
     return pair(_as_forest_poly(a).terms, _as_forest_poly(b).terms,
                 lambda f: sigma(b_plus(f)))
 
 
-def tensor_pairing(a: TensorPoly, b: TensorPoly) -> Fraction:
+def tensor_pairing(a: TensorPoly, b: TensorPoly):
     """Slotwise product extension of the pairing to equal-arity tensors."""
     if a.arity != b.arity:
         raise ValueError("tensor arities differ")

@@ -1,9 +1,12 @@
 """Shared machinery for finite rational linear combinations.
 
-TermMap is a thin dict wrapper (basis key -> Fraction) with zero pruning, the
-usual module arithmetic and a truncation order: terms whose key grade (the
+TermMap is a thin dict wrapper (basis key -> coefficient) with zero pruning,
+the usual module arithmetic and a truncation order: terms whose key grade (the
 key's ``size``) exceeds the order are dropped, and binary operations keep the
-min of the two orders (None = untruncated).  Tensor is the same over k-tuples
+min of the two orders (None = untruncated).  Coefficients are int or Fraction
+and are kept as given, so integer structure constants stay ints until a
+division makes a Fraction; any other number is turned into the Fraction of
+its exact value, never kept as a float.  Tensor is the same over k-tuples
 of keys, with the arity checked.  Subclasses fix only the key type's sort key
 for serialization.  Everything is value-like: operations return new objects,
 terms dicts are never shared, so concurrent readers are safe.
@@ -24,6 +27,12 @@ __all__ = ["TermMap", "Tensor", "bilinear", "multiplicative_coproduct",
            "iterate_coproduct", "project", "pair"]
 
 
+def _exact(c):
+    """int and Fraction pass as given; any other number (a float, say)
+    becomes the Fraction of its exact value."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
 def _min_order(a, b):
     if a is None:
         return b
@@ -40,20 +49,11 @@ class TermMap:
         if terms is not None:
             items = terms.items() if hasattr(terms, "items") else terms
             for k, c in items:
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:
-                    continue
+                c = _exact(c)
                 acc = data.get(k)
-                acc = c if acc is None else acc + c
-                if acc:
-                    data[k] = acc
-                elif k in data:
-                    del data[k]
-        if order is not None:
-            for k in [k for k in data if k.size > order]:
-                del data[k]
-        self.terms = data
+                data[k] = c if acc is None else acc + c
+        self.terms = {k: c for k, c in data.items()
+                      if c and (order is None or k.size <= order)}
         self.order = order
 
     def _with(self, terms, order):
@@ -87,11 +87,12 @@ class TermMap:
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "TermMap":
-        c = Fraction(c)
+        c = _exact(c)
         return self._with({k: v * c for k, v in self.terms.items()}, self.order)
 
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def coeff(self, key):
+        """The coefficient of key, an int or a Fraction (0 if absent)."""
+        return self.terms.get(key, 0)
 
     def _check(self, other):
         if type(self) is not type(other):
@@ -151,9 +152,10 @@ def multiplicative_coproduct(factors, factor_delta, unit, join) -> dict:
 
     factor_delta(g) is the coproduct of one factor as {(left, right): coeff};
     the product runs slotwise, join(x, y) multiplying two monomials and unit
-    being the empty one.  The result maps (left, right) to Fractions.
+    being the empty one.  The result maps (left, right) to the products of
+    the factors' coefficients.
     """
-    acc = {(unit, unit): Fraction(1)}
+    acc = {(unit, unit): 1}
     for g in factors:
         terms = factor_delta(g).items()
         nxt: dict = {}
@@ -168,24 +170,20 @@ def multiplicative_coproduct(factors, factor_delta, unit, join) -> dict:
 def iterate_coproduct(delta2, x_terms: dict, k: int) -> dict:
     """Left-iterate a binary coproduct k-1 times on a term dict.
 
-    delta2 maps a monomial key to a dict {(left, right): Fraction}; the result
-    maps k-tuples of monomial keys to Fractions (k = 1 wraps keys in 1-tuples).
+    delta2 maps a monomial key to a dict {(left, right): coeff}; the result
+    maps k-tuples of monomial keys to coefficients (k = 1 wraps keys in
+    1-tuples) and may hold zeros, which the Tensor built from it drops.
     Left iteration: the coproduct is applied to slot 0 at every step.
     """
     if k < 1:
         raise ValueError("iterated coproduct needs k >= 1, got %r" % (k,))
-    cur = {(key,): Fraction(c) for key, c in x_terms.items() if c}
+    cur = {(key,): c for key, c in x_terms.items()}
     for _ in range(k - 1):
         nxt: dict = {}
         for slots, c in cur.items():
             for (a, b), d in delta2(slots[0]).items():
                 key = (a, b) + slots[1:]
-                acc = nxt.get(key)
-                acc = c * d if acc is None else acc + c * d
-                if acc:
-                    nxt[key] = acc
-                elif key in nxt:
-                    del nxt[key]
+                nxt[key] = nxt.get(key, 0) + c * d
         cur = nxt
     return cur
 
@@ -207,11 +205,12 @@ def project(terms: dict, flavor: str) -> dict:
     raise ValueError("flavor must be full, reduced or irr")
 
 
-def pair(a: dict, b: dict, weight) -> Fraction:
+def pair(a: dict, b: dict, weight):
     """Bilinear pairing of two term dicts in which distinct keys pair to 0
-    and a key with itself to weight(key)."""
+    and a key with itself to weight(key); an int when every coefficient and
+    weight is one."""
     small, big = (a, b) if len(a) <= len(b) else (b, a)
-    out = Fraction(0)
+    out = 0
     for key, c in small.items():
         d = big.get(key)
         if d is not None:

@@ -188,6 +188,16 @@ class CumulantTable:
         if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
         vals = {w: Fraction(v) for w, v in values.items()}
+        letters = set(variables)
+        extra = [w for w in vals if not (isinstance(w, str)
+                                         and 1 <= len(w) <= maxlen
+                                         and set(w) <= letters)]
+        if extra:
+            shown = ", ".join(map(repr, extra[:20]))
+            raise ValueError("table has %d word(s) outside the variables or "
+                             "lengths 1..%d: %s%s" % (
+                                 len(extra), maxlen, shown,
+                                 ", ..." if len(extra) > 20 else ""))
         # stop at 21: the words up to a huge maxlen cannot all be listed
         missing = list(islice((w for w in iter_words(variables, maxlen)
                                if w not in vals), 21))

@@ -171,9 +171,10 @@ def _forests(n: int) -> tuple:
             return
         for i in range(start, len(pool)):
             t = pool[i]
-            if t.size <= total:
-                for rest in pick(total - t.size, i):
-                    yield (t,) + rest
+            if t.size > total:
+                break  # pool ascends by size: no later tree fits either
+            for rest in pick(total - t.size, i):
+                yield (t,) + rest
 
     return tuple(sorted((Forest(ts) for ts in pick(n, 0)), key=lambda f: f.key))
 

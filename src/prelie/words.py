@@ -16,7 +16,6 @@ equal multisets pair to the product of multiplicity factorials.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
@@ -94,7 +93,7 @@ def word_brace(alpha: str, gammas) -> WordPoly:
                 end = cuts[j + 1] if j + 1 < n else len(alpha)
                 pieces.append(alpha[cuts[j]:end])
             key = ("".join(pieces),)
-            acc[key] = acc.get(key, Fraction(0)) + 1
+            acc[key] = acc.get(key, 0) + 1
     return WordPoly(acc)
 
 
@@ -115,19 +114,19 @@ def word_dual_coproduct(w: str) -> WordTensor:
             left = ("".join(parts[0::2]),)
             right = monomial(parts[1::2])
             key = (left, right)
-            acc[key] = acc.get(key, Fraction(0)) + 1
+            acc[key] = acc.get(key, 0) + 1
     return WordTensor(2, acc)
 
 
 @cache
 def _delta_monomial(mono: tuple) -> dict:
-    """Full coproduct of a monomial as {(left, right): Fraction}."""
+    """Full coproduct of a monomial as {(left, right): count}."""
     return multiplicative_coproduct(mono, _delta_word, (), _join)
 
 
 def _delta_word(w: str) -> dict:
     """delta_bar(w) + w (x) 1 + 1 (x) w."""
-    out = {((w,), ()): Fraction(1), ((), (w,)): Fraction(1)}
+    out = {((w,), ()): 1, ((), (w,)): 1}
     out.update(word_dual_coproduct(w).terms)
     return out
 
@@ -157,8 +156,9 @@ def _mono_pairing(u: tuple, v: tuple) -> int:
     return out
 
 
-def word_pairing(x, y) -> Fraction:
-    """Permanent pairing: equal multisets pair to prod(multiplicity!)."""
+def word_pairing(x, y):
+    """Permanent pairing: equal multisets pair to prod(multiplicity!); an int
+    on integer combinations."""
     if isinstance(x, str):
         x = WordPoly({(x,): 1})
     if isinstance(y, str):

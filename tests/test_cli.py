@@ -380,6 +380,13 @@ def test_forest_rejects_bad_alphabet(capsys, alphabet):
     assert code == 2 and out == "" and "alphabet" in err
 
 
+def test_forest_rejects_the_empty_word(capsys):
+    code, out, err = run(capsys, "forest", "--basis", "words", "--index", "",
+                         "--k", "2")
+    assert code == 2 and out == ""
+    assert err == "error: bad --index: the empty word is not a basis element\n"
+
+
 @pytest.mark.parametrize("alphabet, index", [(":a", ":a"), ("1:", "1:1")])
 def test_forest_rejects_colon_in_alphabet(capsys, alphabet, index):
     # ":" marks a grade:ordinal index, so "1:1" would be read as (1, 1)
@@ -398,6 +405,38 @@ def test_cumulants_rejects_malformed_values(tmp_path, capsys, values):
     code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
                          "--input", str(src))
     assert code == 2 and out == "" and "values" in err
+
+
+def test_cumulants_rejects_undecodable_file(tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read table: ")
+
+
+@pytest.mark.parametrize("extra", [{"b": "3"}, {"aaa": "3"}])
+def test_cumulants_rejects_words_outside_the_table(tmp_path, capsys, extra):
+    # a word over another letter or longer than maxlen was dropped unread
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"brand": "free", "variables": ["a"], "maxlen": 2,
+                               "values": {"a": "1", "aa": "2", **extra}}))
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "1 word(s) outside the variables or lengths 1..2: %r" \
+        % next(iter(extra)) in err
+
+
+def test_cumulant_table_lists_at_most_20_extra_words():
+    values = {w: 1 for w in iter_words(("a",), 2)}
+    values.update((w, 1) for w in iter_words(("b",), 25))
+    with pytest.raises(ValueError) as err:
+        CumulantTable("free", ("a",), 2, values)
+    message = str(err.value)
+    assert "table has 25 word(s)" in message
+    assert message.count("'b") == 20 and message.endswith(", ...")
 
 
 @pytest.mark.parametrize("variables, values", [
