@@ -210,7 +210,7 @@ def exp_magnus_functionals(order: int):
 # order is the suite's default order; each cap is the last order a suite
 # finishes within seconds, measured on a 2-core machine: trees 5.2 s at 10 and
 # 28 s at 11, hopf 3.6-4.0 s at 8 and 28 s at 9, magnus 5.8 s at 9 and 27 s
-# at 10, words 4.9 s at 6 and over 60 s at 7, cumulants 3.8 s at 12 (its
+# at 10, words 4.9 s at 6 and over 60 s at 7, cumulants 0.4-0.7 s at 12 (its
 # tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
 

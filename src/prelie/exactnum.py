@@ -14,6 +14,7 @@ stated; see ``bernoulli``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -50,9 +51,18 @@ def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
 
+# "p" or "p/q" in ASCII digits, p optionally signed; Fraction() would also
+# take "1e-300000", whose exponent alone asks for a 300001-digit denominator
+_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" (the inverse of format_rational)."""
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("not a rational literal: %r" % (s,)) from exc
+    """Parse "p/q" or "p", optionally signed and surrounded by whitespace
+    (the inverse of format_rational); nothing else."""
+    text = s.strip()
+    if _LITERAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:  # q = 0, too many digits
+            raise ValueError("not a rational literal: %r" % (s,)) from exc
+    raise ValueError("not a rational literal: %r" % (s,))

@@ -12,11 +12,15 @@ is a sum over non-crossing partitions pi (all, interval or irreducible) of a
 weight times the product of the table over the blocks of pi.  The weight is
 a statistic of the nesting forest t(pi) alone: 1, the sign (-1)^(|pi|-1),
 1/t(pi)!, omega(t(pi)), or a signed one of these.  So each (length, brand
-pair) sum is compiled once into (blocks, weight) terms, and the work per
-word is the block products.  Moments-to-cumulants inverts the cumulants-to-
-moments sum triangularly by word length.  exp_functional and
-magnus_functional are the monotone -> boolean and boolean -> monotone sums,
-applied to an arbitrary table used as a multilinear functional.
+pair) sum is compiled once into its distinct blocks, the lcm L of its
+weights' denominators and, per term, block ids and the weight times L.  The
+work per word is an integer sum: each distinct block's value is read once
+and put over the lcm D of their denominators, every term multiplies ints,
+and the word's value is one Fraction over L * D^n.  Moments-to-cumulants
+inverts the cumulants-to-moments sum triangularly by word length.
+exp_functional and magnus_functional are the monotone -> boolean and
+boolean -> monotone sums, applied to an arbitrary table used as a
+multilinear functional.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, islice, product
+from math import lcm
 
 from .exactnum import parse_rational
 from .trees import Forest, RootedTree, forest_factorial
@@ -287,32 +292,52 @@ _KEEP = {
 
 
 @cache
-def _terms(n: int, pair: tuple) -> tuple:
-    """((blocks, weight), ...) of the sum for ``pair`` over partitions of
-    [n], blocks as 0-based positions, zero weights dropped."""
+def _terms(n: int, pair: tuple, proper: bool = False) -> tuple:
+    """The sum for ``pair`` over partitions of [n] (``proper``: without the
+    one-block partition), compiled to integers as (blocks, L, terms).
+
+    ``blocks`` lists each distinct block once, as 0-based positions; L is the
+    lcm of the weights' denominators; a term is (its block ids, its weight
+    times L, n - |pi|).  Zero weights are dropped."""
     which, signed, statistic = _SUMS[pair]
-    out = []
+    kept = []
     for pi in enumerate_nc(n):
-        if not _KEEP[which](pi):
+        if not _KEEP[which](pi) or (proper and len(pi) == 1):
             continue
-        c = statistic(nesting_forest(pi)) if statistic else 1
+        c = Fraction(statistic(nesting_forest(pi)) if statistic else 1)
         if signed and len(pi) % 2 == 0:
             c = -c
         if c:
-            out.append((tuple(tuple(i - 1 for i in b) for b in pi.blocks), c))
-    return tuple(out)
+            kept.append((pi.blocks, c))
+    L = lcm(*(c.denominator for _, c in kept))
+    ids: dict = {}
+    terms = tuple((tuple(ids.setdefault(tuple(i - 1 for i in b), len(ids))
+                         for b in blocks),
+                   c.numerator * (L // c.denominator), n - len(blocks))
+                  for blocks, c in kept)
+    return tuple(ids), L, terms
 
 
-def _partition_sum(values: dict, w: str, terms) -> Fraction:
-    """sum over terms of weight * prod over blocks of values[w restricted]."""
-    out = Fraction(0)
-    for blocks, c in terms:
-        for block in blocks:
-            c *= values["".join([w[i] for i in block])]
+def _partition_sum(values: dict, w: str, compiled) -> Fraction:
+    """sum over terms of weight * prod over blocks of values[w restricted].
+
+    Each distinct block's value is read once and put over the lcm D of their
+    denominators; a term is then an integer product scaled by D^(n - |pi|),
+    and the sum is one Fraction over L * D^n."""
+    blocks, L, terms = compiled
+    vals = [values["".join([w[i] for i in b])] for b in blocks]
+    D = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (D // v.denominator) for v in vals]
+    powers = [D ** k for k in range(len(w))]
+    total = 0
+    for ids, c, gap in terms:
+        for i in ids:
+            c *= nums[i]
             if not c:
                 break
-        out += c
-    return out
+        else:
+            total += c * powers[gap]
+    return Fraction(total, L * D ** len(w))
 
 
 def _moments_to_cumulants(moments: dict, target: str, variables, maxlen) -> dict:
@@ -320,7 +345,7 @@ def _moments_to_cumulants(moments: dict, target: str, variables, maxlen) -> dict
     the unknown itself with weight 1, every other term reads shorter words."""
     out: dict = {}
     for n in range(1, maxlen + 1):
-        rest = [t for t in _terms(n, (target, "moment")) if len(t[0]) > 1]
+        rest = _terms(n, (target, "moment"), proper=True)
         for combo in product(variables, repeat=n):
             w = "".join(combo)
             out[w] = moments[w] - _partition_sum(out, w, rest)

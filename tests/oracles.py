@@ -4,13 +4,16 @@ Everything here recomputes quantities from first principles with the dumbest
 viable algorithm (exhaustive enumeration over labelings, maps, edge subsets,
 set partitions) so that agreement with the package is meaningful.  Nothing
 imports package internals beyond the public tree/word containers needed to
-exchange values.
+exchange values and ``nc._SUMS``, the description of the cumulant partition
+sums (which partitions, which sign, which nesting-forest weight).
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
+from prelie.nc import _SUMS
 from prelie.trees import Forest, RootedTree, labeled
 
 
@@ -234,3 +237,51 @@ def is_noncrossing_by_interval_peeling(blocks) -> bool:
         else:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# cumulant partition sums, term by term in Fractions
+
+@cache
+def _brute_nc(n: int) -> tuple:
+    return tuple(p for p in brute_set_partitions(n)
+                 if is_noncrossing_by_interval_peeling(p))
+
+
+def _nesting_by_spans(blocks) -> Forest:
+    """Nesting forest: each block hangs below the narrowest block whose span
+    strictly encloses its own."""
+    spans = [(min(b), max(b)) for b in blocks]
+    parent = [min((j for j, (lo, hi) in enumerate(spans)
+                   if lo < spans[i][0] and spans[i][1] < hi),
+                  key=lambda j: spans[j][1] - spans[j][0], default=None)
+              for i in range(len(spans))]
+
+    def build(i) -> RootedTree:
+        return RootedTree(tuple(build(j) for j in range(len(spans))
+                                if parent[j] == i))
+
+    return Forest(tuple(build(i) for i in range(len(spans))
+                        if parent[i] is None))
+
+
+def brute_partition_sum(values: dict, w: str, pair: tuple) -> Fraction:
+    """The ``nc._SUMS`` sum for ``pair`` at the word w: over the filtered
+    non-crossing set partitions of [|w|], the weight times the product of
+    the values of w restricted to the blocks, one Fraction term at a time."""
+    which, signed, statistic = _SUMS[pair]
+    n = len(w)
+    total = Fraction(0)
+    for blocks in _brute_nc(n):
+        if which == "irreducible" and not any(1 in b and n in b for b in blocks):
+            continue
+        if which == "interval" and any(max(b) - min(b) + 1 != len(b)
+                                       for b in blocks):
+            continue
+        term = Fraction(statistic(_nesting_by_spans(blocks)) if statistic else 1)
+        if signed and len(blocks) % 2 == 0:
+            term = -term
+        for b in blocks:
+            term *= Fraction(values["".join(w[i - 1] for i in sorted(b))])
+        total += term
+    return total

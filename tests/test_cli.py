@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -457,11 +458,11 @@ def test_cumulants_rejects_bad_variables(tmp_path, capsys, variables, values):
 
 def test_cumulants_cap_and_override(tmp_path, capsys):
     src = tmp_path / "long.json"
-    _write_table(src, maxlen=8)
+    _write_table(src, maxlen=9)
     code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
                          "--input", str(src))
     assert code == 2 and out == ""
-    assert "table maxlen 8 exceeds the cap 7" in err
+    assert "table maxlen 9 exceeds the cap 8" in err
     code, out, _ = run(capsys, "--unsafe-uncapped", "cumulants", "--from",
                        "free", "--to", "moment", "--input", str(src))
     assert code == 0
@@ -475,6 +476,22 @@ def test_cumulants_cap_and_override(tmp_path, capsys):
                          "--input", str(src))
     assert code == 2 and "missing more than 20 word(s): b, aa," in err
 
+
+
+def test_cumulants_rejects_exponent_value_at_once(tmp_path, capsys):
+    # Fraction("1e-300000") is 1/10**300000: a conversion over such values
+    # runs for minutes instead of rejecting the literal
+    values = {w: "1" for w in iter_words(("a", "b"), 3)}
+    values["ab"] = "1e-300000"
+    src = tmp_path / "exp.json"
+    src.write_text(json.dumps({"brand": "free", "variables": ["a", "b"],
+                               "maxlen": 3, "values": values}))
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert time.monotonic() - t0 < 5
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: not a rational literal: '1e-300000'")
 
 
 @pytest.mark.parametrize("maxlen", ["1.9", "true", '"1"', "1e400"])

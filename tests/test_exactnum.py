@@ -44,7 +44,8 @@ def test_parse_accepts_integers_and_whitespace():
     assert parse_rational("-3/9") == Fraction(-1, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.5.2", "2/"])
+@pytest.mark.parametrize("bad", ["", "1/0", "a/b", "1.5.2", "2/", "1e-300000",
+                                 "2E3", "1.5", ".5", "-0.25", "1/2.0", "1_000"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from prelie.nc import (
-    BRANDS, CumulantTable, NCPartition, convert, enumerate_interval,
+    BRANDS, CumulantTable, NCPartition, _SUMS, convert, enumerate_interval,
     enumerate_nc, enumerate_nc_irr, enumerate_nc_irr_k, exp_functional,
     forest_factorial, forest_omega, iter_words, magnus_functional,
     nesting_forest,
@@ -223,3 +223,54 @@ def test_functional_theorems_on_random_cumulants():
         assert nu_via.values[w] == -exp_functional(rho.negated().values, w)
         assert rho.values[w] == magnus_functional(beta_via.values, w)
         assert rho.values[w] == -magnus_functional(nu_via.negated().values, w)
+
+
+# ---------------------------------------------------------------------------
+# the integer partition sums against the Fraction oracle
+
+def _mixed_values(seed, variables=("a", "b"), maxlen=6) -> dict:
+    """Zeros, plain ints and Fractions over small and large coprime
+    denominators, one seeded draw per word."""
+    rng = random.Random(seed)
+    out = {}
+    for w in iter_words(variables, maxlen):
+        kind = rng.randrange(5)
+        if kind == 0:
+            out[w] = 0
+        elif kind == 1:
+            out[w] = rng.randint(-9, 9)
+        else:
+            out[w] = Fraction(rng.randint(-9, 9),
+                              rng.choice((1, 2, 3, 4, 5, 999983, 1000003)))
+    kinds = {type(v) for v in out.values()}
+    assert kinds == {int, Fraction} and 0 in out.values()
+    assert {999983, 1000003} <= {Fraction(v).denominator for v in out.values()}
+    return out
+
+
+@pytest.mark.parametrize("pair", sorted(_SUMS), ids="->".join)
+def test_partition_sums_match_fraction_oracle(pair):
+    source, target = pair
+    values = _mixed_values(source + "->" + target)
+    got = convert(CumulantTable(source, ("a", "b"), 6, values), target)
+    for w in iter_words(("a", "b"), 6):
+        assert got.values[w] == oracles.brute_partition_sum(values, w, pair), w
+
+
+def test_functionals_match_fraction_oracle():
+    values = _mixed_values(29)
+    for w in iter_words(("a", "b"), 6):
+        assert exp_functional(values, w) == oracles.brute_partition_sum(
+            values, w, ("monotone", "boolean")), w
+        assert magnus_functional(values, w) == oracles.brute_partition_sum(
+            values, w, ("boolean", "monotone")), w
+
+
+def test_moment_inversion_against_fraction_oracle():
+    moments = CumulantTable("moment", ("a", "b"), 6, _mixed_values(31))
+    for brand in ("free", "boolean", "monotone"):
+        cumulants = convert(moments, brand)
+        assert convert(cumulants, "moment") == moments
+        for w in iter_words(("a", "b"), 6):
+            assert oracles.brute_partition_sum(
+                cumulants.values, w, (brand, "moment")) == moments.values[w]
