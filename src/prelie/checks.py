@@ -16,12 +16,15 @@ from math import comb, factorial
 from . import freeprelie, nc, words
 from .forest import CKBasis, WordBasis, forest_formula
 from .freeprelie import ForestPoly, TensorPoly, TreeSeries
+from .lincomb import project
 from .trees import (LEAF, enumerate_forests, enumerate_trees,
                     count_k_linearizations, count_weak_k_linearizations,
                     murua_omega, murua_omega_recursive, sigma)
 
-# orders past these take minutes or more: tree orders, forest-formula grades
+# orders past these take minutes or more: tree orders
 TREE_CAP = 12
+# forest-formula grades (the forest suite, forest --index): on a 2-core
+# machine the forest suite takes 5.0 s at order 8 and 21 s at 9
 FOREST_CAP = 8
 # where sol1 runs (series --which magnus --method sol1 or --check, and the
 # magnus suite): on a 2-core machine --order 9 --check takes 3.2-4.9 s,
@@ -145,13 +148,13 @@ def ck_forest_formula_vs_direct(order: int):
         for t in enumerate_trees(n):
             i = ck.index_of(t)
             for k in range(2, 5):
-                for flavor, direct in (
-                        ("full", freeprelie.iterated_coproduct),
-                        ("reduced", freeprelie.reduced_iterated_coproduct),
-                        ("irr", freeprelie.irr_iterated_coproduct)):
+                # one direct iterate per (t, k); its reduced and irr parts
+                # are what reduced_/irr_iterated_coproduct return
+                full = freeprelie.iterated_coproduct(t, k).terms
+                for flavor in ("full", "reduced", "irr"):
                     yield ({"tree": t.key, "k": k, "flavor": flavor},
                            ck.slot_tensor(forest_formula(i, k, flavor, ck), k),
-                           direct(t, k))
+                           TensorPoly(k, project(full, flavor)))
 
 
 def word_forest_formula_vs_direct(order: int):
@@ -161,10 +164,11 @@ def word_forest_formula_vs_direct(order: int):
             i = wb.index_of(w)
             poly = words.WordPoly({(w,): 1})
             for k in range(2, 5):
+                full = words.word_iterated_coproducts(poly, k).terms
                 for flavor in ("full", "reduced", "irr"):
                     yield ({"word": w, "k": k, "flavor": flavor},
                            wb.slot_tensor(forest_formula(i, k, flavor, wb), k),
-                           words.word_iterated_coproducts(poly, k, flavor))
+                           words.WordTensor(k, project(full, flavor)))
 
 
 def _random_tables(order: int) -> list:
@@ -210,8 +214,8 @@ def exp_magnus_functionals(order: int):
 # order is the suite's default order; each cap is the last order a suite
 # finishes within seconds, measured on a 2-core machine: trees 5.2 s at 10 and
 # 28 s at 11, hopf 3.6-4.0 s at 8 and 28 s at 9, magnus 5.8 s at 9 and 27 s
-# at 10, words 4.9 s at 6 and over 60 s at 7, cumulants 0.4-0.7 s at 12 (its
-# tables stop at length 6)
+# at 10, words 4.9 s at 6 and over 60 s at 7, forest 5.0 s at 8 and 21 s at
+# 9, cumulants 0.4-0.7 s at 12 (its tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
 
 

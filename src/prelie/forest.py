@@ -24,7 +24,7 @@ from math import factorial
 
 from . import freeprelie
 from .lincomb import TermMap
-from .trees import Forest, enumerate_trees, tree_by_rank, tree_from_string, tree_rank
+from .trees import Forest, _trees, tree_by_rank, tree_from_string, tree_rank
 from .words import WordTensor, monomial, word_dual_coproduct
 
 __all__ = [
@@ -45,6 +45,7 @@ class BasisProvider(ABC):
     def __init__(self):
         self._delta_cache: dict = {}
         self._enum_cache: dict = {}
+        self._slot_cache: dict = {}
 
     def grade(self, i) -> int:
         self.validate(i)
@@ -75,8 +76,25 @@ class BasisProvider(ABC):
         ...
 
     @abstractmethod
+    def _slot_element(self, slot: tuple):
+        """The native monomial of a sorted tuple of indices."""
+
+    @abstractmethod
+    def _tensor(self, arity: int, terms: dict):
+        """The native tensor of {tuples of native monomials: coeff}."""
+
+    def _slot(self, slot: tuple):
+        out = self._slot_cache.get(slot)
+        if out is None:
+            out = self._slot_element(slot)
+            self._slot_cache[slot] = out
+        return out
+
     def slot_tensor(self, terms: dict, arity: int):
-        """Wrap a {slot-index-tuples: coeff} map in this basis's native tensor."""
+        """Wrap a {slot-index-tuples: coeff} map in this basis's native
+        tensor; each distinct slot is converted once per basis instance."""
+        return self._tensor(arity, {tuple(map(self._slot, slots)): c
+                                    for slots, c in terms.items()})
 
 
 class CKBasis(BasisProvider):
@@ -84,7 +102,7 @@ class CKBasis(BasisProvider):
 
     def validate(self, i) -> None:
         if (not isinstance(i, tuple) or len(i) != 2
-                or i[0] < 1 or not 0 <= i[1] < len(enumerate_trees(i[0]))):
+                or i[0] < 1 or not 0 <= i[1] < len(_trees(i[0]))):
             raise ValueError("not a tree index: %r" % (i,))
 
     def tree(self, i):
@@ -108,12 +126,11 @@ class CKBasis(BasisProvider):
     def parse(self, text: str):
         return self.index_of(tree_from_string(text))
 
-    def slot_tensor(self, terms: dict, arity: int):
-        native = {
-            tuple(Forest(tuple(self.tree(j) for j in slot)) for slot in slots): c
-            for slots, c in terms.items()
-        }
-        return freeprelie.TensorPoly(arity, native)
+    def _slot_element(self, slot: tuple):
+        return Forest(tuple(self.tree(j) for j in slot))
+
+    def _tensor(self, arity: int, terms: dict):
+        return freeprelie.TensorPoly(arity, terms)
 
 
 class WordBasis(BasisProvider):
@@ -170,12 +187,11 @@ class WordBasis(BasisProvider):
             raise ValueError("the empty word is not a basis element")
         return self.index_of(text)
 
-    def slot_tensor(self, terms: dict, arity: int):
-        native = {
-            tuple(monomial(self.word(j) for j in slot) for slot in slots): c
-            for slots, c in terms.items()
-        }
-        return WordTensor(arity, native)
+    def _slot_element(self, slot: tuple):
+        return monomial(self.word(j) for j in slot)
+
+    def _tensor(self, arity: int, terms: dict):
+        return WordTensor(arity, terms)
 
 
 class DecoratedTree:
@@ -183,7 +199,7 @@ class DecoratedTree:
     whose leaves carry a single index (d1 = d2).  d1 is the basis element the
     subtree is associated to, d2 the residue left in the vertex's own slot."""
 
-    __slots__ = ("d1", "d2", "children", "key", "size")
+    __slots__ = ("d1", "d2", "children", "key", "size", "_flat")
 
     def __init__(self, d1, d2, children=()):
         children = tuple(sorted(children, key=lambda c: c.key))
@@ -194,6 +210,7 @@ class DecoratedTree:
         self.children = children
         self.key = (d1, d2, tuple(c.key for c in children))
         self.size = 1 + sum(c.size for c in children)
+        self._flat = None  # see _flatten
 
     def __eq__(self, other):
         return isinstance(other, DecoratedTree) and self.key == other.key
@@ -280,42 +297,73 @@ def enumerate_decorated_trees(i, basis: BasisProvider) -> tuple:
     return out
 
 
-def _slot_maps(T: DecoratedTree, k: int, flavor: str):
+def _flatten(T: DecoratedTree) -> tuple:
+    """T's shape as the parent positions of its vertices in preorder (-1 at
+    the root), the positions in ascending d2 order and the d2s in that
+    order; computed once per tree and kept on it."""
+    if T._flat is None:
+        d2s, parents = [], []
+        stack = [(T, -1)]
+        while stack:
+            v, parent = stack.pop()
+            parents.append(parent)
+            stack.extend((c, len(d2s)) for c in reversed(v.children))
+            d2s.append(v.d2)
+        order = sorted(range(len(d2s)), key=d2s.__getitem__)
+        T._flat = (tuple(parents), tuple(order), tuple(sorted(d2s)))
+    return T._flat
+
+
+# which strictly order-preserving maps each flavor sums over, read off the
+# map's values: reduced takes the surjective ones, irr the bijective ones
+_FLAVOR_MAPS = {
+    "full": lambda vals, k: True,
+    "reduced": lambda vals, k: len(set(vals)) == k,
+    "irr": lambda vals, k: len(vals) == k == len(set(vals)),
+}
+
+
+def _shape_maps(parents: tuple, k: int, flavor: str) -> list:
+    """The maps of flavor from a tree shape (preorder parent positions) to
+    1..k, strictly increasing from parent to child, as value tuples in
+    lexicographic order."""
+    n = len(parents)
+    if flavor != "full" and n < k or flavor == "irr" and n > k:
+        return []  # no surjection onto more slots, no injection into fewer
+    # height[p]: the longest chain below p, which needs that many slots above
+    height = [0] * n
+    for p in range(n - 1, 0, -1):
+        q = parents[p]
+        height[q] = max(height[q], height[p] + 1)
+    partial = [()]
+    for p, q in enumerate(parents):
+        top = k - height[p] + 1
+        partial = [vals + (v,) for vals in partial
+                   for v in range(1 if q < 0 else vals[q] + 1, top)]
+    keep = _FLAVOR_MAPS[flavor]
+    return [vals for vals in partial if keep(vals, k)]
+
+
+def _slot_maps(T: DecoratedTree, k: int, flavor: str, memo=None):
     """Strictly order-preserving maps from T's vertices to 1..k, yielded as
     slot contents (tuple of sorted index tuples built from d2 decorations).
-    reduced: surjective; irr: bijective; full: unconstrained."""
-    verts = []
+    reduced: surjective; irr: bijective; full: unconstrained.
 
-    def walk(v, parent_pos):
-        pos = len(verts)
-        verts.append((v.d2, parent_pos))
-        for c in v.children:
-            walk(c, pos)
-
-    walk(T, -1)
-    n = len(verts)
-    if flavor == "irr" and n != k:
-        return
-    vals = [0] * n
-
-    def assign(pos):
-        if pos == n:
-            if flavor == "reduced" and len(set(vals)) != k:
-                return
-            if flavor == "irr" and len(set(vals)) != n:
-                return
-            slots_acc: list = [[] for _ in range(k)]
-            for p in range(n):
-                slots_acc[vals[p] - 1].append(verts[p][0])
-            yield tuple(tuple(sorted(s)) for s in slots_acc)
-            return
-        parent = verts[pos][1]
-        lo = 1 if parent < 0 else vals[parent] + 1
-        for v in range(lo, k + 1):
-            vals[pos] = v
-            yield from assign(pos + 1)
-
-    yield from assign(0)
+    The maps depend on T's shape only: they are enumerated once per
+    (shape, k, flavor) held in the dict memo, when one is given."""
+    parents, order, d2s = _flatten(T)
+    if memo is None:
+        maps = _shape_maps(parents, k, flavor)
+    else:
+        key = (parents, k, flavor)
+        maps = memo.get(key)
+        if maps is None:
+            maps = memo[key] = _shape_maps(parents, k, flavor)
+    for vals in maps:
+        slots: list = [[] for _ in range(k)]
+        for p, d2 in zip(order, d2s):  # ascending d2: every slot sorted
+            slots[vals[p] - 1].append(d2)
+        yield tuple(map(tuple, slots))
 
 
 def forest_formula(i, k: int, flavor: str, basis: BasisProvider) -> dict:
@@ -330,9 +378,10 @@ def forest_formula(i, k: int, flavor: str, basis: BasisProvider) -> dict:
         raise ValueError("k must be >= 1")
     if flavor not in ("reduced", "full", "irr"):
         raise ValueError("flavor must be reduced, full or irr")
+    memo: dict = {}  # the maps of each tree shape, for this call only
     return TermMap((slots, lam)
                    for T, lam in enumerate_decorated_trees(i, basis)
-                   for slots in _slot_maps(T, k, flavor)).terms
+                   for slots in _slot_maps(T, k, flavor, memo)).terms
 
 
 def decorated_string(T: DecoratedTree, basis: BasisProvider) -> str:

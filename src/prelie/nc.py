@@ -25,6 +25,7 @@ multilinear functional.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, islice, product
@@ -227,13 +228,17 @@ class CumulantTable:
                              {w: -v for w, v in self.values.items()})
 
     def to_json(self) -> dict:
-        return {
-            "brand": self.brand,
-            "variables": list(self.variables),
-            "maxlen": self.maxlen,
-            "values": {w: str(self.values[w])
-                       for w in iter_words(self.variables, self.maxlen)},
-        }
+        values = {}
+        for w in iter_words(self.variables, self.maxlen):
+            try:
+                values[w] = str(self.values[w])
+            except ValueError:  # the same limit that parse_rational meets
+                raise ValueError(
+                    "the value of word %r exceeds the limit of %d digits for "
+                    "integer string conversion"
+                    % (w, sys.get_int_max_str_digits())) from None
+        return {"brand": self.brand, "variables": list(self.variables),
+                "maxlen": self.maxlen, "values": values}
 
     @classmethod
     def from_json(cls, data: dict) -> "CumulantTable":

@@ -190,7 +190,7 @@ def _ranks(size: int) -> dict:
 
 
 def tree_by_rank(size: int, rank: int) -> RootedTree:
-    ts = enumerate_trees(size)
+    ts = _trees(size) if size >= 1 else ()
     if not 0 <= rank < len(ts):
         raise ValueError("no tree with size %d and ordinal %d" % (size, rank))
     return ts[rank]

@@ -75,6 +75,23 @@ def brute_k_linearizations(f: Forest, k: int, weak: bool = False) -> int:
     return count
 
 
+@cache
+def brute_slot_maps(parents: tuple, k: int, flavor: str) -> tuple:
+    """Maps from vertices 0..n-1 (parents[v] the parent of v, -1 at a root)
+    to 1..k that strictly increase from parent to child, by trying all k^n
+    candidates in lexicographic order: all of them (full), the surjective ones
+    (reduced) or the bijective ones (irr)."""
+    n = len(parents)
+    out = []
+    for vals in product(range(1, k + 1), repeat=n):
+        if not all(parents[v] < 0 or vals[parents[v]] < vals[v] for v in range(n)):
+            continue
+        image = len(set(vals))
+        if flavor == "full" or image == k and (flavor == "reduced" or n == k):
+            out.append(vals)
+    return tuple(out)
+
+
 def brute_automorphisms(t: RootedTree) -> int:
     """Order of Aut(t): vertex permutations fixing the root and the parent map."""
     lf = labeled(Forest((t,)))

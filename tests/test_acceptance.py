@@ -118,7 +118,7 @@ def test_criterion_4_forest_formula_oracle_equivalence(monkeypatch):
     assert honest_basis.slot_tensor(honest, 3) == \
         freeprelie.reduced_iterated_coproduct(t, 3)
     _report(4, "forest formula equals iterated coproducts (both bases, "
-               "all flavors, k<=4); sym mutation detected", t0, budget=120)
+               "all flavors, k<=4); sym mutation detected", t0, budget=20)
 
 
 def test_criterion_5_worked_example_lambda_6():

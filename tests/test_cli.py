@@ -504,3 +504,17 @@ def test_cumulants_rejects_non_integer_maxlen(tmp_path, capsys, maxlen):
                          "--input", str(src))
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert '"maxlen" must be an integer' in err
+
+
+def test_cumulants_rejects_results_past_the_digit_limit(tmp_path, capsys):
+    # each input has 2200 digits, within Python's int-to-str limit of 4300;
+    # the moment of "aa" adds 1/q^2, whose denominator has about 4400
+    src = tmp_path / "big.json"
+    q = "1/" + "7" * 2200
+    src.write_text(json.dumps({"brand": "free", "variables": ["a"],
+                               "maxlen": 2, "values": {"a": q, "aa": q}}))
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert code == 2 and out == ""
+    assert err == "error: the value of word 'aa' exceeds the limit of 4300 " \
+                  "digits for integer string conversion\n"

@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import oracles
 import prelie.forest
-from prelie import freeprelie, words
+from prelie import checks, freeprelie, words
 from prelie.forest import (
-    CKBasis, DecoratedTree, WordBasis, decorated_string,
+    CKBasis, DecoratedTree, WordBasis, _slot_maps, decorated_string,
     enumerate_decorated_trees, forest_formula, lambda_coeff, leaf, sym,
 )
 from prelie.trees import (
@@ -241,6 +243,65 @@ def test_symmetry_factor_is_load_bearing(monkeypatch):
     again = CKBasis()
     assert forest_formula(again.index_of(t), 3, "reduced", again) == honest
     assert fresh.slot_tensor(honest, 3) == freeprelie.reduced_iterated_coproduct(t, 3)
+
+
+# ---------------------------------------------------------------------------
+# slot maps
+
+def _preorder(T):
+    """d2 decorations and parent positions of T's vertices, in preorder."""
+    d2s, parents = [], []
+
+    def walk(v, parent):
+        parents.append(parent)
+        pos = len(d2s)
+        d2s.append(v.d2)
+        for c in v.children:
+            walk(c, pos)
+
+    walk(T, -1)
+    return d2s, tuple(parents)
+
+
+def test_slot_maps_match_brute_force_through_one_shared_memo():
+    # one memo for every tree, k and flavor: a memo keyed without k or
+    # without the flavor would hand one call the maps of another
+    memo = {}
+    ck, wb = CKBasis(), WordBasis("ab")
+    jobs = [(ck, ck.index_of(t)) for n in range(1, 6)
+            for t in enumerate_trees(n)]
+    jobs += [(wb, wb.index_of(w)) for n in range(1, 5)
+             for w in words.enumerate_words("ab", n)]
+    shapes = set()
+    for basis, i in jobs:
+        for T, _ in enumerate_decorated_trees(i, basis):
+            d2s, parents = _preorder(T)
+            shapes.add(parents)
+            for k in range(1, 5):
+                for flavor in ("full", "reduced", "irr"):
+                    want = Counter()
+                    for vals in oracles.brute_slot_maps(parents, k, flavor):
+                        slots = [[] for _ in range(k)]
+                        for d2, v in zip(d2s, vals):
+                            slots[v - 1].append(d2)
+                        want[tuple(tuple(sorted(s)) for s in slots)] += 1
+                    where = (decorated_string(T, basis), k, flavor)
+                    assert Counter(_slot_maps(T, k, flavor, memo)) == want, where
+                    assert Counter(_slot_maps(T, k, flavor)) == want, where
+    assert len(memo) == 4 * 3 * len(shapes)
+
+
+@pytest.mark.parametrize("flavor, keep", [
+    ("irr", lambda vals, k: len(vals) == k),  # non-injective maps too
+    ("reduced", lambda vals, k: True),        # non-surjective maps too
+])
+def test_forest_suite_catches_a_wrong_map_filter(monkeypatch, flavor, keep):
+    # the three flavors share one direct iterate per (t, k); a forest side
+    # summing over the wrong maps must still fail its own comparison
+    monkeypatch.setitem(prelie.forest._FLAVOR_MAPS, flavor, keep)
+    failures = {name: failure for name, _, failure in checks.run("forest", 4)}
+    for name in ("ck-forest-formula-vs-direct", "word-forest-formula-vs-direct"):
+        assert failures[name]["instance"]["flavor"] == flavor, name
 
 
 # ---------------------------------------------------------------------------
