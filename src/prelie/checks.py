@@ -21,7 +21,8 @@ from .trees import (LEAF, enumerate_forests, enumerate_trees,
                     count_k_linearizations, count_weak_k_linearizations,
                     murua_omega, murua_omega_recursive, sigma)
 
-# orders past these take minutes or more: tree orders
+# orders past these take minutes or more: tree orders (series --method
+# fixed-point, on a 2-core machine: 4.5 s at order 11 and 19 s at 12)
 TREE_CAP = 12
 # forest-formula grades (the forest suite, forest --index): on a 2-core
 # machine the forest suite takes 5.0 s at order 8 and 21 s at 9
@@ -212,8 +213,8 @@ def exp_magnus_functionals(order: int):
 
 
 # order is the suite's default order; each cap is the last order a suite
-# finishes within seconds, measured on a 2-core machine: trees 5.2 s at 10 and
-# 28 s at 11, hopf 3.6-4.0 s at 8 and 28 s at 9, magnus 5.8 s at 9 and 27 s
+# finishes within seconds, measured on a 2-core machine: trees 4.1 s at 10 and
+# 19 s at 11, hopf 3.6-4.0 s at 8 and 28 s at 9, magnus 5.8 s at 9 and 27 s
 # at 10, words 4.9 s at 6 and over 60 s at 7, forest 5.0 s at 8 and 21 s at
 # 9, cumulants 0.4-0.7 s at 12 (its tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")

@@ -34,14 +34,20 @@ CUMULANT_CAP = 8
 K_CAP = 6
 
 
-def _write_output(text: str, path):
+def _write_output(text: str, path) -> int:
+    """Write text to stdout or to path; the exit code, 2 if path cannot be
+    written."""
     if path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return 0
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        return _input_error("cannot write output: %s" % exc)
+    return 0
 
 
 def _input_error(message: str) -> int:
@@ -76,14 +82,14 @@ def cmd_trees(args) -> int:
                 "omega": format_rational(murua_omega(t)),
             })
     if args.format == "json":
-        _write_output(json.dumps(rows, indent=2), args.output)
+        text = json.dumps(rows, indent=2)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        _write_output(buf.getvalue(), args.output)
-    return 0
+        text = buf.getvalue()
+    return _write_output(text, args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +155,7 @@ def cmd_series(args) -> int:
                                  base.coeff(t), results[m].coeff(t)),
                               file=sys.stderr)
                         return 1
-    _write_output(json.dumps(series.to_json(), indent=2), args.output)
-    return 0
+    return _write_output(json.dumps(series.to_json(), indent=2), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +180,7 @@ def cmd_cumulants(args) -> int:
         out = nc.convert(table, args.target, route=args.route).to_json()
     except ValueError as exc:
         return _input_error(str(exc))
-    _write_output(json.dumps(out, indent=2), args.output)
-    return 0
+    return _write_output(json.dumps(out, indent=2), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +243,7 @@ def cmd_forest(args) -> int:
         for t, slots, lam in lines:
             writer.writerow([t, str(lam)] + slots)
         text = buf.getvalue()
-    _write_output(text, args.output)
-    return 0
+    return _write_output(text, args.output)
 
 
 # ---------------------------------------------------------------------------

@@ -280,23 +280,25 @@ def magnus_closed_form(order: int) -> TreeSeries:
 def magnus_fixed_point(a: TreeSeries, order: int) -> TreeSeries:
     """Grade-by-grade solution of Omega = sum_{n>=0} (B_n/n!) r^(n+1)_Omega(a).
 
-    The n = 0 term is a itself, the n = 1 term is B_1 (a <| Omega), and so on;
-    each pass through the loop fixes one more grade, so `order` passes settle
-    every grade up to the truncation.
+    The n = 0 term is a itself, the n = 1 term is B_1 (a <| Omega), and so on.
+    Every term of a has grade >= 1, so grade p of the right side reads only
+    grades < p of Omega: pass p, truncated at grade p, fixes grade p.  Omega
+    is kept untruncated between passes, so the next pass's products are cut
+    at its own grade only; the last pass is truncated at `order`.
     """
-    omega = TreeSeries({}, order)
-    for _ in range(order):
-        acc = TreeSeries({}, order)
-        r = a.truncated(order)  # r^(1)
+    acc = TreeSeries({}, order)
+    for p in range(1, order + 1):
+        omega = TreeSeries(acc.terms)
+        acc = TreeSeries({}, p)
+        r = a.truncated(p)  # r^(1)
         n = 0
-        while r and n <= order:
+        while r:
             b = bernoulli(n)
             if b:
                 acc = acc + r.scaled(b / factorial(n))
-            r = prelie(r, omega, order)
+            r = prelie(r, omega, p)
             n += 1
-        omega = acc
-    return omega
+    return acc
 
 
 @cache

@@ -19,8 +19,12 @@ a_k come from one order polynomial per tree: W_t(x), the number of strictly
 order preserving maps from t into {1..x}, is sum_k a_k C(x, k) (Stanley, EC1
 3.12), built from the branches' coefficients by a binomial-basis product and
 an index shift for the root.  murua_omega_recursive recomputes omega through
-the Bernoulli-weighted sum over root-containing vertex selections of B-(t);
-the two must agree on every tree.
+the Bernoulli-weighted sum over root-containing vertex selections of B-(t),
+walking the parent and children arrays of its LabeledForest: the factorial
+s! of a selection is the product, over its vertices, of the number of
+selected vertices at or below each, so no induced shape is built, and only
+the cut-above components are built as trees.  The two routes must agree on
+every tree.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ __all__ = [
     "sigma", "tree_factorial", "forest_factorial", "num_linearizations",
     "count_k_linearizations", "count_weak_k_linearizations",
     "murua_omega", "murua_omega_forest", "murua_omega_recursive",
-    "LabeledForest", "labeled", "root_subforests", "induced_subforest",
-    "cut_above",
+    "LabeledForest", "labeled",
 ]
 
 
@@ -340,17 +343,17 @@ def murua_omega_forest(f: Forest) -> Fraction:
 
 
 class LabeledForest:
-    """A concrete-vertex view of a forest: ids in preorder, roots first.
+    """A concrete-vertex view of a forest: parent and children arrays with
+    ids in preorder, so every parent id is smaller than its children's.
 
     Vertex ids are assigned by a depth-first walk of the canonical form
     (component trees in key order, children in key order), so ids are a stable
     function of the forest.
     """
 
-    __slots__ = ("forest", "n", "parent", "children", "roots")
+    __slots__ = ("n", "parent", "children", "roots")
 
     def __init__(self, forest: Forest):
-        self.forest = forest
         parent: list = []
         children: list = []
         roots: list = []
@@ -373,40 +376,6 @@ class LabeledForest:
         self.children = tuple(tuple(cs) for cs in children)
         self.roots = tuple(roots)
 
-    def vertices(self):
-        return range(self.n)
-
-    def _shape(self, v, kids) -> RootedTree:
-        return RootedTree(self._shape(c, kids) for c in kids[v])
-
-    def induced_subforest(self, sel) -> Forest:
-        """Shape of the induced poset on sel: parent = nearest selected ancestor."""
-        sel = frozenset(sel)
-        kids: dict = {v: [] for v in sel}
-        tops = []
-        for v in sorted(sel):
-            p = self.parent[v]
-            while p is not None and p not in sel:
-                p = self.parent[p]
-            if p is None:
-                tops.append(v)
-            else:
-                kids[p].append(v)
-        return Forest(self._shape(v, kids) for v in tops)
-
-    def cut_forest(self, sel) -> Forest:
-        """Forest after deleting each edge from a selected vertex to its parent."""
-        sel = frozenset(sel)
-        kids = [[] for _ in range(self.n)]
-        tops = []
-        for v in range(self.n):
-            p = self.parent[v]
-            if p is None or v in sel:
-                tops.append(v)
-            else:
-                kids[p].append(v)
-        return Forest(self._shape(v, kids) for v in tops)
-
 
 def labeled(f: Forest) -> LabeledForest:
     return _labeled(f)
@@ -415,43 +384,15 @@ def labeled(f: Forest) -> LabeledForest:
 _labeled = cache(LabeledForest)
 
 
-def root_subforests(f: Forest):
-    """All concrete vertex selections of f containing every root.
-
-    Selections are frozensets of LabeledForest ids.  Every subset of the
-    non-root vertices may be added: an arbitrary subset containing the root of
-    a tree is again a subtree under the induced order, so these are exactly
-    the root-containing subforests.  Deterministic order.
-    """
-    lf = labeled(f)
-    base = frozenset(lf.roots)
-    others = [v for v in lf.vertices() if v not in base]
-    out = []
-    for r in range(len(others) + 1):
-        for extra in combinations(others, r):
-            out.append(base | frozenset(extra))
-    return out
-
-
-def induced_subforest(f: Forest, sel) -> Forest:
-    return labeled(f).induced_subforest(sel)
-
-
-def cut_above(f: Forest, sel) -> Forest:
-    """Remove the edges connecting selected vertices with their parents."""
-    lf = labeled(f)
-    sel = frozenset(sel)
-    if not sel.issuperset(lf.roots) or not sel.issubset(lf.vertices()):
-        raise ValueError("selection is not a root-containing vertex subset of %r" % (f,))
-    return lf.cut_forest(sel)
-
-
 def murua_omega_recursive(t: RootedTree) -> Fraction:
     """omega via the Bernoulli recursion over root-containing selections.
 
     omega(t) = sum over selections s of B-(t) containing all its roots of
-    (B_|s| / s!) * omega(cut-above-s forest), with s! the forest factorial of
-    the selection's induced shape and omega multiplicative over components.
+    (B_|s| / s!) * omega(cut-above-s forest), omega multiplicative over
+    components.  s! is the forest factorial of the selection's induced shape:
+    the product over selected v of the number of selected vertices at or
+    below v.  The cut-above components are the selected vertices, each with
+    its unselected descendants.
     """
     return _omega_rec(t)
 
@@ -460,16 +401,34 @@ def murua_omega_recursive(t: RootedTree) -> Fraction:
 def _omega_rec(t: RootedTree) -> Fraction:
     if t.size == 1:
         return Fraction(1)
-    f = b_minus(t)
+    lf = labeled(b_minus(t))
+    n, parent, children, roots = lf.n, lf.parent, lf.children, lf.roots
+    others = [v for v in range(n) if parent[v] is not None]
     out = Fraction(0)
-    for sel in root_subforests(f):
-        b = bernoulli(len(sel))
+    for extra in range(len(others) + 1):
+        b = bernoulli(len(roots) + extra)
         if b == 0:
             continue
-        term = b / forest_factorial(induced_subforest(f, sel))
-        for comp in cut_above(f, sel).trees:
-            term *= _omega_rec(comp)
-            if term == 0:
-                break
-        out += term
+        for picked in combinations(others, extra):
+            chosen = roots + picked
+            sel = [False] * n
+            for v in chosen:
+                sel[v] = True
+            below = [0] * n  # selected vertices at or below v
+            shape = [None] * n  # v with its unselected descendants
+            fac = 1
+            for v in range(n - 1, -1, -1):  # children before parents
+                shape[v] = RootedTree([shape[c] for c in children[v]
+                                       if not sel[c]])
+                if sel[v]:
+                    below[v] += 1
+                    fac *= below[v]
+                if parent[v] is not None:
+                    below[parent[v]] += below[v]
+            term = b / fac
+            for v in chosen:
+                term *= _omega_rec(shape[v])
+                if term == 0:
+                    break
+            out += term
     return out

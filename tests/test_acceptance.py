@@ -77,7 +77,7 @@ def test_criterion_3_omega_direct_vs_recursion():
             checked += 1
     assert checked == 1 + 1 + 2 + 4 + 9 + 20 + 48 + 115 + 286
     _report(3, "Murua omega: linearization sum equals Bernoulli-style "
-               "recursion through 9 vertices", t0, budget=60)
+               "recursion through 9 vertices", t0, budget=10)
 
 
 def test_criterion_4_forest_formula_oracle_equivalence(monkeypatch):

@@ -66,6 +66,28 @@ def test_trees_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())[0]["tree"] == "[]"
 
 
+@pytest.mark.parametrize("bad", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["trees", "series", "cumulants", "forest"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, command, bad):
+    src = tmp_path / "free.json"
+    _write_table(src)
+    argv = {
+        "trees": ["trees", "--max-order", "2"],
+        "series": ["series", "--which", "magnus", "--order", "2"],
+        "cumulants": ["cumulants", "--from", "free", "--to", "moment",
+                      "--input", str(src)],
+        "forest": ["forest", "--basis", "ck", "--index", "[[]]", "--k", "2"],
+    }[command]
+    if bad == "missing-directory":
+        target = tmp_path / "missing" / "x.json"
+    else:
+        target = tmp_path / "out"
+        target.mkdir()
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # series
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from prelie.exactnum import bernoulli
 from prelie.freeprelie import (
     ForestPoly, TensorPoly, TreeSeries, brace, ck_coproduct, cm_coefficient,
     gl_product, graft, irr_iterated_coproduct, iterated_coproduct,
@@ -265,6 +266,37 @@ def test_magnus_three_ways_agree_to_order_5():
     m3 = tree_part(sol1(poly_exp(series(LEAF), 5)))
     assert m1 == m2
     assert m1 == m3
+
+
+def test_magnus_fixed_point_matches_closed_form_at_order_10():
+    assert magnus_fixed_point(series(LEAF), 10) == magnus_closed_form(10)
+
+
+def _fixed_point_full_passes(a, order):
+    """`order` passes of Omega = sum_n (B_n/n!) r^(n+1)_Omega(a), each
+    computing every grade up to order."""
+    omega = TreeSeries({}, order)
+    for _ in range(order):
+        acc = TreeSeries({}, order)
+        r = a.truncated(order)
+        n = 0
+        while r and n <= order:
+            b = bernoulli(n)
+            if b:
+                acc = acc + r.scaled(b / factorial(n))
+            r = prelie(r, omega, order)
+            n += 1
+        omega = acc
+    return omega
+
+
+def test_magnus_fixed_point_of_a_non_generator_series():
+    a = TreeSeries({LEAF: 1, CHAIN2: 3, CHERRY: Fraction(-1, 2),
+                    CHAIN3: Fraction(2, 7)})
+    for order in range(1, 8):
+        got = magnus_fixed_point(a, order)
+        assert got == _fixed_point_full_passes(a, order), order
+        assert got.order == order
 
 
 def test_sol1_projects_group_like_onto_trees():

@@ -10,10 +10,9 @@ import oracles
 from prelie import trees
 from prelie.trees import (
     EMPTY_FOREST, Forest, LEAF, RootedTree, b_minus, b_plus,
-    count_k_linearizations, count_weak_k_linearizations, cut_above,
-    enumerate_forests, enumerate_trees, forest_factorial, forest_from_string,
-    induced_subforest, labeled, murua_omega, murua_omega_forest,
-    murua_omega_recursive, num_linearizations, root_subforests, sigma,
+    count_k_linearizations, count_weak_k_linearizations, enumerate_forests,
+    enumerate_trees, forest_factorial, forest_from_string, murua_omega,
+    murua_omega_forest, murua_omega_recursive, num_linearizations, sigma,
     tree_by_rank, tree_factorial, tree_from_string, tree_rank,
 )
 
@@ -254,39 +253,3 @@ def test_omega_routes_do_not_call_each_other(monkeypatch):
         m.setattr(trees, "_omega_rec", _route_called)
         assert [murua_omega(t) for t in small] == recursive
     _clear_omega_caches()
-
-
-# ---------------------------------------------------------------------------
-# concrete selections (the K(f) machinery)
-
-def test_root_subforests_counts():
-    # every selection contains all roots; non-root vertices are free
-    for f in [Forest((CHAIN2,)), Forest((CHERRY, LEAF)), Forest((CHAIN3,))]:
-        sels = root_subforests(f)
-        non_roots = f.size - len(f.trees)
-        assert len(sels) == 2 ** non_roots
-        assert len(set(map(frozenset, sels))) == len(sels)
-        lf = labeled(f)
-        for sel in sels:
-            assert set(lf.roots) <= set(sel)
-
-
-def test_induced_subforest_skips_unselected_levels():
-    # preorder ids on a 3-chain are root=0, child=1, grandchild=2; selecting
-    # {root, grandchild} induces a 2-chain
-    f = Forest((CHAIN3,))
-    assert induced_subforest(f, frozenset({0, 2})) == Forest((CHAIN2,))
-
-
-def test_cut_above_detaches_selected_vertices():
-    # severing the middle vertex of a 3-chain leaves a point and a 2-chain
-    f = Forest((CHAIN3,))
-    assert cut_above(f, frozenset({0, 1})) == Forest((LEAF, CHAIN2))
-
-
-def test_cut_above_validates_selection():
-    f = Forest((CHAIN2,))
-    with pytest.raises(ValueError):
-        cut_above(f, frozenset())  # missing the root
-    with pytest.raises(ValueError):
-        cut_above(f, frozenset({0, 99}))
