@@ -28,8 +28,8 @@ TREE_CAP = 12
 # machine the forest suite takes 5.0 s at order 8 and 21 s at 9
 FOREST_CAP = 8
 # where sol1 runs (series --which magnus --method sol1 or --check, and the
-# magnus suite): on a 2-core machine --order 9 --check takes 3.2-4.9 s,
-# sol1 alone 13-20 s at order 10 and --order 10 --check 16-38 s
+# magnus suite): on a 2-core machine --order 9 --check takes 1.1-2.4 s,
+# sol1 alone 4.5-6.5 s at order 10 and --order 10 --check 5.3-6.1 s
 SOL1_CAP = 9
 
 
@@ -214,9 +214,9 @@ def exp_magnus_functionals(order: int):
 
 # order is the suite's default order; each cap is the last order a suite
 # finishes within seconds, measured on a 2-core machine: trees 4.1 s at 10 and
-# 19 s at 11, hopf 3.6-4.0 s at 8 and 28 s at 9, magnus 5.8 s at 9 and 27 s
-# at 10, words 4.9 s at 6 and over 60 s at 7, forest 5.0 s at 8 and 21 s at
-# 9, cumulants 0.4-0.7 s at 12 (its tables stop at length 6)
+# 19 s at 11, hopf 1.6-2.9 s at 8 and 13 s at 9, magnus 1.1 s at 9 and
+# 5.4 s at 10, words 4.9 s at 6 and over 60 s at 7, forest 5.0 s at 8 and
+# 21 s at 9, cumulants 0.4-0.7 s at 12 (its tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
 
 

@@ -1,8 +1,11 @@
 """The free pre-Lie algebra on one generator and its Hopf envelope.
 
-Products: graft (the pre-Lie product, sum over attachment vertices), the
-symmetric brace t{u1,...,un} by the Oudom-Guin recursion, and the
-Grossman-Larson product on forest polynomials.  Coproduct: Connes-Kreimer,
+Products: one grafting recursion, the symmetric brace t{u1,...,un}, the sum
+over all ways to attach each u_i below some vertex of t, computed branch by
+branch over sub-multisets of the arguments.  The pre-Lie product is the
+one-argument brace graft(t, u) = t{u}, and the Grossman-Larson product of
+forests is a * b = B-(B+(a){b}) (Oudom-Guin): each tree of b goes below a
+vertex of a or becomes a component of its own.  Coproduct: Connes-Kreimer,
 the admissible cuts with the trunk on the left and the pruning on the right,
 with iterated, reduced and irreducible variants.  It is multiplicative on
 forests, and on a tree B+(f) it follows from the coproduct of the branch
@@ -83,22 +86,48 @@ def tree_part(p: ForestPoly) -> TreeSeries:
 
 
 # ---------------------------------------------------------------------------
-# pre-Lie product and braces
+# grafting: the pre-Lie product, braces and the Grossman-Larson product
 
-def graft(t: RootedTree, u: RootedTree) -> TreeSeries:
-    """t <| u: sum over vertices v of t of (t with u's root attached below v)."""
-    return _graft(t, u)
+@cache
+def _splits(args: tuple) -> tuple:
+    """(sub, rest, ways) for every sub-multiset sub of the key-sorted trees
+    args, rest being what is left; ways = prod_u C(m_u, c_u) counts the
+    positions of args that hold sub.  sub and rest stay key-sorted."""
+    runs = [tuple(g) for _, g in groupby(args, key=lambda t: t.key)]
+    return tuple(
+        (tuple(chain.from_iterable(run[:c] for run, c in zip(runs, block))),
+         tuple(chain.from_iterable(run[c:] for run, c in zip(runs, block))),
+         prod(comb(len(run), c) for run, c in zip(runs, block)))
+        for block in product(*(range(len(run) + 1) for run in runs)))
 
 
 @cache
-def _graft(t: RootedTree, u: RootedTree) -> TreeSeries:
-    terms: dict = {RootedTree(t.children + (u,)): 1}
-    for i, c in enumerate(t.children):
-        rest = t.children[:i] + t.children[i + 1:]
-        for sub, coeff in _graft(c, u).terms.items():
-            grown = RootedTree(rest + (sub,))
-            terms[grown] = terms.get(grown, 0) + coeff
+def _brace(t: RootedTree, args: tuple) -> TreeSeries:
+    """t{args} for key-sorted argument trees: every way to attach each
+    argument below some vertex of t.  Branch by branch, the root's branches
+    each take a sub-multiset of the arguments not yet placed and are braced
+    with it; the root keeps the rest as new branches."""
+    if not args:
+        return TreeSeries({t: 1})
+    partial = {((), args): 1}  # (braced branches so far, unplaced) -> count
+    for c in t.children:
+        nxt: dict = {}
+        for (kids, rem), w in partial.items():
+            for sub, rest, ways in _splits(rem):
+                for s, d in _brace(c, sub).terms.items():
+                    key = (kids + (s,), rest)
+                    nxt[key] = nxt.get(key, 0) + w * ways * d
+        partial = nxt
+    terms: dict = {}
+    for (kids, rest), w in partial.items():
+        grown = RootedTree(kids + rest)
+        terms[grown] = terms.get(grown, 0) + w
     return TreeSeries(terms)
+
+
+def graft(t: RootedTree, u: RootedTree) -> TreeSeries:
+    """t <| u: sum over vertices v of t of (t with u's root attached below v)."""
+    return _brace(t, (u,))
 
 
 def prelie(a: TreeSeries, b: TreeSeries, order=None) -> TreeSeries:
@@ -106,57 +135,20 @@ def prelie(a: TreeSeries, b: TreeSeries, order=None) -> TreeSeries:
     return bilinear(a, b, graft, order)
 
 
-@cache
-def _brace_basis(t: RootedTree, args: tuple) -> TreeSeries:
-    """Symmetric brace t{args} by the Oudom-Guin recursion.
-
-    t{} = t, t{u} = t <| u, and
-    t{u1..un} = (t{u1..u_{n-1}}){un} - sum_i t{u1, .., ui <| un, .., u_{n-1}}.
-    """
-    if not args:
-        return TreeSeries({t: 1})
-    if len(args) == 1:
-        return graft(t, args[0])
-    head, last = args[:-1], args[-1]
-    out = prelie(_brace_basis(t, head), TreeSeries({last: 1}))
-    for i in range(len(head)):
-        for s, c in graft(head[i], last).terms.items():
-            out = out - _brace_basis(t, head[:i] + (s,) + head[i + 1:]).scaled(c)
-    return out
-
-
 def brace(t: RootedTree, args) -> TreeSeries:
-    """t{args} for a forest or sequence of argument trees."""
+    """Symmetric brace t{args} for a forest or sequence of argument trees:
+    the sum over all ways to attach every argument below some vertex of t."""
     if isinstance(args, Forest):
         args = args.trees
-    return _brace_basis(t, tuple(args))
+    return _brace(t, tuple(sorted(args, key=lambda u: u.key)))
 
-
-# ---------------------------------------------------------------------------
-# Grossman-Larson product
 
 @cache
 def _gl_monomial(fa: Forest, fb: Forest) -> ForestPoly:
-    a_trees, b_trees = fa.trees, fb.trees
-    ell, m = len(a_trees), len(b_trees)
-    acc: dict = {}
-    for assign in product(range(ell + 1), repeat=m):
-        groups: list = [[] for _ in range(ell + 1)]
-        for pos, dest in enumerate(assign):
-            groups[dest].append(b_trees[pos])
-        # distribute the product of brace series over the a-factors
-        partial = [(tuple(groups[0]), 1)]
-        for i in range(ell):
-            # braces are symmetric in their arguments: sort for memo reuse
-            args = tuple(sorted(groups[i + 1], key=lambda u: u.key))
-            fac = _brace_basis(a_trees[i], args)
-            partial = [(trees + (r,), c * d)
-                       for trees, c in partial
-                       for r, d in fac.terms.items()]
-        for trees, c in partial:
-            f = Forest(trees)
-            acc[f] = acc.get(f, 0) + c
-    return ForestPoly(acc)
+    """fa * fb = B-(B+(fa){fb}): each tree of fb goes below a vertex of fa
+    or, below the new root, becomes a component of its own."""
+    return ForestPoly({b_minus(r): c
+                       for r, c in _brace(b_plus(fa), fb.trees).terms.items()})
 
 
 def gl_product(a: ForestPoly, b: ForestPoly, order=None) -> ForestPoly:
@@ -306,33 +298,28 @@ def _sol1_monomial(f: Forest) -> ForestPoly:
     """sol1 of one monomial, summed over compositions of its multiplicities.
 
     Ordered set partitions of the positions whose blocks hold the same
-    multisets of trees give the same GL product, and there are
-    prod_j m_j! / prod_(i,j) c_ij! of them for blocks c_1..c_k of the tree
-    multiplicities m.  The walk picks the blocks depth first, so a prefix
-    product B1 * ... * Bi is formed once and shared by every composition
-    that starts with it.
+    multisets of trees give the same GL product; the walk picks each next
+    block as a nonempty sub-multiset of the trees left (`_splits`), weighted
+    by the number of position sets that hold it.  The blocks are picked depth
+    first, so a prefix product B1 * ... * Bi is formed once and shared by
+    every composition that starts with it.
     """
-    # f.trees is sorted by key, so equal trees form runs
-    runs = [tuple(g) for _, g in groupby(f.trees, key=lambda t: t.key)]
     acc: dict = {}
 
     def walk(prefix, rem, k, weight):
-        if not any(rem):
+        if not rem:
             c = Fraction((-1) ** (k - 1) * weight, k)
             for g, d in prefix.terms.items():
                 acc[g] = acc.get(g, 0) + c * d
             return
-        for block in product(*(range(r + 1) for r in rem)):
-            if not any(block):
-                continue
-            mono = ForestPoly({Forest(tuple(chain.from_iterable(
-                run[:c] for run, c in zip(runs, block)))): 1})
-            walk(mono if prefix is None else gl_product(prefix, mono),
-                 tuple(r - c for r, c in zip(rem, block)), k + 1,
-                 weight * prod(comb(r, c) for r, c in zip(rem, block)))
+        for sub, rest, ways in _splits(rem):
+            if sub:
+                mono = ForestPoly({Forest(sub): 1})
+                walk(mono if prefix is None else gl_product(prefix, mono),
+                     rest, k + 1, weight * ways)
 
-    if runs:  # sol1(1) = 0
-        walk(None, tuple(len(run) for run in runs), 0, 1)
+    if f.trees:  # sol1(1) = 0
+        walk(None, f.trees, 0, 1)
     return ForestPoly(acc)
 
 

@@ -46,14 +46,21 @@ class TermMap:
 
     def __init__(self, terms=None, order=None):
         data: dict = {}
-        if terms is not None:
+        if isinstance(terms, dict):
+            data.update(terms)  # distinct keys: reuses their stored hashes
+            for k, c in terms.items():
+                if type(c) is not int and type(c) is not Fraction:
+                    data[k] = Fraction(c)
+        elif terms is not None:
             items = terms.items() if hasattr(terms, "items") else terms
             for k, c in items:
                 c = _exact(c)
                 acc = data.get(k)
                 data[k] = c if acc is None else acc + c
-        self.terms = {k: c for k, c in data.items()
-                      if c and (order is None or k.size <= order)}
+        for k in [k for k, c in data.items()
+                  if not c or order is not None and k.size > order]:
+            del data[k]
+        self.terms = data
         self.order = order
 
     def _with(self, terms, order):

@@ -188,6 +188,27 @@ def oudom_guin_brace(prelie_on_basis, x, args) -> dict:
     return {r: c for r, c in out.items() if c}
 
 
+# ---------------------------------------------------------------------------
+# the Grossman-Larson product
+
+def brute_gl_product(fa: Forest, fb: Forest) -> dict:
+    """fa * fb as the sum over all maps sending each tree of fb below some
+    vertex of fa or to a new component of its own.  Returns {Forest: int}."""
+    lf = labeled(fa)
+    n, children, args = lf.n, lf.children, fb.trees
+    out: dict = {}
+    for targets in product(range(n + 1), repeat=len(args)):  # n: new component
+
+        def build(v: int) -> RootedTree:
+            extra = tuple(args[i] for i in range(len(args)) if targets[i] == v)
+            return RootedTree(tuple(build(c) for c in children[v]) + extra)
+
+        new = tuple(args[i] for i in range(len(args)) if targets[i] == n)
+        f = Forest(tuple(build(r) for r in lf.roots) + new)
+        out[f] = out.get(f, 0) + 1
+    return out
+
+
 def _ordered_set_partitions(items: tuple):
     """Every ordered set partition of items, first block chosen first."""
     if not items:

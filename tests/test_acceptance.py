@@ -118,7 +118,7 @@ def test_criterion_4_forest_formula_oracle_equivalence(monkeypatch):
     assert honest_basis.slot_tensor(honest, 3) == \
         freeprelie.reduced_iterated_coproduct(t, 3)
     _report(4, "forest formula equals iterated coproducts (both bases, "
-               "all flavors, k<=4); sym mutation detected", t0, budget=20)
+               "all flavors, k<=4); sym mutation detected", t0, budget=5)
 
 
 def test_criterion_5_worked_example_lambda_6():
@@ -229,7 +229,7 @@ def test_criterion_8_cumulant_suite():
         assert rho.values[w] == nc.magnus_functional(beta_via.values, w)
         assert rho.values[w] == -nc.magnus_functional(nu_via.negated().values, w)
     _report(8, "cumulant round trips, route agreement and exp/Magnus "
-               "functional theorems at N = 6", t0, budget=30)
+               "functional theorems at N = 6", t0, budget=10)
 
 
 def test_criterion_9_counting_cross_checks():

@@ -69,14 +69,23 @@ def test_brace_base_cases():
 
 
 def test_brace_matches_simultaneous_grafting():
-    hosts = [t for n in range(1, 4) for t in enumerate_trees(n)]
+    # hosts through order 5, so some have equal branches ([[][]], [[[]][[]]]);
+    # on the smaller ones also the Oudom-Guin recursion, run over the
+    # brute-force single graft, since graft is itself a brace
+    def single_graft(a, b):
+        return oracles.simultaneous_grafting(a, (b,))
+
+    hosts = [t for n in range(1, 6) for t in enumerate_trees(n)]
     args_pool = [t for n in range(1, 3) for t in enumerate_trees(n)]
     for t in hosts:
-        for n_args in range(1, 4):
+        for n_args in range(1, 5):
             for args in _multisets(args_pool, n_args):
                 want = oracles.simultaneous_grafting(t, args)
                 got = brace(t, args)
                 assert got == TreeSeries(want), (t.key, [a.key for a in args])
+                if t.size <= 4 and n_args <= 3:
+                    assert got == TreeSeries(oracles.oudom_guin_brace(
+                        single_graft, t, args)), (t.key, [a.key for a in args])
 
 
 def _multisets(pool, n):
@@ -123,6 +132,16 @@ def test_gl_dot_times_dotdot():
     # cross-checks: no 3-chain term, confirmed by duality with the 3-chain
     assert got.terms.get(Forest((CHAIN3,)), 0) == 0
     assert pairing(got, poly(Forest((CHAIN3,)))) == 0
+
+
+def test_gl_matches_brute_force_maps():
+    forests = [f for n in range(8) for f in enumerate_forests(n)]
+    pairs = [(fa, fb) for fa in forests for fb in forests
+             if fa.size + fb.size <= 7]
+    assert len(pairs) == 790
+    for fa, fb in pairs:
+        got = gl_product(poly(fa), poly(fb))
+        assert got == ForestPoly(oracles.brute_gl_product(fa, fb)), (fa, fb)
 
 
 @settings(deadline=None, max_examples=40)
