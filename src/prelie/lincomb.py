@@ -1,15 +1,16 @@
 """Shared machinery for finite rational linear combinations.
 
 TermMap is a thin dict wrapper (basis key -> coefficient) with zero pruning,
-the usual module arithmetic and a truncation order: terms whose key grade (the
-key's ``size``) exceeds the order are dropped, and binary operations keep the
-min of the two orders (None = untruncated).  Coefficients are int or Fraction
-and are kept as given, so integer structure constants stay ints until a
-division makes a Fraction; any other number is turned into the Fraction of
-its exact value, never kept as a float.  Tensor is the same over k-tuples
-of keys, with the arity checked.  Subclasses fix only the key type's sort key
-for serialization.  Everything is value-like: operations return new objects,
-terms dicts are never shared, so concurrent readers are safe.
+the usual module arithmetic and a truncation order: terms whose key grade
+(``grade(key)``, the key's ``size`` unless a subclass says otherwise)
+exceeds the order are dropped, and binary operations keep the min of the
+two orders (None = untruncated).  Coefficients are int or Fraction and are
+kept as given, so integer structure constants stay ints until a division
+makes a Fraction; any other number is turned into the Fraction of its exact
+value, never kept as a float.  Tensor is the same over k-tuples of keys,
+with the arity checked.  Subclasses fix only the key type's grade and its
+sort key for serialization.  Everything is value-like: operations return
+new objects, terms dicts are never shared, so concurrent readers are safe.
 
 The module functions are the loops every graded algebra in the package
 shares: the bilinear extension of a product of basis keys, the
@@ -58,13 +59,17 @@ class TermMap:
                 acc = data.get(k)
                 data[k] = c if acc is None else acc + c
         for k in [k for k, c in data.items()
-                  if not c or order is not None and k.size > order]:
+                  if not c or order is not None and self.grade(k) > order]:
             del data[k]
         self.terms = data
         self.order = order
 
     def _with(self, terms, order):
         return type(self)(terms, order)
+
+    @staticmethod
+    def grade(key):
+        return key.size
 
     @staticmethod
     def sort_key(key):
@@ -143,10 +148,13 @@ def bilinear(a: TermMap, b: TermMap, mul, order=None) -> TermMap:
     orders; key pairs whose grades already sum past it are skipped.
     """
     order = _min_order(order, _min_order(a.order, b.order))
+    grade = a.grade
+    right = [(y, cb, grade(y)) for y, cb in b.terms.items()]
     acc: dict = {}
     for x, ca in a.terms.items():
-        for y, cb in b.terms.items():
-            if order is not None and x.size + y.size > order:
+        gx = grade(x)
+        for y, cb, gy in right:
+            if order is not None and gx + gy > order:
                 continue
             c = ca * cb
             for r, d in mul(x, y).terms.items():

@@ -11,13 +11,17 @@ rationals indexed by words over one-character variables.  Every conversion
 is a sum over non-crossing partitions pi (all, interval or irreducible) of a
 weight times the product of the table over the blocks of pi.  The weight is
 a statistic of the nesting forest t(pi) alone: 1, the sign (-1)^(|pi|-1),
-1/t(pi)!, omega(t(pi)), or a signed one of these.  So each (length, brand
-pair) sum is compiled once into its distinct blocks, the lcm L of its
-weights' denominators and, per term, block ids and the weight times L.  The
-work per word is an integer sum: each distinct block's value is read once
-and put over the lcm D of their denominators, every term multiplies ints,
-and the word's value is one Fraction over L * D^n.  Moments-to-cumulants
-inverts the cumulants-to-moments sum triangularly by word length.
+1/t(pi)!, omega(t(pi)), or a signed one of these.  One cached enumeration
+builds every partition of [n] together with its nesting forest: the block v
+of 1 splits [n] into the gaps inside v, whose blocks nest below v, and the
+gap after v, whose blocks sit beside it.  Each (length, brand pair) sum is
+compiled once into its distinct blocks, the lcm L of its weights'
+denominators and, per term, block ids and the weight times L.  The work per
+word is an integer sum: each distinct block's value is read once and put
+over the lcm D of their denominators, every term multiplies ints, and the
+word's value is one Fraction over L * D^n.  Moments-to-cumulants inverts
+the cumulants-to-moments sum triangularly by word length, reading the same
+compiled sum with the unknown word set to 0.
 exp_functional and magnus_functional are the monotone -> boolean and
 boolean -> monotone sums, applied to an arbitrary table used as a
 multilinear functional.
@@ -32,13 +36,13 @@ from itertools import combinations, islice, product
 from math import lcm
 
 from .exactnum import parse_rational
-from .trees import Forest, RootedTree, forest_factorial
+from .trees import EMPTY_FOREST, Forest, RootedTree, forest_factorial
 from .trees import murua_omega_forest as forest_omega
 
 __all__ = [
     "NCPartition", "CumulantTable", "BRANDS",
     "enumerate_nc", "enumerate_nc_irr", "enumerate_interval",
-    "enumerate_nc_irr_k", "nesting_forest",
+    "nesting_forest",
     "convert", "exp_functional", "magnus_functional",
 ]
 
@@ -55,6 +59,8 @@ class NCPartition:
                               key=lambda b: b[0]))
         seen = [e for b in blocks for e in b]
         n = len(seen)
+        if not n:
+            raise ValueError("a partition needs at least one block")
         if sorted(seen) != list(range(1, n + 1)):
             raise ValueError("blocks do not partition [n]")
         for (b1, b2) in combinations(blocks, 2):
@@ -85,11 +91,13 @@ class NCPartition:
 
 
 @cache
-def _nc_blocks(n: int) -> tuple:
-    """All non-crossing partitions of [n] as block tuples (shifted on use)."""
+def _nc_blocks(n: int) -> dict:
+    """All non-crossing partitions of [n], each block tuple (blocks sorted
+    by minimum) mapped to its nesting forest; callers shift the blocks."""
     if n == 0:
-        return ((),)
-    result = []
+        return {(): EMPTY_FOREST}
+    result = {}
+    shapes: dict = {}  # one Forest object per distinct nesting shape
     # the block of 1 is v = {1 < v_2 < ... < v_k}; the gaps between
     # consecutive elements and after v_k are partitioned independently
     for size in range(1, n + 1):
@@ -97,13 +105,18 @@ def _nc_blocks(n: int) -> tuple:
             v = (1,) + rest
             # the gap between consecutive a < b of v holds a partition of
             # its b - a - 1 elements, shifted by a
-            choices = [[tuple(tuple(e + a for e in blk) for blk in sub)
-                        for sub in _nc_blocks(b - a - 1)]
+            choices = [[(tuple(tuple(e + a for e in blk) for blk in sub), f)
+                        for sub, f in _nc_blocks(b - a - 1).items()]
                        for a, b in zip(v, v[1:] + (n + 1,))]
             for combo in product(*choices):
-                blocks = (v,) + tuple(blk for sub in combo for blk in sub)
-                result.append(tuple(sorted(blocks, key=lambda b: b[0])))
-    return tuple(result)
+                blocks = (v,) + tuple(blk for sub, _ in combo for blk in sub)
+                # the inner gaps' blocks nest below v, the last gap's sit
+                # beside it
+                top = RootedTree(t for _, f in combo[:-1] for t in f.trees)
+                forest = Forest((top,) + combo[-1][1].trees)
+                result[tuple(sorted(blocks, key=lambda b: b[0]))] = \
+                    shapes.setdefault(forest.key, forest)
+    return result
 
 
 def enumerate_nc(n: int) -> list:
@@ -116,60 +129,17 @@ def enumerate_nc_irr(n: int) -> list:
     return [p for p in enumerate_nc(n) if p.is_irreducible()]
 
 
-def enumerate_nc_irr_k(n: int, k: int) -> list:
-    return [p for p in enumerate_nc_irr(n) if len(p) == k]
-
-
 def enumerate_interval(n: int) -> list:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    for cuts in _compositions(n):
-        blocks = []
-        start = 1
-        for c in cuts:
-            blocks.append(tuple(range(start, start + c)))
-            start += c
-        out.append(NCPartition(blocks))
-    return out
-
-
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
+    return [p for p in enumerate_nc(n) if p.is_interval()]
 
 
 def nesting_forest(pi: NCPartition) -> Forest:
     """Shape of the nesting order's cover relation, one tree per outermost
-    block.  The partition weights only use this shape, and the forest
-    statistics (forest_factorial, forest_omega) are multiplicative."""
-    blocks = pi.blocks
-    idx = range(len(blocks))
-
-    def nests(outer, inner):
-        return (blocks[outer][0] < blocks[inner][0]
-                and blocks[inner][-1] < blocks[outer][-1])
-
-    parent = [None] * len(blocks)
-    for i in idx:
-        enclosing = [j for j in idx if j != i and nests(j, i)]
-        if enclosing:
-            # the immediate cover is the enclosing block starting latest
-            parent[i] = max(enclosing, key=lambda j: blocks[j][0])
-
-    children: dict = {i: [] for i in idx}
-    for i in idx:
-        if parent[i] is not None:
-            children[parent[i]].append(i)
-
-    def build(i) -> RootedTree:
-        return RootedTree(tuple(build(c) for c in children[i]))
-
-    return Forest(build(i) for i in idx if parent[i] is None)
+    block, as the enumeration of [n] built it (the first call for an n
+    enumerates every non-crossing partition of [n]).  The partition weights
+    only use this shape, and the forest statistics (forest_factorial,
+    forest_omega) are multiplicative."""
+    return _nc_blocks(pi.n)[pi.blocks]
 
 
 class CumulantTable:
@@ -297,9 +267,9 @@ _KEEP = {
 
 
 @cache
-def _terms(n: int, pair: tuple, proper: bool = False) -> tuple:
-    """The sum for ``pair`` over partitions of [n] (``proper``: without the
-    one-block partition), compiled to integers as (blocks, L, terms).
+def _terms(n: int, pair: tuple) -> tuple:
+    """The sum for ``pair`` over partitions of [n], compiled to integers as
+    (blocks, L, terms).
 
     ``blocks`` lists each distinct block once, as 0-based positions; L is the
     lcm of the weights' denominators; a term is (its block ids, its weight
@@ -307,7 +277,7 @@ def _terms(n: int, pair: tuple, proper: bool = False) -> tuple:
     which, signed, statistic = _SUMS[pair]
     kept = []
     for pi in enumerate_nc(n):
-        if not _KEEP[which](pi) or (proper and len(pi) == 1):
+        if not _KEEP[which](pi):
             continue
         c = Fraction(statistic(nesting_forest(pi)) if statistic else 1)
         if signed and len(pi) % 2 == 0:
@@ -347,13 +317,16 @@ def _partition_sum(values: dict, w: str, compiled) -> Fraction:
 
 def _moments_to_cumulants(moments: dict, target: str, variables, maxlen) -> dict:
     """Invert the target -> moment sum by word length: its one-block term is
-    the unknown itself with weight 1, every other term reads shorter words."""
+    the unknown itself with weight 1, every other term reads shorter words.
+    The unknown is set to 0 first, so the sum over all partitions is the
+    sum over the others."""
     out: dict = {}
     for n in range(1, maxlen + 1):
-        rest = _terms(n, (target, "moment"), proper=True)
+        compiled = _terms(n, (target, "moment"))
         for combo in product(variables, repeat=n):
             w = "".join(combo)
-            out[w] = moments[w] - _partition_sum(out, w, rest)
+            out[w] = 0
+            out[w] = moments[w] - _partition_sum(out, w, compiled)
     return out
 
 

@@ -44,8 +44,12 @@ class WordPoly(TermMap):
     __slots__ = ()
 
     @staticmethod
+    def grade(mono):
+        return sum(len(w) for w in mono)
+
+    @staticmethod
     def sort_key(mono):
-        return (sum(len(w) for w in mono), len(mono), mono)
+        return (WordPoly.grade(mono), len(mono), mono)
 
 
 class WordTensor(Tensor):
@@ -65,8 +69,14 @@ def enumerate_words(alphabet, n: int) -> list:
     return ["".join(p) for p in product(alphabet, repeat=n)]
 
 
+def _check_nonempty(*words):
+    if not all(words):
+        raise ValueError("the word pre-Lie algebra has no empty word")
+
+
 def word_prelie(alpha: str, gamma: str) -> WordPoly:
     """alpha <| gamma: insert gamma between the two halves of each proper split."""
+    _check_nonempty(alpha, gamma)
     return WordPoly(((alpha[:i] + gamma + alpha[i:],), 1)
                     for i in range(1, len(alpha)))
 
@@ -79,6 +89,7 @@ def word_brace(alpha: str, gammas) -> WordPoly:
     (adjacent insertions).  n = 0 returns alpha itself.
     """
     gammas = tuple(gammas)
+    _check_nonempty(alpha, *gammas)
     n = len(gammas)
     if n == 0:
         return WordPoly({(alpha,): 1})

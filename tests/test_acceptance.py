@@ -229,7 +229,7 @@ def test_criterion_8_cumulant_suite():
         assert rho.values[w] == nc.magnus_functional(beta_via.values, w)
         assert rho.values[w] == -nc.magnus_functional(nu_via.negated().values, w)
     _report(8, "cumulant round trips, route agreement and exp/Magnus "
-               "functional theorems at N = 6", t0, budget=10)
+               "functional theorems at N = 6", t0, budget=5)
 
 
 def test_criterion_9_counting_cross_checks():

@@ -5,9 +5,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prelie import checks, cli
-from prelie.nc import CumulantTable, convert, iter_words
+from prelie.nc import BRANDS, CumulantTable, convert, iter_words
 
 
 def run(capsys, *argv):
@@ -540,3 +542,100 @@ def test_cumulants_rejects_results_past_the_digit_limit(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "error: the value of word 'aa' exceeds the limit of 4300 " \
                   "digits for integer string conversion\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzed command lines
+
+ORDERS = st.integers(-1, 3)
+
+FORESTS = st.builds(
+    lambda basis, index, k, flavor: [
+        "forest", "--basis", basis, "--index=" + index, "--k", str(k),
+        "--flavor", flavor],
+    st.sampled_from(["ck", "words"]),
+    # random text, or a grade:ordinal pair that is often a basis element
+    st.one_of(st.text(alphabet="[]:0123456789abx-", max_size=12),
+              st.builds("{}:{}".format, st.integers(-1, 9),
+                        st.integers(-1, 40))),
+    st.integers(0, 3), st.sampled_from(["reduced", "full", "irr"]))
+
+TREES = st.builds(lambda n: ["trees", "--max-order", str(n)], ORDERS)
+
+SERIES = st.builds(
+    lambda which, n, method, check: [
+        "series", "--which", which, "--order", str(n), "--method", method]
+    + (["--check"] if check else []),
+    st.sampled_from(["exp", "magnus"]), ORDERS,
+    st.sampled_from(["closed", "fixed-point", "sol1"]), st.booleans())
+
+VERIFIES = st.builds(
+    lambda suite, n: ["verify", "--suite", suite, "--max-order", str(n)],
+    st.sampled_from(list(checks.SUITES) + ["all"]), st.integers(-1, 2))
+
+RATIONALS = st.fractions(max_denominator=9).map(str)
+VALUES = st.one_of(RATIONALS, st.integers(), st.floats(), st.booleans(),
+                   st.none(), st.text(max_size=4))
+
+
+@st.composite
+def cumulant_runs(draw):
+    """A cumulants command line and the JSON document of its input: a
+    well-formed table of the --from brand, or one of random brand,
+    variables and maxlen with values of mixed types."""
+    source = draw(st.sampled_from(BRANDS))
+    argv = ["cumulants", "--from", source,
+            "--to", draw(st.sampled_from(BRANDS)),
+            "--route", draw(st.sampled_from(["direct", "via-moments"]))]
+    if draw(st.booleans()):
+        variables = draw(st.lists(st.sampled_from("abc"), min_size=1,
+                                  max_size=3, unique=True))
+        maxlen = draw(st.integers(1, 3))
+        values = {w: draw(RATIONALS) for w in iter_words(variables, maxlen)}
+        return argv, {"brand": source, "variables": variables,
+                      "maxlen": maxlen, "values": values}
+    variables = draw(st.one_of(
+        st.lists(st.sampled_from("abc"), max_size=3, unique=True),
+        st.lists(st.one_of(st.text(max_size=2), st.integers()), max_size=3),
+        VALUES))
+    maxlen = draw(st.integers(-1, 3))
+    letters = [v for v in variables if isinstance(v, str)] \
+        if isinstance(variables, list) else []
+    values = {w: draw(VALUES) for w in iter_words(letters, maxlen)}
+    values.update(draw(st.dictionaries(st.text("abx", max_size=4), VALUES,
+                                       max_size=2)))
+    brand = draw(st.one_of(st.sampled_from(BRANDS), st.text(max_size=6)))
+    return argv, {"brand": brand, "variables": variables, "maxlen": maxlen,
+                  "values": values}
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(*(argvs.map(lambda argv: (argv, None))
+                   for argvs in (FORESTS, TREES, SERIES, VERIFIES)),
+                 cumulant_runs()))
+def test_fuzzed_command_lines_exit_0_or_2(tmp_path, capsys, run_):
+    argv, doc = run_
+    if doc is not None:
+        src = tmp_path / "table.json"
+        src.write_text(json.dumps(doc))
+        argv = argv + ["--input", str(src)]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        capsys.readouterr()
+        assert exc.code == 2, argv
+        return
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1, (argv, err)
+        assert err.startswith("error: "), (argv, err)
+    elif code == 1:
+        # below its instances' order an identity checks nothing, which
+        # verify reports as a failure; no identity may fail on an instance
+        assert argv[0] == "verify", argv
+        assert all(json.loads(line)["reason"] == "no instances"
+                   for line in err.splitlines()), err
+    else:
+        assert code == 0 and err == "", (argv, code, err)
+

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from prelie.nc import (
     BRANDS, CumulantTable, NCPartition, _SUMS, convert, enumerate_interval,
-    enumerate_nc, enumerate_nc_irr, enumerate_nc_irr_k, exp_functional,
+    enumerate_nc, enumerate_nc_irr, exp_functional,
     forest_factorial, forest_omega, iter_words, magnus_functional,
     nesting_forest,
 )
@@ -50,10 +50,6 @@ def test_irreducible_and_interval_split():
         ivals = [pi for pi in all_nc if pi.is_interval()]
         assert sorted(p.blocks for p in ivals) == sorted(
             p.blocks for p in enumerate_interval(n))
-        for k in range(1, n + 1):
-            by_k = [pi for pi in enumerate_nc_irr(n) if len(pi) == k]
-            assert sorted(p.blocks for p in by_k) == sorted(
-                p.blocks for p in enumerate_nc_irr_k(n, k))
 
 
 def test_partition_validation():
@@ -63,6 +59,8 @@ def test_partition_validation():
         NCPartition(((1, 2), (2, 3)))  # element reused
     with pytest.raises(ValueError):
         NCPartition(((1, 2), (4,)))    # 3 missing
+    with pytest.raises(ValueError):
+        NCPartition(())                # no block: n would be 0
     pi = NCPartition(((2,), (1, 3)))
     assert pi.blocks == ((1, 3), (2,))  # blocks sort by minimum
 
@@ -83,6 +81,7 @@ def test_nesting_invariants():
     for n in range(1, 7):
         for pi in enumerate_nc(n):
             f = nesting_forest(pi)
+            assert f == oracles._nesting_by_spans(pi.blocks)
             assert sum(t.size for t in f.trees) == len(pi)
             if pi.is_interval():
                 assert all(t == LEAF for t in f.trees)

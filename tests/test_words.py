@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from prelie.lincomb import bilinear
 from prelie.words import (
     WordPoly, WordTensor, enumerate_words, monomial, word_brace,
     word_dual_coproduct, word_full_coproduct, word_iterated_coproducts,
@@ -27,6 +28,12 @@ def test_prelie_fixtures():
     assert word_prelie("ab", "c") == wp("acb")
     assert word_prelie("abc", "d") == WordPoly({("adbc",): 1, ("abdc",): 1})
     assert word_prelie("aa", "a") == wp("aaa")
+
+
+def test_prelie_rejects_the_empty_word():
+    for alpha, gamma in (("ab", ""), ("", "ab"), ("", "")):
+        with pytest.raises(ValueError, match="empty word"):
+            word_prelie(alpha, gamma)
 
 
 @settings(deadline=None, max_examples=100)
@@ -60,6 +67,13 @@ def test_brace_fixtures():
     # both orders of insertion at the single interior slot
     assert word_brace("ab", ("c", "d")) == WordPoly({("acdb",): 1, ("adcb",): 1})
     assert word_brace("ab", ("c",)) == wp("acb")
+
+
+def test_brace_rejects_the_empty_word():
+    for alpha, gammas in (("", ()), ("", ("a",)), ("ab", ("",)),
+                          ("abc", ("a", ""))):
+        with pytest.raises(ValueError, match="empty word"):
+            word_brace(alpha, gammas)
 
 
 def test_brace_matches_oudom_guin_recursion():
@@ -201,6 +215,22 @@ def test_enumerate_words():
     assert enumerate_words("ab", 2) == ["aa", "ab", "ba", "bb"]
     with pytest.raises(ValueError):
         enumerate_words("ab", 0)
+
+
+def test_word_poly_truncates_by_total_letters():
+    x = WordPoly({("ab",): 1, ("a", "b"): 2, ("abc",): 3, ("a",): 4})
+    assert WordPoly(x.terms, 2) == WordPoly({("ab",): 1, ("a", "b"): 2,
+                                             ("a",): 4})
+    assert x.truncated(1) == WordPoly({("a",): 4})
+    assert x.truncated(1).order == 1
+
+    def concat(u, v):
+        return WordPoly({tuple(sorted(u + v)): 1})
+
+    y = WordPoly({("a",): 1, ("bb",): 1})
+    assert bilinear(y, y, concat, 3) == WordPoly(
+        {("a", "a"): 1, ("a", "bb"): 2})
+    assert bilinear(y, y, concat, 3) == bilinear(y, y, concat).truncated(3)
 
 
 def test_tensor_arity_guard():
