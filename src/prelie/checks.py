@@ -198,25 +198,27 @@ def direct_vs_via_moments(order: int):
 
 
 def exp_magnus_functionals(order: int):
-    rho = _random_tables(order)[-1]
-    # through moments: the direct monotone -> boolean / free sums are the
-    # ones exp_functional and magnus_functional evaluate
-    beta = nc.convert(rho, "boolean", "via-moments")
-    nu = nc.convert(rho, "free", "via-moments")
-    minus_rho, minus_nu = rho.negated().values, nu.negated().values
-    for w in nc.iter_words(rho.variables, rho.maxlen):
-        instance = {"word": w}
-        yield instance, nc.exp_functional(rho.values, w), beta.values[w]
-        yield instance, -nc.exp_functional(minus_rho, w), nu.values[w]
-        yield instance, nc.magnus_functional(beta.values, w), rho.values[w]
-        yield instance, -nc.magnus_functional(minus_nu, w), rho.values[w]
+    # boolean = exp(monotone), free = -exp(-monotone), monotone = Omega(boolean)
+    # = -Omega(-free) under insertion of words, against both lattice routes
+    _, nu, beta, _, rho = _random_tables(order)
+    exp, omega = freeprelie.prelie_exp, freeprelie.magnus_fixed_point
+    for source, target, op, sign in (
+            (rho, "boolean", exp, 1), (rho, "free", exp, -1),
+            (beta, "monotone", omega, 1), (nu, "monotone", omega, -1)):
+        series = words.WordPoly({(w,): v for w, v in source.values.items()})
+        got = op(series.scaled(sign), source.maxlen, words.word_prelie_series)
+        direct = nc.convert(source, target, "direct").values
+        via = nc.convert(source, target, "via-moments").values
+        for w, d in direct.items():
+            yield ({"from": source.brand, "to": target, "word": w},
+                   (sign * got.coeff((w,)), d), (via[w], via[w]))
 
 
 # order is the suite's default order; each cap is the last order a suite
 # finishes within seconds, measured on a 2-core machine: trees 4.1 s at 10 and
 # 19 s at 11, hopf 1.6-2.9 s at 8 and 13 s at 9, magnus 1.1 s at 9 and
 # 5.4 s at 10, words 4.9 s at 6 and over 60 s at 7, forest 5.0 s at 8 and
-# 21 s at 9, cumulants 0.4-0.7 s at 12 (its tables stop at length 6)
+# 21 s at 9, cumulants 0.8-0.9 s at 12 (its tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
 
 

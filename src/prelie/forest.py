@@ -97,12 +97,16 @@ class BasisProvider(ABC):
                                     for slots, c in terms.items()})
 
 
+def _is_pair(i) -> bool:
+    return (isinstance(i, tuple) and len(i) == 2
+            and all(type(x) is int for x in i) and i[0] >= 1)
+
+
 class CKBasis(BasisProvider):
     """Rooted-tree basis with the Connes-Kreimer reduced coproduct."""
 
     def validate(self, i) -> None:
-        if (not isinstance(i, tuple) or len(i) != 2
-                or i[0] < 1 or not 0 <= i[1] < len(_trees(i[0]))):
+        if not (_is_pair(i) and 0 <= i[1] < len(_trees(i[0]))):
             raise ValueError("not a tree index: %r" % (i,))
 
     def tree(self, i):
@@ -149,8 +153,7 @@ class WordBasis(BasisProvider):
         self._pos = {a: p for p, a in enumerate(self.alphabet)}
 
     def validate(self, i) -> None:
-        if (not isinstance(i, tuple) or len(i) != 2
-                or i[0] < 1 or not 0 <= i[1] < len(self.alphabet) ** i[0]):
+        if not (_is_pair(i) and 0 <= i[1] < len(self.alphabet) ** i[0]):
             raise ValueError("not a word index: %r" % (i,))
 
     def word(self, i) -> str:

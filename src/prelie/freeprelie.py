@@ -18,9 +18,10 @@ sigma-weighted pairing makes the coproduct dual to the Grossman-Larson
 product.  Coefficients of the products and coproducts are ints; the series
 operators make Fractions where they divide.
 
-Series operators: prelie_exp (exp under graft), the Magnus series three ways
-(closed form via Murua coefficients, fixed point with Bernoulli weights, and
-sol1 of the polynomial exponential), each truncated by total grade.
+Series operators, each truncated by total grade: prelie_exp and the Magnus
+series three ways (closed form via Murua coefficients, fixed point with
+Bernoulli weights, and sol1 of the polynomial exponential); prelie_exp and
+the fixed point take any pre-Lie product of series, graft by default.
 
 Truncation discipline: TreeSeries and ForestPoly carry a truncation order
 (None = untruncated); binary operations keep the min of the declared orders
@@ -241,16 +242,24 @@ def tensor_pairing(a: TensorPoly, b: TensorPoly):
 # ---------------------------------------------------------------------------
 # series operators
 
-def prelie_exp(a: TreeSeries, order: int) -> TreeSeries:
-    """exp under graft: sum_{n>=1} (1/n!) r^(n)_a(a), r^(n) = r^(n-1) <| a."""
-    out = TreeSeries({}, order)
+def _right_powers(a, x, weight, order: int, product):
+    """sum_{n>=0} weight(n) r_n, r_0 = a, r_(n+1) = r_n <| x, truncated at
+    order; a's terms have grade >= 1, so r_n has grade > n."""
+    acc = type(a)({}, order)
     r = a.truncated(order)
-    n = 1
-    while r and n <= order:
-        out = out + r.scaled(Fraction(1, factorial(n)))
-        r = prelie(r, a, order)
+    n = 0
+    while r and n < order:
+        acc = acc + r.scaled(weight(n))
+        r = product(r, x, order)
         n += 1
-    return out
+    return acc
+
+
+def prelie_exp(a: TermMap, order: int, product=None) -> TermMap:
+    """sum_{n>=1} (1/n!) r^(n)_a(a), r^(n) = r^(n-1) <| a, in a's type, with
+    product(x, y, order) as <|: prelie, looked up per call, when None."""
+    return _right_powers(a, a, lambda n: Fraction(1, factorial(n + 1)), order,
+                         product or prelie)
 
 
 def cm_coefficient(t: RootedTree) -> Fraction:
@@ -269,7 +278,7 @@ def magnus_closed_form(order: int) -> TreeSeries:
     return TreeSeries(acc, order)
 
 
-def magnus_fixed_point(a: TreeSeries, order: int) -> TreeSeries:
+def magnus_fixed_point(a: TermMap, order: int, product=None) -> TermMap:
     """Grade-by-grade solution of Omega = sum_{n>=0} (B_n/n!) r^(n+1)_Omega(a).
 
     The n = 0 term is a itself, the n = 1 term is B_1 (a <| Omega), and so on.
@@ -278,18 +287,11 @@ def magnus_fixed_point(a: TreeSeries, order: int) -> TreeSeries:
     is kept untruncated between passes, so the next pass's products are cut
     at its own grade only; the last pass is truncated at `order`.
     """
-    acc = TreeSeries({}, order)
+    product = product or prelie
+    acc = type(a)({}, order)
     for p in range(1, order + 1):
-        omega = TreeSeries(acc.terms)
-        acc = TreeSeries({}, p)
-        r = a.truncated(p)  # r^(1)
-        n = 0
-        while r:
-            b = bernoulli(n)
-            if b:
-                acc = acc + r.scaled(b / factorial(n))
-            r = prelie(r, omega, p)
-            n += 1
+        acc = _right_powers(a, type(a)(acc.terms),
+                            lambda n: bernoulli(n) / factorial(n), p, product)
     return acc
 
 

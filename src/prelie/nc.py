@@ -22,9 +22,9 @@ over the lcm D of their denominators, every term multiplies ints, and the
 word's value is one Fraction over L * D^n.  Moments-to-cumulants inverts
 the cumulants-to-moments sum triangularly by word length, reading the same
 compiled sum with the unknown word set to 0.
-exp_functional and magnus_functional are the monotone -> boolean and
-boolean -> monotone sums, applied to an arbitrary table used as a
-multilinear functional.
+The monotone -> boolean / free sums and their inverses are also exp and
+Omega in the insertion pre-Lie algebra of words (prelie.words), which
+verify's exp-magnus-functionals identity compares with these sums.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
     "NCPartition", "CumulantTable", "BRANDS",
     "enumerate_nc", "enumerate_nc_irr", "enumerate_interval",
     "nesting_forest",
-    "convert", "exp_functional", "magnus_functional",
+    "convert",
 ]
 
 BRANDS = ("moment", "free", "boolean", "monotone")
@@ -56,13 +56,13 @@ class NCPartition:
 
     def __init__(self, blocks):
         blocks = tuple(sorted((tuple(sorted(b)) for b in blocks),
-                              key=lambda b: b[0]))
+                              key=lambda b: b[:1]))  # b[0] fails on ()
         seen = [e for b in blocks for e in b]
         n = len(seen)
+        if not all(blocks) or sorted(seen) != list(range(1, n + 1)):
+            raise ValueError("blocks do not partition [n]")
         if not n:
             raise ValueError("a partition needs at least one block")
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError("blocks do not partition [n]")
         for (b1, b2) in combinations(blocks, 2):
             s2 = set(b2)
             for a, c in combinations(b1, 2):
@@ -161,6 +161,10 @@ class CumulantTable:
             raise ValueError("variables must be a nonempty list of distinct "
                              "one-character strings")
         variables = tuple(variables)
+        # not int(): it truncates 1.9 and takes true or "7"
+        if type(maxlen) is not int:
+            raise ValueError('"maxlen" must be an integer, not %s'
+                             % type(maxlen).__name__)
         if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
         vals = {w: Fraction(v) for w, v in values.items()}
@@ -190,12 +194,7 @@ class CumulantTable:
         return (isinstance(other, CumulantTable)
                 and (self.brand, self.variables, self.maxlen)
                 == (other.brand, other.variables, other.maxlen)
-                and all(self.values[w] == other.values[w]
-                        for w in iter_words(self.variables, self.maxlen)))
-
-    def negated(self) -> "CumulantTable":
-        return CumulantTable(self.brand, self.variables, self.maxlen,
-                             {w: -v for w, v in self.values.items()})
+                and self.values == other.values)  # complete, so same keys
 
     def to_json(self) -> dict:
         values = {}
@@ -219,10 +218,6 @@ class CumulantTable:
             raw = data["values"]
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed cumulant table: %s" % exc) from None
-        # not int(): it truncates 1.9 and takes true or "7"
-        if type(maxlen) is not int:
-            raise ValueError('malformed cumulant table: "maxlen" must be an '
-                             'integer, not %s' % type(maxlen).__name__)
         if not isinstance(raw, dict) or \
                 not all(isinstance(v, str) for v in raw.values()):
             raise ValueError('malformed cumulant table: "values" must map '
@@ -245,8 +240,7 @@ def _inverse_factorial(forest):
 # partitions pi it runs over, whether pi carries the sign (-1)^(|pi|-1), the
 # statistic of the nesting forest t(pi) that weights pi, None for 1).  The
 # X -> moment sums give moments, the irreducible ones are the direct
-# cumulant-to-cumulant relations; exp_functional is the monotone -> boolean
-# sum and magnus_functional the boolean -> monotone one.
+# cumulant-to-cumulant relations.
 _SUMS = {
     ("free", "moment"): ("all", False, None),
     ("boolean", "moment"): ("interval", False, None),
@@ -359,12 +353,3 @@ def convert(table: CumulantTable, target: str, route: str = "direct") -> Cumulan
                 for w in iter_words(table.variables, table.maxlen)}
     return CumulantTable(target, table.variables, table.maxlen, vals)
 
-
-def exp_functional(values: dict, w: str) -> Fraction:
-    """<exp of the functional | w>: irreducible sum with 1/t(pi)! weights."""
-    return _partition_sum(values, w, _terms(len(w), ("monotone", "boolean")))
-
-
-def magnus_functional(values: dict, w: str) -> Fraction:
-    """<Magnus of the functional | w>: irreducible sum with omega weights."""
-    return _partition_sum(values, w, _terms(len(w), ("boolean", "monotone")))

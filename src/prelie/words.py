@@ -20,12 +20,12 @@ from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
-from .lincomb import (Tensor, TermMap, iterate_coproduct,
+from .lincomb import (Tensor, TermMap, bilinear, iterate_coproduct,
                       multiplicative_coproduct, pair, project)
 
 __all__ = [
     "WordPoly", "WordTensor", "monomial", "enumerate_words",
-    "word_prelie", "word_brace", "word_dual_coproduct",
+    "word_prelie", "word_prelie_series", "word_brace", "word_dual_coproduct",
     "word_full_coproduct", "word_iterated_coproducts", "word_pairing",
 ]
 
@@ -79,6 +79,14 @@ def word_prelie(alpha: str, gamma: str) -> WordPoly:
     _check_nonempty(alpha, gamma)
     return WordPoly(((alpha[:i] + gamma + alpha[i:],), 1)
                     for i in range(1, len(alpha)))
+
+
+def word_prelie_series(a: WordPoly, b: WordPoly, order=None) -> WordPoly:
+    """Bilinear word_prelie, the product for freeprelie's exp and Magnus of a
+    cumulant table; keys other than single words raise ValueError."""
+    if any(len(m) != 1 for x in (a, b) for m in x.terms):
+        raise ValueError("the insertion product takes single words only")
+    return bilinear(a, b, lambda x, y: word_prelie(x[0], y[0]), order)
 
 
 def word_brace(alpha: str, gammas) -> WordPoly:

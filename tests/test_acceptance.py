@@ -26,7 +26,7 @@ from prelie.trees import (
 )
 from prelie.words import (
     WordPoly, WordTensor, enumerate_words, monomial, word_brace,
-    word_dual_coproduct, word_pairing,
+    word_dual_coproduct, word_pairing, word_prelie_series,
 )
 
 import oracles
@@ -210,26 +210,28 @@ def test_criterion_8_cumulant_suite():
             via = nc.convert(tables[source], target, route="via-moments")
             assert direct == via, (source, target)
 
-    # (c) exp/magnus functionals against the conversion theorems
+    # (c) exp and Magnus in the insertion pre-Lie algebra of words against
+    # the conversion theorems, on both lattice routes
+    def series(values, sign=1):
+        return WordPoly({(w,): sign * v for w, v in values.items()}, N)
+
     rho = rand_table("monotone")
-    beta = nc.convert(rho, "boolean")
-    nu = nc.convert(rho, "free")
-    for w in nc.iter_words(variables, N):
-        assert beta.values[w] == nc.exp_functional(rho.values, w)
-        assert nu.values[w] == -nc.exp_functional(rho.negated().values, w)
-        assert rho.values[w] == nc.magnus_functional(beta.values, w)
-        assert rho.values[w] == -nc.magnus_functional(nu.negated().values, w)
-    # the direct monotone -> boolean / free sums are the ones the functionals
-    # evaluate, so check them against the route through moments as well
-    beta_via = nc.convert(rho, "boolean", route="via-moments")
-    nu_via = nc.convert(rho, "free", route="via-moments")
-    for w in nc.iter_words(variables, N):
-        assert beta_via.values[w] == nc.exp_functional(rho.values, w)
-        assert nu_via.values[w] == -nc.exp_functional(rho.negated().values, w)
-        assert rho.values[w] == nc.magnus_functional(beta_via.values, w)
-        assert rho.values[w] == -nc.magnus_functional(nu_via.negated().values, w)
-    _report(8, "cumulant round trips, route agreement and exp/Magnus "
-               "functional theorems at N = 6", t0, budget=5)
+    exp_rho = prelie_exp(series(rho.values), N, word_prelie_series)
+    minus_exp = prelie_exp(series(rho.values, -1), N, word_prelie_series)
+    for route in ("direct", "via-moments"):
+        beta = nc.convert(rho, "boolean", route)
+        nu = nc.convert(rho, "free", route)
+        omega_beta = magnus_fixed_point(series(beta.values), N,
+                                        word_prelie_series)
+        minus_omega = magnus_fixed_point(series(nu.values, -1), N,
+                                         word_prelie_series)
+        for w in nc.iter_words(variables, N):
+            assert beta.values[w] == exp_rho.coeff((w,))
+            assert nu.values[w] == -minus_exp.coeff((w,))
+            assert rho.values[w] == omega_beta.coeff((w,))
+            assert rho.values[w] == -minus_omega.coeff((w,))
+    _report(8, "cumulant round trips, route agreement and the word "
+               "algebra's exp/Magnus theorems at N = 6", t0, budget=5)
 
 
 def test_criterion_9_counting_cross_checks():

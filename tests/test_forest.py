@@ -316,6 +316,11 @@ def test_index_validation():
     wb = WordBasis("ab")
     with pytest.raises(ValueError):
         wb.validate((2, 4))
+    # the parts of an index are ints
+    for basis in (ck, wb):
+        for i in (("a", 0), (1.5, 0), (1, 0.0), (True, 0)):
+            with pytest.raises(ValueError):
+                basis.validate(i)
     with pytest.raises(ValueError):
         wb.index_of("ax")
     with pytest.raises(ValueError):

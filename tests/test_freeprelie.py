@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from prelie import freeprelie
 from prelie.exactnum import bernoulli
 from prelie.freeprelie import (
     ForestPoly, TensorPoly, TreeSeries, brace, ck_coproduct, cm_coefficient,
@@ -285,6 +286,22 @@ def test_magnus_three_ways_agree_to_order_5():
     m3 = tree_part(sol1(poly_exp(series(LEAF), 5)))
     assert m1 == m2
     assert m1 == m3
+
+
+def test_series_operators_read_prelie_at_call_time(monkeypatch):
+    # a default bound at definition would keep the original prelie, unseen
+    # by anything that rebinds the module's name afterwards
+    want = (prelie_exp(series(LEAF), 5), magnus_fixed_point(series(LEAF), 5))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return prelie(*args)
+
+    monkeypatch.setattr(freeprelie, "prelie", counted)
+    assert prelie_exp(series(LEAF), 5) == want[0] and calls
+    calls.clear()
+    assert magnus_fixed_point(series(LEAF), 5) == want[1] and calls
 
 
 def test_magnus_fixed_point_matches_closed_form_at_order_10():

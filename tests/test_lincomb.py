@@ -13,7 +13,8 @@ from prelie.freeprelie import (
     poly_exp, prelie_exp, sol1, tree_part,
 )
 from prelie.trees import LEAF, enumerate_forests, enumerate_trees
-from prelie.words import WordPoly, enumerate_words, word_iterated_coproducts
+from prelie.words import (WordPoly, enumerate_words, word_iterated_coproducts,
+                          word_prelie_series)
 
 TREES = [t for n in range(1, 5) for t in enumerate_trees(n)]
 FORESTS = [f for n in range(4) for f in enumerate_forests(n)]
@@ -58,6 +59,7 @@ def test_pairing_of_integer_combinations_is_an_int():
 
 
 GEN = TreeSeries({LEAF: 1})
+WORD_SERIES = WordPoly({(w,): 1 for w in WORDS})
 
 
 @pytest.mark.parametrize("route", [
@@ -66,7 +68,10 @@ GEN = TreeSeries({LEAF: 1})
     lambda: tree_part(sol1(poly_exp(GEN, 6))),
     lambda: prelie_exp(GEN, 6),
     lambda: poly_exp(GEN, 6),
-], ids=["closed", "fixed-point", "sol1", "prelie-exp", "poly-exp"])
+    lambda: prelie_exp(WORD_SERIES, 6, word_prelie_series),
+    lambda: magnus_fixed_point(WORD_SERIES, 6, word_prelie_series),
+], ids=["closed", "fixed-point", "sol1", "prelie-exp", "poly-exp",
+        "word-exp", "word-magnus"])
 def test_no_route_gives_a_float(route):
     got = coeffs(route())
     assert got and all(type(c) in (int, Fraction) for c in got)

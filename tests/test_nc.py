@@ -6,13 +6,15 @@ from itertools import product
 import pytest
 
 import oracles
+from prelie import nc, words
+from prelie.freeprelie import magnus_fixed_point, prelie_exp
 from prelie.nc import (
     BRANDS, CumulantTable, NCPartition, _SUMS, convert, enumerate_interval,
-    enumerate_nc, enumerate_nc_irr, exp_functional,
-    forest_factorial, forest_omega, iter_words, magnus_functional,
-    nesting_forest,
+    enumerate_nc, enumerate_nc_irr, forest_factorial, forest_omega,
+    iter_words, nesting_forest,
 )
 from prelie.trees import Forest, LEAF, RootedTree, murua_omega
+from prelie.words import WordPoly, word_prelie_series
 
 CHAIN2 = RootedTree((LEAF,))
 CHERRY = RootedTree((LEAF, LEAF))
@@ -61,6 +63,10 @@ def test_partition_validation():
         NCPartition(((1, 2), (4,)))    # 3 missing
     with pytest.raises(ValueError):
         NCPartition(())                # no block: n would be 0
+    with pytest.raises(ValueError):
+        NCPartition([()])              # an empty block
+    with pytest.raises(ValueError):
+        NCPartition([(1,), ()])
     pi = NCPartition(((2,), (1, 3)))
     assert pi.blocks == ((1, 3), (2,))  # blocks sort by minimum
 
@@ -109,6 +115,13 @@ def test_table_completeness_check():
         _table("free", {"a": Fraction(1)}, maxlen=2)
     assert "missing 1 word" in str(err.value)
     assert "aa" in str(err.value)
+
+
+@pytest.mark.parametrize("maxlen", [True, 1.5, 2.0, "2"])
+def test_table_rejects_non_integer_maxlen(maxlen):
+    with pytest.raises(ValueError, match='"maxlen" must be an integer'):
+        _table("free", {w: Fraction(1) for w in iter_words(("a",), 2)},
+               maxlen=maxlen)
 
 
 def test_table_json_round_trip():
@@ -180,21 +193,36 @@ def test_bad_route_and_brand():
 
 
 # ---------------------------------------------------------------------------
-# functionals on irreducible partitions
+# exp and Magnus of a table in the insertion pre-Lie algebra of words
+
+def _series(values: dict, maxlen: int, sign: int) -> WordPoly:
+    """The linear form on words as the series sum sign * values[w] w."""
+    return WordPoly({(w,): sign * v for w, v in values.items()}, maxlen)
+
+
+def word_exp(values: dict, maxlen: int, sign: int = 1) -> WordPoly:
+    return prelie_exp(_series(values, maxlen, sign), maxlen,
+                      word_prelie_series)
+
+
+def word_magnus(values: dict, maxlen: int, sign: int = 1) -> WordPoly:
+    return magnus_fixed_point(_series(values, maxlen, sign), maxlen,
+                              word_prelie_series)
+
 
 def test_exp_functional_low_order_shape():
-    # |w| = 3: NC_irr(3) = full block and {13|2}; tree factorials 1 and 2
+    # aaa = aa <| a once, so exp picks up aaa + (1/2) aa <| a
     values = {w: Fraction(1) for w in iter_words(("a",), 3)}
-    got = exp_functional(values, "aaa")
-    assert got == Fraction(1) + Fraction(1, 2)
+    assert word_exp(values, 3).coeff(("aaa",)) == Fraction(1) + Fraction(1, 2)
 
 
 def test_magnus_functional_low_order_shape():
     values = {w: Fraction(1) for w in iter_words(("a",), 4)}
-    assert magnus_functional(values, "aa") == 1
-    assert magnus_functional(values, "aaa") == Fraction(1) - Fraction(1, 2)
+    omega = word_magnus(values, 4)
+    assert omega.coeff(("aa",)) == 1
+    assert omega.coeff(("aaa",)) == Fraction(1) - Fraction(1, 2)
     # NC_irr(4): full block, three one-nesting copies, the double nesting
-    assert magnus_functional(values, "aaaa") == \
+    assert omega.coeff(("aaaa",)) == \
         Fraction(1) - 3 * Fraction(1, 2) + Fraction(1, 6)
 
 
@@ -205,23 +233,46 @@ def test_functional_theorems_on_random_cumulants():
     rho = CumulantTable("monotone", variables, N, {
         w: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         for w in iter_words(variables, N)})
-    beta = convert(rho, "boolean")
-    nu = convert(rho, "free")
-    # beta = exp(rho), nu = -exp(-rho), rho = magnus(beta) = -magnus(-nu)
-    for w in iter_words(variables, N):
-        assert beta.values[w] == exp_functional(rho.values, w)
-        assert nu.values[w] == -exp_functional(rho.negated().values, w)
-        assert rho.values[w] == magnus_functional(beta.values, w)
-        assert rho.values[w] == -magnus_functional(nu.negated().values, w)
-    # the direct monotone -> boolean / free sums are the ones the functionals
-    # evaluate, so check them against the route through moments as well
-    beta_via = convert(rho, "boolean", route="via-moments")
-    nu_via = convert(rho, "free", route="via-moments")
-    for w in iter_words(variables, N):
-        assert beta_via.values[w] == exp_functional(rho.values, w)
-        assert nu_via.values[w] == -exp_functional(rho.negated().values, w)
-        assert rho.values[w] == magnus_functional(beta_via.values, w)
-        assert rho.values[w] == -magnus_functional(nu_via.negated().values, w)
+    exp_rho = word_exp(rho.values, N)
+    minus_exp = word_exp(rho.values, N, -1)
+    # beta = exp(rho), nu = -exp(-rho), rho = magnus(beta) = -magnus(-nu),
+    # on both lattice routes
+    for route in ("direct", "via-moments"):
+        beta = convert(rho, "boolean", route)
+        nu = convert(rho, "free", route)
+        omega_beta = word_magnus(beta.values, N)
+        minus_omega = word_magnus(nu.values, N, -1)
+        for w in iter_words(variables, N):
+            assert beta.values[w] == exp_rho.coeff((w,)), (route, w)
+            assert nu.values[w] == -minus_exp.coeff((w,)), (route, w)
+            assert rho.values[w] == omega_beta.coeff((w,)), (route, w)
+            assert rho.values[w] == -minus_omega.coeff((w,)), (route, w)
+
+
+def _route_called(*args, **kwargs):
+    raise AssertionError("a route called the route it is checked against")
+
+
+def test_word_and_lattice_routes_do_not_call_each_other(monkeypatch):
+    tables = {brand: CumulantTable(brand, ("a", "b"), 5,
+                                   _mixed_values(brand, maxlen=5))
+              for brand in ("monotone", "boolean")}
+    with monkeypatch.context() as m:
+        m.setattr(nc, "_partition_sum", _route_called)
+        with pytest.raises(AssertionError):  # the patch is in the path
+            convert(tables["monotone"], "boolean")
+        exp_rho = word_exp(tables["monotone"].values, 5)
+        omega_beta = word_magnus(tables["boolean"].values, 5)
+    with monkeypatch.context() as m:
+        m.setattr(words, "word_prelie", _route_called)
+        with pytest.raises(AssertionError):
+            word_exp(tables["monotone"].values, 5)
+        for route in ("direct", "via-moments"):
+            beta = convert(tables["monotone"], "boolean", route)
+            rho = convert(tables["boolean"], "monotone", route)
+            for w in iter_words(("a", "b"), 5):
+                assert exp_rho.coeff((w,)) == beta.values[w], (route, w)
+                assert omega_beta.coeff((w,)) == rho.values[w], (route, w)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +308,13 @@ def test_partition_sums_match_fraction_oracle(pair):
 
 
 def test_functionals_match_fraction_oracle():
+    # the word route against the independent brute-force partition sum
     values = _mixed_values(29)
+    exp, omega = word_exp(values, 6), word_magnus(values, 6)
     for w in iter_words(("a", "b"), 6):
-        assert exp_functional(values, w) == oracles.brute_partition_sum(
+        assert exp.coeff((w,)) == oracles.brute_partition_sum(
             values, w, ("monotone", "boolean")), w
-        assert magnus_functional(values, w) == oracles.brute_partition_sum(
+        assert omega.coeff((w,)) == oracles.brute_partition_sum(
             values, w, ("boolean", "monotone")), w
 
 

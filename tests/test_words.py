@@ -10,7 +10,7 @@ from prelie.lincomb import bilinear
 from prelie.words import (
     WordPoly, WordTensor, enumerate_words, monomial, word_brace,
     word_dual_coproduct, word_full_coproduct, word_iterated_coproducts,
-    word_pairing, word_prelie,
+    word_pairing, word_prelie, word_prelie_series,
 )
 
 words_st = st.text(alphabet="ab", min_size=1, max_size=4)
@@ -36,26 +36,39 @@ def test_prelie_rejects_the_empty_word():
             word_prelie(alpha, gamma)
 
 
+def test_prelie_series_is_bilinear_word_prelie():
+    a = WordPoly({("ab",): 2, ("abc",): Fraction(1, 3)})
+    b = WordPoly({("c",): 1, ("dd",): -1})
+    want = WordPoly({})
+    for (x,), ca in a.terms.items():
+        for (y,), cb in b.terms.items():
+            want = want + word_prelie(x, y).scaled(ca * cb)
+    assert word_prelie_series(a, b) == want
+    assert len(want.terms) == 6
+    # truncation by total letter count drops the five-letter words
+    assert word_prelie_series(a, b, 4) == want.truncated(4) == \
+        WordPoly({("acb",): 2, ("addb",): -2, ("acbc",): Fraction(1, 3),
+                  ("abcc",): Fraction(1, 3)})
+
+
+def test_prelie_series_rejects_other_monomials():
+    for bad in (WordPoly({(): 1}), WordPoly({("a", "b"): 1})):
+        for a, b in ((wp("ab"), bad), (bad, wp("ab"))):
+            with pytest.raises(ValueError, match="single words"):
+                word_prelie_series(a, b)
+    # also where truncation would skip the pair
+    with pytest.raises(ValueError, match="single words"):
+        word_prelie_series(WordPoly({("ab", "ab"): 1}), wp("ab"), 2)
+
+
 @settings(deadline=None, max_examples=100)
 @given(words_st, words_st, words_st)
 def test_prelie_identity_on_words(a, b, c):
-    lhs = _post(word_prelie(a, b), c) - _pre(a, word_prelie(b, c))
-    rhs = _post(word_prelie(a, c), b) - _pre(a, word_prelie(c, b))
+    ins = word_prelie_series
+    a, b, c = wp(a), wp(b), wp(c)
+    lhs = ins(ins(a, b), c) - ins(a, ins(b, c))
+    rhs = ins(ins(a, c), b) - ins(a, ins(c, b))
     assert lhs == rhs
-
-
-def _post(poly, w):
-    acc = WordPoly({})
-    for (u,), coeff in poly.terms.items():
-        acc = acc + word_prelie(u, w).scaled(coeff)
-    return acc
-
-
-def _pre(w, poly):
-    acc = WordPoly({})
-    for (u,), coeff in poly.terms.items():
-        acc = acc + word_prelie(w, u).scaled(coeff)
-    return acc
 
 
 # ---------------------------------------------------------------------------
