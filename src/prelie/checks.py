@@ -25,7 +25,7 @@ from .trees import (LEAF, enumerate_forests, enumerate_trees,
 # fixed-point, on a 2-core machine: 4.5 s at order 11 and 19 s at 12)
 TREE_CAP = 12
 # forest-formula grades (the forest suite, forest --index): on a 2-core
-# machine the forest suite takes 5.0 s at order 8 and 21 s at 9
+# machine the forest suite takes 1.9-2.1 s at order 8 and 10-14.5 s at 9
 FOREST_CAP = 8
 # where sol1 runs (series --which magnus --method sol1 or --check, and the
 # magnus suite): on a 2-core machine --order 9 --check takes 1.1-2.4 s,
@@ -217,8 +217,8 @@ def exp_magnus_functionals(order: int):
 # order is the suite's default order; each cap is the last order a suite
 # finishes within seconds, measured on a 2-core machine: trees 4.1 s at 10 and
 # 19 s at 11, hopf 1.6-2.9 s at 8 and 13 s at 9, magnus 1.1 s at 9 and
-# 5.4 s at 10, words 4.9 s at 6 and over 60 s at 7, forest 5.0 s at 8 and
-# 21 s at 9, cumulants 0.8-0.9 s at 12 (its tables stop at length 6)
+# 5.4 s at 10, words 4.9 s at 6 and over 60 s at 7, forest 1.9-2.1 s at 8
+# and 10-14.5 s at 9, cumulants 0.8-0.9 s at 12 (its tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
 
 

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from math import factorial
 
@@ -32,6 +33,9 @@ CUMULANT_CAP = 8
 # forest --k, for the grade-8 corolla in full flavor on a 2-core machine:
 # 2.5 s and 100 MB peak RSS at 6, 9.2 s and 318 MB at 7
 K_CAP = 6
+# a grade:ordinal index in ASCII digits; int() would also take "+1", " 2",
+# "1_0" and non-ASCII digits
+_GRADE_ORDINAL = re.compile(r"([0-9]+):([0-9]+)")
 
 
 def _write_output(text: str, path) -> int:
@@ -199,8 +203,11 @@ def cmd_forest(args) -> int:
     # every basis element of grade G
     try:
         if ":" in args.index:
-            g, o = args.index.split(":", 1)
-            index = (int(g), int(o))
+            m = _GRADE_ORDINAL.fullmatch(args.index)
+            if m is None:
+                raise ValueError("%r is not grade:ordinal in ASCII digits"
+                                 % (args.index,))
+            index = (int(m[1]), int(m[2]))
             grade = index[0]
         else:
             index = None

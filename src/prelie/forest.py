@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement, product
 from math import factorial
 
 from . import freeprelie
-from .lincomb import TermMap
 from .trees import Forest, _trees, tree_by_rank, tree_from_string, tree_rank
 from .words import WordTensor, monomial, word_dual_coproduct
 
@@ -326,13 +326,14 @@ _FLAVOR_MAPS = {
 }
 
 
-def _shape_maps(parents: tuple, k: int, flavor: str) -> list:
+@cache
+def _shape_maps(parents: tuple, k: int, flavor: str) -> tuple:
     """The maps of flavor from a tree shape (preorder parent positions) to
     1..k, strictly increasing from parent to child, as value tuples in
-    lexicographic order."""
+    lexicographic order; cached per (shape, k, flavor) for the process."""
     n = len(parents)
     if flavor != "full" and n < k or flavor == "irr" and n > k:
-        return []  # no surjection onto more slots, no injection into fewer
+        return ()  # no surjection onto more slots, no injection into fewer
     # height[p]: the longest chain below p, which needs that many slots above
     height = [0] * n
     for p in range(n - 1, 0, -1):
@@ -344,25 +345,18 @@ def _shape_maps(parents: tuple, k: int, flavor: str) -> list:
         partial = [vals + (v,) for vals in partial
                    for v in range(1 if q < 0 else vals[q] + 1, top)]
     keep = _FLAVOR_MAPS[flavor]
-    return [vals for vals in partial if keep(vals, k)]
+    return tuple(vals for vals in partial if keep(vals, k))
 
 
-def _slot_maps(T: DecoratedTree, k: int, flavor: str, memo=None):
+def _slot_maps(T: DecoratedTree, k: int, flavor: str):
     """Strictly order-preserving maps from T's vertices to 1..k, yielded as
     slot contents (tuple of sorted index tuples built from d2 decorations).
     reduced: surjective; irr: bijective; full: unconstrained.
 
     The maps depend on T's shape only: they are enumerated once per
-    (shape, k, flavor) held in the dict memo, when one is given."""
+    (shape, k, flavor) and the slots filled from T's decorations."""
     parents, order, d2s = _flatten(T)
-    if memo is None:
-        maps = _shape_maps(parents, k, flavor)
-    else:
-        key = (parents, k, flavor)
-        maps = memo.get(key)
-        if maps is None:
-            maps = memo[key] = _shape_maps(parents, k, flavor)
-    for vals in maps:
+    for vals in _shape_maps(parents, k, flavor):
         slots: list = [[] for _ in range(k)]
         for p, d2 in zip(order, d2s):  # ascending d2: every slot sorted
             slots[vals[p] - 1].append(d2)
@@ -381,10 +375,11 @@ def forest_formula(i, k: int, flavor: str, basis: BasisProvider) -> dict:
         raise ValueError("k must be >= 1")
     if flavor not in ("reduced", "full", "irr"):
         raise ValueError("flavor must be reduced, full or irr")
-    memo: dict = {}  # the maps of each tree shape, for this call only
-    return TermMap((slots, lam)
-                   for T, lam in enumerate_decorated_trees(i, basis)
-                   for slots in _slot_maps(T, k, flavor, memo)).terms
+    acc: dict = {}
+    for T, lam in enumerate_decorated_trees(i, basis):
+        for slots in _slot_maps(T, k, flavor):
+            acc[slots] = acc.get(slots, 0) + lam
+    return {slots: c for slots, c in acc.items() if c}
 
 
 def decorated_string(T: DecoratedTree, basis: BasisProvider) -> str:

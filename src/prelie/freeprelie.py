@@ -94,7 +94,7 @@ def _splits(args: tuple) -> tuple:
     """(sub, rest, ways) for every sub-multiset sub of the key-sorted trees
     args, rest being what is left; ways = prod_u C(m_u, c_u) counts the
     positions of args that hold sub.  sub and rest stay key-sorted."""
-    runs = [tuple(g) for _, g in groupby(args, key=lambda t: t.key)]
+    runs = [tuple(g) for _, g in groupby(args)]
     return tuple(
         (tuple(chain.from_iterable(run[:c] for run, c in zip(runs, block))),
          tuple(chain.from_iterable(run[c:] for run, c in zip(runs, block))),

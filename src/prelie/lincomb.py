@@ -48,7 +48,7 @@ class TermMap:
     def __init__(self, terms=None, order=None):
         data: dict = {}
         if isinstance(terms, dict):
-            data.update(terms)  # distinct keys: reuses their stored hashes
+            data.update(terms)  # distinct keys: copied in C, nothing summed
             for k, c in terms.items():
                 if type(c) is not int and type(c) is not Fraction:
                     data[k] = Fraction(c)

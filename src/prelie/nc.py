@@ -97,7 +97,6 @@ def _nc_blocks(n: int) -> dict:
     if n == 0:
         return {(): EMPTY_FOREST}
     result = {}
-    shapes: dict = {}  # one Forest object per distinct nesting shape
     # the block of 1 is v = {1 < v_2 < ... < v_k}; the gaps between
     # consecutive elements and after v_k are partitioned independently
     for size in range(1, n + 1):
@@ -113,9 +112,8 @@ def _nc_blocks(n: int) -> dict:
                 # the inner gaps' blocks nest below v, the last gap's sit
                 # beside it
                 top = RootedTree(t for _, f in combo[:-1] for t in f.trees)
-                forest = Forest((top,) + combo[-1][1].trees)
                 result[tuple(sorted(blocks, key=lambda b: b[0]))] = \
-                    shapes.setdefault(forest.key, forest)
+                    Forest((top,) + combo[-1][1].trees)
     return result
 
 

@@ -2,10 +2,11 @@
 
 Canonical form: a tree is encoded as a nested bracket string, children sorted
 by their own encodings ("[]" is the single vertex, "[[]]" the 2-chain,
-"[[][]]" the cherry).  Two trees are equal iff their keys are equal iff they
-are isomorphic as rooted posets.  A forest is a multiset of trees; its key is
-the juxtaposition of the sorted member keys (empty string for the empty
-forest).
+"[[][]]" the cherry).  Trees are interned: there is one object per canonical
+form, i.e. per isomorphism class of rooted posets, so equality is identity
+and hashing is the object's own.  A forest is a multiset of trees, interned
+the same way; its key is the juxtaposition of the sorted member keys (empty
+string for the empty forest).
 
 Poset orientation: the root is MINIMAL.  A k-linearization is a surjective
 strictly order preserving map onto {1..k} (smaller labels closer to the root);
@@ -33,6 +34,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
 from math import comb, factorial, lcm, prod
+from operator import attrgetter
 
 from .exactnum import bernoulli
 
@@ -48,22 +50,32 @@ __all__ = [
 ]
 
 
+_key = attrgetter("key")  # the canonical sort key of trees and forests
+
+
 class RootedTree:
-    """An unlabeled rooted tree with multiset children, canonical and hashable."""
+    """An unlabeled rooted tree with multiset children, one shared object per
+    canonical form: equality is identity and the hash is the object's."""
 
     __slots__ = ("children", "size", "key")
+    # the interned trees, keyed by their sorted (already interned) children
+    _table: dict = {}
 
-    def __init__(self, children=()):
-        kids = tuple(sorted(children, key=lambda c: c.key))
-        self.children = kids
-        self.size = 1 + sum(c.size for c in kids)
-        self.key = "[" + "".join(c.key for c in kids) + "]"
+    def __new__(cls, children=()):
+        kids = tuple(sorted(children, key=_key))
+        t = cls._table.get(kids)
+        if t is None:
+            t = object.__new__(cls)
+            t.children = kids
+            t.size = 1 + sum(c.size for c in kids)
+            t.key = "[" + "".join(c.key for c in kids) + "]"
+            t = cls._table.setdefault(kids, t)  # one winner if two threads race
+        return t
 
-    def __eq__(self, other):
-        return isinstance(other, RootedTree) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__, so they hand back the
+        # interned object instead of overwriting one
+        return (RootedTree, (self.children,))
 
     def __repr__(self):
         return "RootedTree(%r)" % (self.key,)
@@ -76,21 +88,26 @@ LEAF = RootedTree()
 
 
 class Forest:
-    """A multiset of rooted trees (the empty forest is the unit monomial)."""
+    """A multiset of rooted trees (the empty forest is the unit monomial),
+    interned like RootedTree."""
 
     __slots__ = ("trees", "size", "key")
+    # the interned forests, keyed by their sorted (interned) trees
+    _table: dict = {}
 
-    def __init__(self, trees=()):
-        ts = tuple(sorted(trees, key=lambda t: t.key))
-        self.trees = ts
-        self.size = sum(t.size for t in ts)
-        self.key = "".join(t.key for t in ts)
+    def __new__(cls, trees=()):
+        ts = tuple(sorted(trees, key=_key))
+        f = cls._table.get(ts)
+        if f is None:
+            f = object.__new__(cls)
+            f.trees = ts
+            f.size = sum(t.size for t in ts)
+            f.key = "".join(t.key for t in ts)
+            f = cls._table.setdefault(ts, f)
+        return f
 
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
+    def __reduce__(self):
+        return (Forest, (self.trees,))
 
     def __len__(self):
         return len(self.trees)
@@ -154,7 +171,7 @@ def enumerate_trees(n: int):
 
 @cache
 def _trees(n: int) -> tuple:
-    return tuple(sorted((b_plus(f) for f in _forests(n - 1)), key=lambda t: t.key))
+    return tuple(sorted((b_plus(f) for f in _forests(n - 1)), key=_key))
 
 
 def enumerate_forests(n: int):
@@ -179,17 +196,17 @@ def _forests(n: int) -> tuple:
             for rest in pick(total - t.size, i):
                 yield (t,) + rest
 
-    return tuple(sorted((Forest(ts) for ts in pick(n, 0)), key=lambda f: f.key))
+    return tuple(sorted((Forest(ts) for ts in pick(n, 0)), key=_key))
 
 
 def tree_rank(t: RootedTree) -> int:
     """Ordinal of t within enumerate_trees(t.size); (size, rank) is stable."""
-    return _ranks(t.size)[t.key]
+    return _ranks(t.size)[t]
 
 
 @cache
 def _ranks(size: int) -> dict:
-    return {u.key: i for i, u in enumerate(enumerate_trees(size))}
+    return {u: i for i, u in enumerate(_trees(size))}
 
 
 def tree_by_rank(size: int, rank: int) -> RootedTree:
@@ -201,21 +218,20 @@ def tree_by_rank(size: int, rank: int) -> RootedTree:
 
 # a dict, not a cache: perfbench's recursion test clears it to count sigma's
 # re-entrant calls
-_SIGMA: dict[str, int] = {}
+_SIGMA: dict[RootedTree, int] = {}
 
 
 def sigma(t: RootedTree) -> int:
     """|Aut(t)|: product over distinct branches of m! * sigma(branch)^m."""
-    out = _SIGMA.get(t.key)
+    out = _SIGMA.get(t)
     if out is None:
         out = 1
-        mult: dict[str, int] = {}
+        mult: dict[RootedTree, int] = {}
         for c in t.children:
-            mult[c.key] = mult.get(c.key, 0) + 1
-        seen: dict[str, RootedTree] = {c.key: c for c in t.children}
-        for key, m in mult.items():
-            out *= factorial(m) * sigma(seen[key]) ** m
-        _SIGMA[t.key] = out
+            mult[c] = mult.get(c, 0) + 1
+        for c, m in mult.items():
+            out *= factorial(m) * sigma(c) ** m
+        _SIGMA[t] = out
     return out
 
 

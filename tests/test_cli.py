@@ -282,6 +282,18 @@ def test_forest_bad_index_and_caps(capsys):
                       "--unsafe-uncapped to override)\n"
 
 
+@pytest.mark.parametrize("index", ["3:+1", " 2:0", "1_0:0", "\u0662:\u0660"])
+@pytest.mark.parametrize("basis", ["ck", "words"])
+def test_forest_rejects_non_canonical_grade_ordinal(capsys, basis, index):
+    # int() would read each of these, "1_0" as grade 10 and the
+    # Arabic-Indic digits as 2:0; only ASCII digits make an index
+    code, out, err = run(capsys, "forest", "--basis", basis, "--index", index,
+                         "--k", "2")
+    assert code == 2 and out == ""
+    assert err == "error: bad --index: %r is not grade:ordinal in ASCII " \
+                  "digits\n" % (index,)
+
+
 def test_forest_k_cap_and_override(capsys):
     code, out, err = run(capsys, "forest", "--basis", "ck", "--index", "[[]]",
                          "--k", "7")
@@ -555,7 +567,7 @@ FORESTS = st.builds(
         "--flavor", flavor],
     st.sampled_from(["ck", "words"]),
     # random text, or a grade:ordinal pair that is often a basis element
-    st.one_of(st.text(alphabet="[]:0123456789abx-", max_size=12),
+    st.one_of(st.text(alphabet="[]:0123456789abx-+_ ", max_size=12),
               st.builds("{}:{}".format, st.integers(-1, 9),
                         st.integers(-1, 40))),
     st.integers(0, 3), st.sampled_from(["reduced", "full", "irr"]))

@@ -264,9 +264,9 @@ def _preorder(T):
 
 
 def test_slot_maps_match_brute_force_through_one_shared_memo():
-    # one memo for every tree, k and flavor: a memo keyed without k or
-    # without the flavor would hand one call the maps of another
-    memo = {}
+    # one process-wide cache for every tree, k and flavor: a cache keyed
+    # without k or without the flavor would hand one call the maps of another
+    prelie.forest._shape_maps.cache_clear()
     ck, wb = CKBasis(), WordBasis("ab")
     jobs = [(ck, ck.index_of(t)) for n in range(1, 6)
             for t in enumerate_trees(n)]
@@ -286,9 +286,9 @@ def test_slot_maps_match_brute_force_through_one_shared_memo():
                             slots[v - 1].append(d2)
                         want[tuple(tuple(sorted(s)) for s in slots)] += 1
                     where = (decorated_string(T, basis), k, flavor)
-                    assert Counter(_slot_maps(T, k, flavor, memo)) == want, where
                     assert Counter(_slot_maps(T, k, flavor)) == want, where
-    assert len(memo) == 4 * 3 * len(shapes)
+    assert prelie.forest._shape_maps.cache_info().currsize \
+        == 4 * 3 * len(shapes)
 
 
 @pytest.mark.parametrize("flavor, keep", [
@@ -297,9 +297,16 @@ def test_slot_maps_match_brute_force_through_one_shared_memo():
 ])
 def test_forest_suite_catches_a_wrong_map_filter(monkeypatch, flavor, keep):
     # the three flavors share one direct iterate per (t, k); a forest side
-    # summing over the wrong maps must still fail its own comparison
+    # summing over the wrong maps must still fail its own comparison.  The
+    # maps are cached per process, so the cache is emptied after the patch
+    # (or earlier calls' maps would hide it) and again after the run
     monkeypatch.setitem(prelie.forest._FLAVOR_MAPS, flavor, keep)
-    failures = {name: failure for name, _, failure in checks.run("forest", 4)}
+    prelie.forest._shape_maps.cache_clear()
+    try:
+        failures = {name: failure
+                    for name, _, failure in checks.run("forest", 4)}
+    finally:
+        prelie.forest._shape_maps.cache_clear()
     for name in ("ck-forest-formula-vs-direct", "word-forest-formula-vs-direct"):
         assert failures[name]["instance"]["flavor"] == flavor, name
 

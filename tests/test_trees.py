@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
@@ -34,7 +38,7 @@ forests_st = st.builds(lambda ts: Forest(tuple(ts)), st.lists(trees_st, max_size
 # canonical form and parsing
 
 def test_children_order_does_not_matter():
-    assert RootedTree((CHAIN2, LEAF, LEAF)) == RootedTree((LEAF, CHAIN2, LEAF))
+    assert RootedTree((CHAIN2, LEAF, LEAF)) is RootedTree((LEAF, CHAIN2, LEAF))
     assert RootedTree((CHAIN2, LEAF)).key == RootedTree((LEAF, CHAIN2)).key
 
 
@@ -42,22 +46,85 @@ def test_children_order_does_not_matter():
 def test_key_invariant_under_shuffle(t, rng):
     kids = list(t.children)
     rng.shuffle(kids)
-    assert RootedTree(tuple(kids)) == t
+    assert RootedTree(tuple(kids)) is t
 
 
 @given(trees_st)
 def test_tree_string_roundtrip(t):
-    assert tree_from_string(t.key) == t
+    assert tree_from_string(t.key) is t
 
 
 @given(forests_st)
 def test_forest_string_roundtrip(f):
-    assert forest_from_string(f.key) == f
+    assert forest_from_string(f.key) is f
 
 
 def test_forest_string_empty():
-    assert forest_from_string("") == EMPTY_FOREST
+    assert forest_from_string("") is EMPTY_FOREST
     assert EMPTY_FOREST.key == ""
+
+
+def test_trees_and_forests_are_interned():
+    # one object per canonical form, so equality and hashing are identity's:
+    # no class may bring back a hash or comparison of bracket strings
+    for cls in (RootedTree, Forest):
+        assert cls.__hash__ is object.__hash__, cls
+        assert cls.__eq__ is object.__eq__, cls
+    f = Forest((CHERRY, LEAF, CHAIN2))
+    assert Forest((CHAIN2, CHERRY, LEAF)) is f
+    assert Forest(()) is EMPTY_FOREST and RootedTree(()) is LEAF
+    # copying or pickling hands back the interned object
+    for x in (LEAF, CHERRY, f, EMPTY_FOREST):
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+    assert LEAF.key == "[]" and LEAF.children == ()
+
+
+def _random_bracket_string(rng, n):
+    """A random n-vertex tree as a (usually non-canonical) bracket string,
+    built without constructing any tree."""
+    kids = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[rng.randrange(v)].append(v)
+    return "".join("[" if v >= 0 else "]" for v in _brackets(kids, 0))
+
+
+def _brackets(kids, v):
+    yield v
+    for c in kids[v]:
+        yield from _brackets(kids, c)
+    yield -1
+
+
+def test_interning_gives_one_object_across_threads():
+    # threads that build the same new trees and forests at once must get
+    # the same objects: a lost race in the intern tables would give two
+    rng = random.Random(7)
+    texts = [_random_bracket_string(rng, rng.randrange(20, 40))
+             for _ in range(150)]
+    results = [None] * 6
+
+    def work(slot):
+        results[slot] = [forest_from_string(a + b)
+                         for a, b in zip(texts, texts[1:])]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,))
+                   for j in range(len(results))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    first = results[0]
+    for other in results[1:]:
+        assert all(f is g for f, g in zip(first, other))
+        assert all(t is u for f, g in zip(first, other)
+                   for t, u in zip(f.trees, g.trees))
 
 
 @pytest.mark.parametrize("bad", ["[", "]", "[]]", "[[]", "x", "[]x", "[] []"])
@@ -71,6 +138,10 @@ def test_deep_chain_parses_without_recursion():
     t = tree_from_string(text)
     assert t.size == 1200
     assert t.key == text
+    chain = LEAF
+    for _ in range(1199):
+        chain = RootedTree((chain,))
+    assert chain is t
 
 
 def test_tree_from_string_rejects_forests_and_empty():
@@ -119,7 +190,7 @@ def test_rank_roundtrip():
 def test_b_plus_b_minus_roundtrip():
     for n in range(0, 6):
         for f in enumerate_forests(n):
-            assert b_minus(b_plus(f)) == f
+            assert b_minus(b_plus(f)) is f
 
 
 # ---------------------------------------------------------------------------
