@@ -1,5 +1,9 @@
-"""The cross-route identities that ``prelie verify`` reruns.
+"""The routes of the printed series and the cross-route identities that
+``prelie verify`` reruns.
 
+``ROUTES`` maps each series ``prelie series`` prints (``--which``) to the
+routes that compute it (``--method``), each with its order cap; ``series``
+runs one and ``series --check`` compares them all, as the magnus suite does.
 Each identity is a generator named after it, ``_`` for ``-``, that yields
 one ``(instance record, got, want)`` per instance; the two sides come from
 routes that do not call each other.  ``run`` counts and compares them.
@@ -27,10 +31,36 @@ TREE_CAP = 12
 # forest-formula grades (the forest suite, forest --index): on a 2-core
 # machine the forest suite takes 1.9-2.1 s at order 8 and 10-14.5 s at 9
 FOREST_CAP = 8
-# where sol1 runs (series --which magnus --method sol1 or --check, and the
-# magnus suite): on a 2-core machine --order 9 --check takes 1.1-2.4 s,
-# sol1 alone 4.5-6.5 s at order 10 and --order 10 --check 5.3-6.1 s
-SOL1_CAP = 9
+
+# the one-vertex tree, the generator of every series in ROUTES
+_GENERATOR = TreeSeries({LEAF: 1})
+
+# which -> method -> (series_of_order, cap): series_of_order(n) is the series
+# `series --which` prints, truncated at order n, and cap is the last order
+# its route runs at by default.  Every route looks its freeprelie function up
+# per call, so that whatever rebinds the module's names also sees the calls.
+ROUTES = {
+    "exp": {  # as Connes-Moscovici integers, |t|! times each coefficient
+        "closed": (lambda n: TreeSeries(
+            {t: freeprelie.cm_coefficient(t)
+             for k in range(1, n + 1) for t in enumerate_trees(k)}, n),
+            TREE_CAP),
+        "fixed-point": (lambda n: TreeSeries(
+            {t: c * factorial(t.size) for t, c in
+             freeprelie.prelie_exp(_GENERATOR, n).terms.items()}, n),
+            TREE_CAP),
+    },
+    "magnus": {
+        "closed": (lambda n: freeprelie.magnus_closed_form(n), TREE_CAP),
+        "fixed-point": (lambda n: freeprelie.magnus_fixed_point(_GENERATOR, n),
+                        TREE_CAP),
+        # on a 2-core machine series --which magnus --order 9 --check takes
+        # 1.1-2.4 s, sol1 alone 4.5-6.5 s at order 10 and --order 10 --check
+        # 5.3-6.1 s
+        "sol1": (lambda n: freeprelie.tree_part(freeprelie.sol1(
+            freeprelie.poly_exp(_GENERATOR, n))), 9),
+    },
+}
 
 
 def tree_counts_vs_recursion(order: int):
@@ -99,15 +129,16 @@ def coassociativity(order: int):
 
 
 def magnus_three_way(order: int):
-    """Each tree's coefficient: fixed point and sol1 against closed form."""
-    closed = freeprelie.magnus_closed_form(order)
-    fixed = freeprelie.magnus_fixed_point(TreeSeries({LEAF: 1}), order)
-    via_sol1 = freeprelie.tree_part(freeprelie.sol1(
-        freeprelie.poly_exp(TreeSeries({LEAF: 1}), order)))
+    """Each tree's coefficient: every other Magnus route of ROUTES against
+    the closed form."""
+    routes = ROUTES["magnus"]
+    closed = routes["closed"][0](order)
+    others = [series(order) for method, (series, _) in routes.items()
+              if method != "closed"]
     for n in range(1, order + 1):
         for t in enumerate_trees(n):
-            c = closed.coeff(t)
-            yield {"tree": t.key}, (fixed.coeff(t), via_sol1.coeff(t)), (c, c)
+            yield ({"tree": t.key}, tuple(s.coeff(t) for s in others),
+                   (closed.coeff(t),) * len(others))
 
 
 def exp_after_magnus_identity(order: int):
@@ -227,7 +258,8 @@ SUITES = {
                     omega_direct_vs_recursive, weak_vs_surjective_binomial),
                    6, 10),
     "hopf": Suite((gl_ck_duality, coassociativity), 6, 8),
-    "magnus": Suite((magnus_three_way, exp_after_magnus_identity), 6, SOL1_CAP),
+    "magnus": Suite((magnus_three_way, exp_after_magnus_identity), 6,
+                    min(cap for _, cap in ROUTES["magnus"].values())),
     "words": Suite((brace_coproduct_duality, coproduct_grading), 5, 6),
     "forest": Suite((ck_forest_formula_vs_direct,
                      word_forest_formula_vs_direct), 5, FOREST_CAP),

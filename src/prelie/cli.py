@@ -3,10 +3,11 @@ dumps, cumulant conversion, and the verification suites of ``prelie.checks``.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.  Output is
 deterministic for a given configuration; rationals are always rendered as
-strings ("p/q").  Enumeration orders are capped (12 for tree tables and
-series, 9 where sol1 runs, 8 for forest-formula indices, 6 for the forest
---k, 8 for cumulant word lengths, and per suite for verify) unless
---unsafe-uncapped is given.
+strings ("p/q").  Enumeration orders are capped (12 for tree tables; for
+series the least cap of the routes that run, read with the routes from
+checks.ROUTES: 12, or 9 where sol1 runs; 8 for forest-formula indices, 6
+for the forest --k, 8 for cumulant word lengths, and per suite for verify)
+unless --unsafe-uncapped is given.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import io
 import json
 import re
 import sys
-from math import factorial
 
 from . import checks, freeprelie, nc
-from .checks import FOREST_CAP, SOL1_CAP, SUITES, TREE_CAP
+from .checks import FOREST_CAP, ROUTES, SUITES, TREE_CAP
 from .exactnum import format_rational
 from .forest import (CKBasis, WordBasis, decorated_string,
                      enumerate_decorated_trees, _slot_maps)
-from .trees import (LEAF, enumerate_trees, murua_omega, num_linearizations,
-                    sigma, tree_factorial)
+from .trees import (enumerate_trees, murua_omega, num_linearizations, sigma,
+                    tree_factorial)
 
 # table maxlen: a 2-variable free -> monotone conversion through moments
 # takes 1.2 s at 8 and 4.2 s at 9, a 3-variable one 12 s at 8
@@ -99,66 +99,27 @@ def cmd_trees(args) -> int:
 # ---------------------------------------------------------------------------
 # series
 
-def _series_exp(order: int, method: str):
-    """Exponential of the one-vertex tree, reported as Connes-Moscovici
-    integers (|t|! times the raw series coefficient)."""
-    if method == "closed":
-        acc = {}
-        for n in range(1, order + 1):
-            for t in enumerate_trees(n):
-                acc[t] = freeprelie.cm_coefficient(t)
-        return freeprelie.TreeSeries(acc, order)
-    if method == "fixed-point":
-        raw = freeprelie.prelie_exp(freeprelie.TreeSeries({LEAF: 1}), order)
-        return freeprelie.TreeSeries(
-            {t: c * factorial(t.size) for t, c in raw.terms.items()}, order)
-    raise ValueError("exp supports methods closed and fixed-point only")
-
-
-def _series_magnus(order: int, method: str):
-    if method == "closed":
-        return freeprelie.magnus_closed_form(order)
-    if method == "fixed-point":
-        return freeprelie.magnus_fixed_point(
-            freeprelie.TreeSeries({LEAF: 1}), order)
-    if method == "sol1":
-        gen = freeprelie.TreeSeries({LEAF: 1})
-        return freeprelie.tree_part(
-            freeprelie.sol1(freeprelie.poly_exp(gen, order)))
-    raise ValueError("unknown method %r" % method)
-
-
 def cmd_series(args) -> int:
     if args.order < 1:
         return _input_error("--order must be >= 1")
-    # sol1 runs for --method sol1 and for every magnus --check
-    cap = SOL1_CAP if args.which == "magnus" and (
-        args.method == "sol1" or args.check) else TREE_CAP
-    if args.order > cap and not args.unsafe_uncapped:
-        return _over_cap("--order", args.order, cap)
-    compute = _series_exp if args.which == "exp" else _series_magnus
-    methods = ("closed", "fixed-point") if args.which == "exp" \
-        else ("closed", "fixed-point", "sol1")
-    if args.method not in methods:
+    routes = ROUTES[args.which]
+    if args.method not in routes:
         return _input_error("--which %s does not support --method %s"
                             % (args.which, args.method))
-    series = compute(args.order, args.method)
-    if args.check:
-        results = {m: series if m == args.method else compute(args.order, m)
-                   for m in methods}
-        base = results[args.method]
-        for m in methods:
-            if results[m] != base:
-                keys = sorted(set(base.terms) | set(results[m].terms),
-                              key=base.sort_key)
-                for t in keys:
-                    if base.coeff(t) != results[m].coeff(t):
-                        print("verification failure: methods %s and %s "
-                              "disagree at %s: %s vs %s"
-                              % (args.method, m, t.key,
-                                 base.coeff(t), results[m].coeff(t)),
-                              file=sys.stderr)
-                        return 1
+    others = [m for m in routes if args.check and m != args.method]
+    cap = min(routes[m][1] for m in [args.method] + others)
+    if args.order > cap and not args.unsafe_uncapped:
+        return _over_cap("--order", args.order, cap)
+    series = routes[args.method][0](args.order)
+    for m in others:
+        other = routes[m][0](args.order)
+        if other != series:
+            t = min((t for t in set(series.terms) | set(other.terms)
+                     if series.coeff(t) != other.coeff(t)), key=series.sort_key)
+            print("verification failure: methods %s and %s disagree at %s: "
+                  "%s vs %s" % (args.method, m, t.key, series.coeff(t),
+                                other.coeff(t)), file=sys.stderr)
+            return 1
     return _write_output(json.dumps(series.to_json(), indent=2), args.output)
 
 
@@ -297,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="pre-Lie exponential or Magnus series of "
                                       "the one-vertex tree")
-    p.add_argument("--which", choices=("exp", "magnus"), required=True)
+    p.add_argument("--which", choices=tuple(ROUTES), required=True)
     p.add_argument("--order", type=int, default=6)
-    p.add_argument("--method", choices=("closed", "fixed-point", "sol1"),
-                   default="closed")
+    p.add_argument("--method", default="closed", choices=sorted(
+        {method for routes in ROUTES.values() for method in routes}))
     p.add_argument("--check", action="store_true",
                    help="recompute with every method and compare")
     p.add_argument("--output", default=None)

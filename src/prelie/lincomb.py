@@ -53,8 +53,7 @@ class TermMap:
                 if type(c) is not int and type(c) is not Fraction:
                     data[k] = Fraction(c)
         elif terms is not None:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for k, c in items:
+            for k, c in terms:  # an iterable of (key, coefficient) pairs
                 c = _exact(c)
                 acc = data.get(k)
                 data[k] = c if acc is None else acc + c

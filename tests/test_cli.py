@@ -8,8 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prelie import checks, cli
+from prelie import checks, cli, freeprelie
+from prelie.freeprelie import TreeSeries
 from prelie.nc import BRANDS, CumulantTable, convert, iter_words
+from prelie.trees import tree_from_string
 
 
 def run(capsys, *argv):
@@ -117,6 +119,11 @@ def test_series_exp_reports_connes_moscovici_integers(capsys):
 def test_series_method_mismatch_is_a_usage_error(capsys):
     code, _, err = run(capsys, "series", "--which", "exp", "--method", "sol1")
     assert code == 2 and "does not support" in err
+    # reported before the cap, which only the routes of the series have
+    code, out, err = run(capsys, "series", "--which", "exp", "--method",
+                         "sol1", "--order", "13")
+    assert code == 2 and out == ""
+    assert err == "error: --which exp does not support --method sol1\n"
 
 
 def test_series_check_passes(capsys):
@@ -145,6 +152,53 @@ def test_series_sol1_cap(capsys, argv):
     assert code == 2 and out == ""
     assert err == "error: --order 10 exceeds the cap 9 (pass " \
                   "--unsafe-uncapped to override)\n"
+
+
+@pytest.fixture
+def wrong_sol1(monkeypatch):
+    """checks.ROUTES with a sol1 route that is off by 1 at [[]]."""
+    sol1, cap = checks.ROUTES["magnus"]["sol1"]
+    chain2 = tree_from_string("[[]]")
+    monkeypatch.setitem(checks.ROUTES["magnus"], "sol1", (
+        lambda n: sol1(n) + TreeSeries({chain2: 1}), cap))
+
+
+def test_series_check_reports_the_first_disagreement(capsys, wrong_sol1):
+    code, out, err = run(capsys, "series", "--which", "magnus",
+                         "--order", "4", "--check")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["verification failure: methods closed and "
+                                "sol1 disagree at [[]]: -1/2 vs 1/2"]
+
+
+def test_magnus_suite_reads_the_series_routes(capsys, wrong_sol1):
+    # the table series --check compares is the one the magnus suite checks
+    code, out, err = run(capsys, "verify", "--suite", "magnus",
+                         "--max-order", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL magnus.magnus-three-way (8 instances)",
+        "PASS magnus.exp-after-magnus-identity (4 instances)"]
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"suite": "magnus", "identity": "magnus-three-way",
+         "instance": {"tree": "[[]]"}}]
+
+
+def test_routes_look_up_freeprelie_at_call_time(monkeypatch):
+    # a route holding a function object would bypass whatever rebinds the
+    # module's names, such as the benchmark's tracer
+    names = {"cm_coefficient", "prelie_exp", "magnus_closed_form",
+             "magnus_fixed_point", "sol1"}
+    called = set()
+    for name in names:
+        def counted(*args, _f=getattr(freeprelie, name), _name=name):
+            called.add(_name)
+            return _f(*args)
+        monkeypatch.setattr(freeprelie, name, counted)
+    for routes in checks.ROUTES.values():
+        for series_of_order, _ in routes.values():
+            series_of_order(2)
+    assert called == names
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +431,21 @@ def test_verify_all_counts_are_pinned(capsys):
         "PASS cumulants.moment-roundtrips (3 instances)",
         "PASS cumulants.direct-vs-via-moments (16 instances)",
         "PASS cumulants.exp-magnus-functionals (56 instances)"]
+
+
+def _nonzero(side):
+    return any(side) if isinstance(side, tuple) else bool(side)
+
+
+@pytest.mark.parametrize("identity, order, instances, nonzero", [
+    (checks.brace_coproduct_duality, 5, 17360, 496),
+    (checks.magnus_three_way, 6, 37, 32)])
+def test_identities_do_not_pass_on_zeros_alone(identity, order, instances,
+                                               nonzero):
+    rows = list(identity(order))
+    assert len(rows) == instances
+    assert sum(_nonzero(got) or _nonzero(want)
+               for _, got, want in rows) == nonzero
 
 
 def test_verify_reports_the_first_failing_instance(capsys, monkeypatch):
