@@ -1,7 +1,8 @@
 """Command line interface: coefficient tables, series dumps, forest-formula
 dumps, cumulant conversion, and the verification suites of ``prelie.checks``.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Output is
+Exit codes: 0 success, 1 verification failure, 2 input error (an output
+that cannot be written, stdout included, counts as one).  Output is
 deterministic for a given configuration; rationals are always rendered as
 strings ("p/q").  Enumeration orders are capped (12 for tree tables; for
 series the least cap of the routes that run, read with the routes from
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -297,7 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the commands handle their own file errors, so this is stdout: full,
+        # or a pipe whose reader is gone.  Point the descriptor at the null
+        # device so the interpreter's flush at exit drops the rest quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _input_error("cannot write output: %s" % exc)
+    return code
 
 
 if __name__ == "__main__":

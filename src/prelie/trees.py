@@ -16,15 +16,20 @@ maps on a concrete vertex set, not of maps up to isomorphism.
 Statistics: sigma(t) is the automorphism count, tree_factorial the usual
 t! = |t| * (branch factorials), num_linearizations m(t) = |t|!/t!, and
 murua_omega the alternating sum over k of k-linearization counts a_k.  The
-a_k come from one order polynomial per tree: W_t(x), the number of strictly
-order preserving maps from t into {1..x}, is sum_k a_k C(x, k) (Stanley, EC1
-3.12), built from the branches' coefficients by a binomial-basis product and
-an index shift for the root.  murua_omega_recursive recomputes omega through
-the Bernoulli-weighted sum over root-containing vertex selections of B-(t),
-walking the parent and children arrays of its LabeledForest: the factorial
-s! of a selection is the product, over its vertices, of the number of
-selected vertices at or below each, so no induced shape is built, and only
-the cut-above components are built as trees.  The two routes must agree on
+a_k are the coefficients of the order polynomial W_t(x), the number of
+strictly order preserving maps from t into {1..x}, in the binomial basis:
+W_t(x) = sum_k a_k C(x, k) (Stanley, EC1 3.12).  count_k_linearizations
+builds them from the branches' coefficients by a binomial-basis product and
+an index shift for the root.  As d/dx C(x, k) at 0 is (-1)^(k-1)/k, omega is
+W_t'(0); murua_omega reads it from the values W_t(1..|t|), the weak
+linearization counts, with one weight vector per order (Lagrange at the
+nodes 0..|t|), never forming the a_k.  murua_omega_recursive recomputes
+omega through the Bernoulli-weighted sum over root-containing vertex
+selections of B-(t), walking the parent and children arrays of its
+LabeledForest: the factorial s! of a selection is the product, over its
+vertices, of the number of selected vertices at or below each, so no induced
+shape is built, and only the cut-above components are built as trees.  It
+reads neither the weak counts nor the a_k.  The two routes must agree on
 every tree.
 """
 
@@ -32,9 +37,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial, lcm, prod
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .exactnum import bernoulli
 
@@ -311,44 +316,55 @@ def _surjections(t: RootedTree) -> tuple:
 def count_weak_k_linearizations(p, k: int) -> int:
     """Count strictly order preserving maps from p into {1..k} (not nec. onto).
 
-    Independent of count_k_linearizations: a direct tree recursion
-    W(t, k) = sum_{j=1..k} prod_branches W(branch, k - j), multiplicative over
-    forest components.  The binomial identity tying the two counts is a test.
+    Independent of count_k_linearizations: the values W(t, 0..k) of a tree
+    come by prefix sums, W(t, x) = W(t, x - 1) + prod_branches W(branch, x - 1)
+    (either the root takes the value 1 and its branches map into the x - 1
+    values above it, or the map is one into {1..x-1} shifted up by one), and
+    the count is multiplicative over forest components.  The binomial
+    identity tying the two counts is a test.
     """
     if k < 0:
         raise ValueError("count_weak_k_linearizations needs k >= 0, got %r" % (k,))
     out = 1
     for t in _as_forest(p).trees:
-        out *= _weak_tree(t, k)
+        out *= _weak_values(t, k)[k]
     return out
 
 
 @cache
-def _weak_tree(t: RootedTree, k: int) -> int:
-    if k <= 0:
-        return 0
-    out = 0
-    for j in range(1, k + 1):
-        term = 1
-        for c in t.children:
-            term *= _weak_tree(c, k - j)
-            if term == 0:
-                break
-        out += term
-    return out
+def _weak_values(t: RootedTree, m: int) -> tuple:
+    """(W(t, 0), ..., W(t, m)), W(t, x) the number of strictly order
+    preserving maps from t into {1..x}; W(t, 0) = 0."""
+    if m == 0:
+        return (0,)
+    terms = [1] * m  # prod_branches W(branch, x) for x < m
+    for c in t.children:
+        terms = map(mul, terms, _weak_values(c, m - 1))
+    return tuple(accumulate(terms, initial=0))
 
 
 def murua_omega(t: RootedTree) -> Fraction:
-    """omega(t) = sum_{k=1..|t|} ((-1)^(k-1)/k) * |k-lin(t)|."""
+    """omega(t) = sum_{k=1..|t|} ((-1)^(k-1)/k) * |k-lin(t)| = W_t'(0)."""
     return _omega(t)
 
 
 @cache
+def _omega_weights(n: int) -> tuple:
+    """(L, (w_1, ..., w_n)) with L = lcm(1..n) and
+    w_j = (-1)^(j+1) C(n, j) L / j: p'(0) = sum_j w_j p(j) / L for every
+    polynomial p of degree <= n with p(0) = 0 (Lagrange at the nodes 0..n)."""
+    L = lcm(*range(1, n + 1))
+    return L, tuple((-1) ** (j + 1) * comb(n, j) * (L // j)
+                    for j in range(1, n + 1))
+
+
+@cache
 def _omega(t: RootedTree) -> Fraction:
-    # integer terms over L = lcm(1..|t|), so one Fraction is normalised
-    a, L = _surjections(t), lcm(*range(1, t.size + 1))
-    return Fraction(sum((-1) ** (k - 1) * a[k] * (L // k)
-                        for k in range(1, t.size + 1)), L)
+    # omega(t) = W_t'(0): the order polynomial has degree |t| and W_t(0) = 0,
+    # so its values at 1..|t| fix the derivative; one Fraction is normalised
+    L, weights = _omega_weights(t.size)
+    values = _weak_values(t, t.size)
+    return Fraction(sum(map(mul, weights, values[1:])), L)
 
 
 def murua_omega_forest(f: Forest) -> Fraction:

@@ -1,8 +1,13 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -90,6 +95,54 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, command, bad):
     code, out, err = run(capsys, *argv, "--output", str(target))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "d938a117b78c96c8aca633c4ce287264349246c9c1773731187dbf16cbc04d29"),
+    ("csv", "c40a5ef06b71d45acd6620b263ecf36b32c16d5772cbc4db9261d62ac93941dc"),
+])
+def test_tree_table_is_byte_stable(capsys, fmt, digest):
+    # every statistic of the 1842 trees of order <= 10, as the benchmark
+    # checks it
+    code, out, err = run(capsys, "trees", "--max-order", "10", "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _spawn(argv, buffered, stdout):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "prelie.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+# buffered, a small output fails only when main flushes stdout; unbuffered,
+# it fails in the command's own write or print
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["trees", "--max-order", "3"],
+    ["verify", "--suite", "trees", "--max-order", "3"],
+])
+@pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
+def test_failed_stdout_write_is_an_input_error(argv, buffered, sink):
+    if sink == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        with open("/dev/full", "wb") as full:
+            proc = _spawn(argv, buffered, full)
+    else:
+        proc = _spawn(argv, buffered, subprocess.PIPE)
+        proc.stdout.close()  # before the child has run any Python
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2, err
+    assert err.startswith("error: cannot write output: ") and \
+        err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,26 @@ def test_omega_alternating_sum_against_brute_maps():
             assert murua_omega(t) == want
 
 
+def test_omega_is_the_binomial_basis_alternating_sum():
+    # the route through the order polynomial's binomial-basis coefficients,
+    # which murua_omega does not take
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            assert murua_omega(t) == sum(
+                Fraction((-1) ** (k - 1), k) * count_k_linearizations(t, k)
+                for k in range(1, n + 1)), t.key
+
+
+def test_omega_weights_differentiate_exactly():
+    # sum_j w_j j^d / L is the derivative at 0 of x^d: 1 for d = 1, else 0
+    for n in range(1, 14):
+        L, weights = trees._omega_weights(n)
+        assert len(weights) == n
+        for d in range(1, n + 1):
+            assert sum(w * j ** d for j, w in enumerate(weights, 1)) == \
+                (L if d == 1 else 0), (n, d)
+
+
 def test_omega_recursive_matches_direct_small():
     for n in range(1, 8):
         for t in enumerate_trees(n):
@@ -305,7 +325,7 @@ def _route_called(*args):
 
 def _clear_omega_caches():
     for memo in (trees._surjections, trees._omega, trees._omega_rec,
-                 trees._weak_tree):
+                 trees._weak_values):
         memo.cache_clear()
 
 
@@ -323,4 +343,16 @@ def test_omega_routes_do_not_call_each_other(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(trees, "_omega_rec", _route_called)
         assert [murua_omega(t) for t in small] == recursive
+    _clear_omega_caches()
+    # omega reads the order polynomial's values, not its binomial-basis
+    # coefficients
+    with monkeypatch.context() as m:
+        m.setattr(trees, "_surjections", _route_called)
+        m.setattr(trees, "_binomial_product", _route_called)
+        assert [murua_omega(t) for t in small] == recursive
+    _clear_omega_caches()
+    # and the recursion reads neither the values nor the coefficients
+    with monkeypatch.context() as m:
+        m.setattr(trees, "_weak_values", _route_called)
+        assert [murua_omega_recursive(t) for t in small] == recursive
     _clear_omega_caches()
