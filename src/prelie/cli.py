@@ -244,8 +244,20 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help text reaches stdout or raises OSError:
+    the stock one drops a failed write and exits before main's flush."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()
+        super().exit(status, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prelie",
         description="Exact rooted-tree, forest-formula and cumulant computations.")
     parser.add_argument("--unsafe-uncapped", action="store_true",
@@ -298,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
     except OSError as exc:

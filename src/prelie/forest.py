@@ -13,6 +13,11 @@ Two providers are included: the Connes-Kreimer basis (rooted trees, structure
 constants read off the coproduct of freeprelie) and the word basis (odd
 factorizations).  Basis indices are (grade, ordinal) pairs tied to the
 deterministic enumerations of the trees/words modules.
+
+The maps depend only on a decorated tree's shape.  They are enumerated once
+per (shape, k), each tagged with the flavors whose filter keeps it, and
+forest_formula sums all three flavors in one walk: each map's slots are
+filled once and lambda(T) is credited to every flavor that keeps the map.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement, product
 from math import factorial
+from weakref import WeakMethod
 
 from . import freeprelie
 from .trees import Forest, _trees, tree_by_rank, tree_from_string, tree_rank
@@ -32,6 +38,22 @@ __all__ = [
     "DecoratedTree", "leaf", "sym", "lambda_coeff",
     "enumerate_decorated_trees", "forest_formula", "decorated_string",
 ]
+
+
+class _SlotCache(dict):
+    """Sorted tuple of indices -> its native monomial, built by a basis's
+    _slot_element on the first lookup; a hit is a plain dict lookup.  The
+    method is held weakly, so that basis and cache make no cycle."""
+
+    __slots__ = ("element",)
+
+    def __init__(self, element):
+        super().__init__()
+        self.element = WeakMethod(element)
+
+    def __missing__(self, slot):
+        out = self[slot] = self.element()(slot)
+        return out
 
 
 class BasisProvider(ABC):
@@ -45,7 +67,7 @@ class BasisProvider(ABC):
     def __init__(self):
         self._delta_cache: dict = {}
         self._enum_cache: dict = {}
-        self._slot_cache: dict = {}
+        self._slot_cache = _SlotCache(self._slot_element)
 
     def grade(self, i) -> int:
         self.validate(i)
@@ -83,17 +105,11 @@ class BasisProvider(ABC):
     def _tensor(self, arity: int, terms: dict):
         """The native tensor of {tuples of native monomials: coeff}."""
 
-    def _slot(self, slot: tuple):
-        out = self._slot_cache.get(slot)
-        if out is None:
-            out = self._slot_element(slot)
-            self._slot_cache[slot] = out
-        return out
-
     def slot_tensor(self, terms: dict, arity: int):
         """Wrap a {slot-index-tuples: coeff} map in this basis's native
         tensor; each distinct slot is converted once per basis instance."""
-        return self._tensor(arity, {tuple(map(self._slot, slots)): c
+        element = self._slot_cache.__getitem__
+        return self._tensor(arity, {tuple(map(element, slots)): c
                                     for slots, c in terms.items()})
 
 
@@ -327,13 +343,12 @@ _FLAVOR_MAPS = {
 
 
 @cache
-def _shape_maps(parents: tuple, k: int, flavor: str) -> tuple:
-    """The maps of flavor from a tree shape (preorder parent positions) to
-    1..k, strictly increasing from parent to child, as value tuples in
-    lexicographic order; cached per (shape, k, flavor) for the process."""
+def _shape_maps(parents: tuple, k: int) -> tuple:
+    """Every map from a tree shape (preorder parent positions) to 1..k,
+    strictly increasing from parent to child, as (values, flavors) pairs in
+    lexicographic order of the values; flavors names the _FLAVOR_MAPS
+    entries that keep the map.  Cached per (shape, k) for the process."""
     n = len(parents)
-    if flavor != "full" and n < k or flavor == "irr" and n > k:
-        return ()  # no surjection onto more slots, no injection into fewer
     # height[p]: the longest chain below p, which needs that many slots above
     height = [0] * n
     for p in range(n - 1, 0, -1):
@@ -344,8 +359,25 @@ def _shape_maps(parents: tuple, k: int, flavor: str) -> tuple:
         top = k - height[p] + 1
         partial = [vals + (v,) for vals in partial
                    for v in range(1 if q < 0 else vals[q] + 1, top)]
-    keep = _FLAVOR_MAPS[flavor]
-    return tuple(vals for vals in partial if keep(vals, k))
+    out, shared = [], {}  # one flavors tuple per distinct set
+    for vals in partial:
+        flavors = tuple(f for f, keep in _FLAVOR_MAPS.items()
+                        if keep(vals, k))
+        out.append((vals, shared.setdefault(flavors, flavors)))
+    return tuple(out)
+
+
+def _fills(T: DecoratedTree, k: int):
+    """Every strictly order-preserving map from T's vertices to 1..k, in the
+    order of _shape_maps, as (slots, flavors): slots holds, per value, the
+    sorted d2 decorations of the vertices the map sends there."""
+    parents, order, d2s = _flatten(T)
+    pairs = tuple(zip(order, d2s))  # ascending d2: every slot comes sorted
+    for vals, flavors in _shape_maps(parents, k):
+        slots: list = [[] for _ in range(k)]
+        for p, d2 in pairs:
+            slots[vals[p] - 1].append(d2)
+        yield tuple(map(tuple, slots)), flavors
 
 
 def _slot_maps(T: DecoratedTree, k: int, flavor: str):
@@ -354,32 +386,30 @@ def _slot_maps(T: DecoratedTree, k: int, flavor: str):
     reduced: surjective; irr: bijective; full: unconstrained.
 
     The maps depend on T's shape only: they are enumerated once per
-    (shape, k, flavor) and the slots filled from T's decorations."""
-    parents, order, d2s = _flatten(T)
-    for vals in _shape_maps(parents, k, flavor):
-        slots: list = [[] for _ in range(k)]
-        for p, d2 in zip(order, d2s):  # ascending d2: every slot sorted
-            slots[vals[p] - 1].append(d2)
-        yield tuple(map(tuple, slots))
+    (shape, k) and the slots filled from T's decorations."""
+    return (slots for slots, flavors in _fills(T, k) if flavor in flavors)
 
 
-def forest_formula(i, k: int, flavor: str, basis: BasisProvider) -> dict:
-    """sum over decorated trees T in T_i and maps f of lambda(T) C(f).
+def forest_formula(i, k: int, basis: BasisProvider) -> dict:
+    """sum over decorated trees T in T_i and maps f of lambda(T) C(f), for
+    each flavor: reduced (the iterated reduced coproduct), full (the
+    iterated coproduct) and irr (the irreducible part, bijective maps).
 
-    Returns {slot-tuples: coefficient} with each slot a sorted tuple of basis
-    indices (empty tuple = unit, full flavor only).  flavor: reduced (the
-    iterated reduced coproduct), full (the iterated coproduct), irr (the
-    irreducible part, bijective maps).
+    Returns {flavor: {slot-tuples: coefficient}} with each slot a sorted
+    tuple of basis indices (empty tuple = unit, full flavor only).  One walk
+    over the trees and their maps fills each map's slots once and credits
+    lambda(T) to every flavor that keeps the map.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if flavor not in ("reduced", "full", "irr"):
-        raise ValueError("flavor must be reduced, full or irr")
-    acc: dict = {}
+    accs = {flavor: {} for flavor in _FLAVOR_MAPS}
     for T, lam in enumerate_decorated_trees(i, basis):
-        for slots in _slot_maps(T, k, flavor):
-            acc[slots] = acc.get(slots, 0) + lam
-    return {slots: c for slots, c in acc.items() if c}
+        for slots, flavors in _fills(T, k):
+            for flavor in flavors:
+                acc = accs[flavor]
+                acc[slots] = acc.get(slots, 0) + lam
+    return {flavor: {slots: c for slots, c in acc.items() if c}
+            for flavor, acc in accs.items()}
 
 
 def decorated_string(T: DecoratedTree, basis: BasisProvider) -> str:

@@ -91,7 +91,7 @@ def test_criterion_4_forest_formula_oracle_equivalence(monkeypatch):
                         ("full", freeprelie.iterated_coproduct),
                         ("reduced", freeprelie.reduced_iterated_coproduct),
                         ("irr", freeprelie.irr_iterated_coproduct)):
-                    got = ck.slot_tensor(forest_formula(i, k, flavor, ck), k)
+                    got = ck.slot_tensor(forest_formula(i, k, ck)[flavor], k)
                     assert got == direct(t, k), (t.key, k, flavor)
     wb = WordBasis("ab")
     for n in range(1, 6):
@@ -100,7 +100,7 @@ def test_criterion_4_forest_formula_oracle_equivalence(monkeypatch):
             poly = WordPoly({(w,): 1})
             for k in range(1, 5):
                 for flavor in ("full", "reduced", "irr"):
-                    got = wb.slot_tensor(forest_formula(i, k, flavor, wb), k)
+                    got = wb.slot_tensor(forest_formula(i, k, wb)[flavor], k)
                     want = words.word_iterated_coproducts(poly, k, flavor)
                     assert got == want, (w, k, flavor)
 
@@ -108,11 +108,12 @@ def test_criterion_4_forest_formula_oracle_equivalence(monkeypatch):
     # with repeated non-identical subtrees
     t = RootedTree((CHAIN2, CHAIN2))
     honest_basis = CKBasis()
-    honest = forest_formula(honest_basis.index_of(t), 3, "reduced", honest_basis)
+    honest = forest_formula(
+        honest_basis.index_of(t), 3, honest_basis)["reduced"]
     monkeypatch.setattr(prelie.forest, "sym", lambda children: 1)
     mutated_basis = CKBasis()
     mutated = forest_formula(
-        mutated_basis.index_of(t), 3, "reduced", mutated_basis)
+        mutated_basis.index_of(t), 3, mutated_basis)["reduced"]
     monkeypatch.undo()
     assert mutated != honest
     assert honest_basis.slot_tensor(honest, 3) == \

@@ -122,11 +122,14 @@ def _spawn(argv, buffered, stdout):
 
 
 # buffered, a small output fails only when main flushes stdout; unbuffered,
-# it fails in the command's own write or print
+# it fails in the command's own write or print.  Help text is written
+# inside argument parsing, whose stock writer drops the error
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize("argv", [
     ["trees", "--max-order", "3"],
     ["verify", "--suite", "trees", "--max-order", "3"],
+    ["--help"],
+    ["forest", "--help"],
 ])
 @pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
 def test_failed_stdout_write_is_an_input_error(argv, buffered, sink):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -131,21 +133,21 @@ def test_lambda_positive_on_enumerated_trees():
 
 def test_primitive_reduced_is_empty():
     ck = CKBasis()
-    assert forest_formula(ck.index_of(LEAF), 2, "reduced", ck) == {}
+    assert forest_formula(ck.index_of(LEAF), 2, ck)["reduced"] == {}
     wb = WordBasis("ab")
-    assert forest_formula(wb.index_of("ab"), 2, "reduced", wb) == {}
+    assert forest_formula(wb.index_of("ab"), 2, wb)["reduced"] == {}
 
 
 def test_cherry_irr_k2():
     ck = CKBasis()
-    out = forest_formula(ck.index_of(CHERRY), 2, "irr", ck)
+    out = forest_formula(ck.index_of(CHERRY), 2, ck)["irr"]
     key = ((ck.index_of(CHAIN2),), (ck.index_of(LEAF),))
     assert out == {key: 2}
 
 
 def test_word_abc_reduced_k2():
     wb = WordBasis("abc")
-    out = forest_formula(wb.index_of("abc"), 2, "reduced", wb)
+    out = forest_formula(wb.index_of("abc"), 2, wb)["reduced"]
     key = ((wb.index_of("ac"),), (wb.index_of("b"),))
     assert out == {key: 1}
 
@@ -160,7 +162,7 @@ def test_ck_formula_matches_direct_iterates():
                         ("full", freeprelie.iterated_coproduct),
                         ("reduced", freeprelie.reduced_iterated_coproduct),
                         ("irr", freeprelie.irr_iterated_coproduct)):
-                    got = ck.slot_tensor(forest_formula(i, k, flavor, ck), k)
+                    got = ck.slot_tensor(forest_formula(i, k, ck)[flavor], k)
                     assert got == direct(t, k), (t.key, k, flavor)
 
 
@@ -172,7 +174,7 @@ def test_word_formula_matches_direct_iterates():
             poly = words.WordPoly({(w,): 1})
             for k in (2, 3):
                 for flavor in ("full", "reduced", "irr"):
-                    got = wb.slot_tensor(forest_formula(i, k, flavor, wb), k)
+                    got = wb.slot_tensor(forest_formula(i, k, wb)[flavor], k)
                     want = words.word_iterated_coproducts(poly, k, flavor)
                     assert got == want, (w, k, flavor)
 
@@ -187,7 +189,7 @@ def test_word_formula_through_length_six():
             poly = words.WordPoly({(w,): 1})
             for k in (2, 3, 4):
                 for flavor in ("full", "reduced", "irr"):
-                    got = wb.slot_tensor(forest_formula(i, k, flavor, wb), k)
+                    got = wb.slot_tensor(forest_formula(i, k, wb)[flavor], k)
                     want = words.word_iterated_coproducts(poly, k, flavor)
                     assert got == want, (w, k, flavor)
 
@@ -205,7 +207,7 @@ def test_full_flavor_decomposes_into_embedded_reduced():
         for k in (2, 3):
             acc = {}
             for l in range(1, k + 1):
-                red = forest_formula(i, l, "reduced", basis)
+                red = forest_formula(i, l, basis)["reduced"]
                 for positions in combinations(range(k), l):
                     for slots, c in red.items():
                         full_slots = [()] * k
@@ -214,14 +216,14 @@ def test_full_flavor_decomposes_into_embedded_reduced():
                         key = tuple(full_slots)
                         acc[key] = acc.get(key, Fraction(0)) + c
             acc = {key: c for key, c in acc.items() if c}
-            assert acc == forest_formula(i, k, "full", basis), (i, k)
+            assert acc == forest_formula(i, k, basis)["full"], (i, k)
 
 
 def test_grade_is_conserved_termwise():
     ck = CKBasis()
     i = ck.index_of(CHERRY)
     for flavor in ("full", "reduced", "irr"):
-        for slots, c in forest_formula(i, 3, flavor, ck).items():
+        for slots, c in forest_formula(i, 3, ck)[flavor].items():
             assert sum(j[0] for slot in slots for j in slot) == 3
             assert c != 0
 
@@ -232,16 +234,17 @@ def test_symmetry_factor_is_load_bearing(monkeypatch):
     t = RootedTree((CHAIN2, CHAIN2))
     fresh = CKBasis()
     i = fresh.index_of(t)
-    honest = forest_formula(i, 3, "reduced", fresh)
+    honest = forest_formula(i, 3, fresh)["reduced"]
 
     monkeypatch.setattr(prelie.forest, "sym", lambda children: 1)
     broken_basis = CKBasis()
-    broken = forest_formula(broken_basis.index_of(t), 3, "reduced", broken_basis)
+    broken = forest_formula(
+        broken_basis.index_of(t), 3, broken_basis)["reduced"]
     assert broken != honest
 
     monkeypatch.undo()
     again = CKBasis()
-    assert forest_formula(again.index_of(t), 3, "reduced", again) == honest
+    assert forest_formula(again.index_of(t), 3, again)["reduced"] == honest
     assert fresh.slot_tensor(honest, 3) == freeprelie.reduced_iterated_coproduct(t, 3)
 
 
@@ -264,21 +267,26 @@ def _preorder(T):
 
 
 def test_slot_maps_match_brute_force_through_one_shared_memo():
-    # one process-wide cache for every tree, k and flavor: a cache keyed
-    # without k or without the flavor would hand one call the maps of another
+    # one process-wide cache for every tree and k, each map carrying the
+    # flavors that keep it: a cache keyed without k would hand one call the
+    # maps of another.  The formula's one walk must credit each flavor with
+    # exactly the lambda-weighted fills of that flavor's brute-force maps
     prelie.forest._shape_maps.cache_clear()
     ck, wb = CKBasis(), WordBasis("ab")
     jobs = [(ck, ck.index_of(t)) for n in range(1, 6)
             for t in enumerate_trees(n)]
     jobs += [(wb, wb.index_of(w)) for n in range(1, 5)
              for w in words.enumerate_words("ab", n)]
+    flavors = ("full", "reduced", "irr")
     shapes = set()
     for basis, i in jobs:
-        for T, _ in enumerate_decorated_trees(i, basis):
+        sums = {(k, flavor): Counter() for k in range(1, 5)
+                for flavor in flavors}
+        for T, lam in enumerate_decorated_trees(i, basis):
             d2s, parents = _preorder(T)
             shapes.add(parents)
             for k in range(1, 5):
-                for flavor in ("full", "reduced", "irr"):
+                for flavor in flavors:
                     want = Counter()
                     for vals in oracles.brute_slot_maps(parents, k, flavor):
                         slots = [[] for _ in range(k)]
@@ -287,8 +295,13 @@ def test_slot_maps_match_brute_force_through_one_shared_memo():
                         want[tuple(tuple(sorted(s)) for s in slots)] += 1
                     where = (decorated_string(T, basis), k, flavor)
                     assert Counter(_slot_maps(T, k, flavor)) == want, where
-    assert prelie.forest._shape_maps.cache_info().currsize \
-        == 4 * 3 * len(shapes)
+                    for slots, m in want.items():
+                        sums[k, flavor][slots] += lam * m
+        for (k, flavor), want in sums.items():
+            got = forest_formula(i, k, basis)[flavor]
+            assert got == {slots: c for slots, c in want.items() if c}, \
+                (basis.label(i), k, flavor)
+    assert prelie.forest._shape_maps.cache_info().currsize == 4 * len(shapes)
 
 
 @pytest.mark.parametrize("flavor, keep", [
@@ -313,6 +326,24 @@ def test_forest_suite_catches_a_wrong_map_filter(monkeypatch, flavor, keep):
 
 # ---------------------------------------------------------------------------
 # providers and guards
+
+def test_a_basis_is_freed_without_the_cycle_collector():
+    # the slot cache holds its basis's element builder weakly, so a basis
+    # and everything it cached go as soon as the last reference does
+    gc.disable()
+    try:
+        for make, label in ((CKBasis, "[[]]"),
+                            (lambda: WordBasis("ab"), "ab")):
+            basis = make()
+            i = basis.parse(label)
+            basis.slot_tensor(forest_formula(i, 2, basis)["full"], 2)
+            assert basis._slot_cache
+            ref = weakref.ref(basis)
+            del basis
+            assert ref() is None, label
+    finally:
+        gc.enable()
+
 
 def test_index_validation():
     ck = CKBasis()
@@ -365,6 +396,4 @@ def test_formula_argument_guards():
     ck = CKBasis()
     i = ck.index_of(LEAF)
     with pytest.raises(ValueError):
-        forest_formula(i, 0, "full", ck)
-    with pytest.raises(ValueError):
-        forest_formula(i, 2, "bogus", ck)
+        forest_formula(i, 0, ck)

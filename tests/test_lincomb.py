@@ -41,7 +41,7 @@ def integer_routes():
     indices = ([(ck, ck.index_of(t)) for t in TREES + enumerate_trees(5)]
                + [(wb, wb.index_of(w)) for w in WORDS])
     for (basis, i), k, flavor in product(indices, (2, 3), FLAVORS):
-        yield forest_formula(i, k, flavor, basis)
+        yield forest_formula(i, k, basis)[flavor]
 
 
 def test_integer_routes_give_ints():
