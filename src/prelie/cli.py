@@ -9,6 +9,11 @@ series the least cap of the routes that run, read with the routes from
 checks.ROUTES: 12, or 9 where sol1 runs; 8 for forest-formula indices, 6
 for the forest --k, 8 for cumulant word lengths, and per suite for verify)
 unless --unsafe-uncapped is given.
+
+The trees table and the series are lists of flat records, built once as
+tuples of str and int.  ``_json_records`` writes them as
+``json.dumps(..., indent=2)`` would write the same rows as dicts, and
+``csv.writer`` writes the trees CSV from the same tuples.
 """
 
 from __future__ import annotations
@@ -20,14 +25,15 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
+from math import factorial
 
-from . import checks, freeprelie, nc
+from . import checks, nc
 from .checks import FOREST_CAP, ROUTES, SUITES, TREE_CAP
 from .exactnum import format_rational
 from .forest import (CKBasis, WordBasis, decorated_string,
                      enumerate_decorated_trees, _slot_maps)
-from .trees import (enumerate_trees, murua_omega, num_linearizations, sigma,
-                    tree_factorial)
+from .trees import enumerate_trees, murua_omega, sigma, tree_factorial
 
 # table maxlen: a 2-variable free -> monotone conversion through moments
 # takes 1.2 s at 8 and 4.2 s at 9, a 3-variable one 12 s at 8
@@ -38,6 +44,27 @@ K_CAP = 6
 # a grade:ordinal index in ASCII digits; int() would also take "+1", " 2",
 # "1_0" and non-ASCII digits
 _GRADE_ORDINAL = re.compile(r"([0-9]+):([0-9]+)")
+# the columns of the trees table, in the order of its row tuples
+_TREE_FIELDS = ("tree", "order", "index", "sigma", "factorial", "linext", "cm",
+                "omega")
+
+
+def _json_records(fields, rows) -> str:
+    """``json.dumps([dict(zip(fields, row)) for row in rows], indent=2)``
+    for rows of str and int values, each column of one type.
+
+    The pure-Python encoder that json.dumps falls back to under ``indent``
+    is skipped: the strings go through its C escaper column by column, and
+    each row is one %-format of a template built from the field names."""
+    if not rows:
+        return "[]"
+    template = "  {\n%s\n  }" % ",\n".join(
+        "    %s: %%s" % _json_string(f).replace("%", "%%") for f in fields)
+    columns = list(zip(*rows))
+    for j, value in enumerate(rows[0]):
+        if isinstance(value, str):
+            columns[j] = map(_json_string, columns[j])
+    return "[\n%s\n]" % ",\n".join(map(template.__mod__, zip(*columns)))
 
 
 def _write_output(text: str, path) -> int:
@@ -76,23 +103,21 @@ def cmd_trees(args) -> int:
         return _input_error("--max-order must be >= 1")
     rows = []
     for n in range(1, args.max_order + 1):
+        top = factorial(n)
         for idx, t in enumerate(enumerate_trees(n)):
-            rows.append({
-                "tree": t.key,
-                "order": n,
-                "index": "%d:%d" % (n, idx),
-                "sigma": str(sigma(t)),
-                "factorial": str(tree_factorial(t)),
-                "linext": str(num_linearizations(t)),
-                "cm": str(freeprelie.cm_coefficient(t)),
-                "omega": format_rational(murua_omega(t)),
-            })
+            s, fac = sigma(t), tree_factorial(t)
+            # both exact: num_linearizations and freeprelie.cm_coefficient
+            # assert the divisibility
+            linext = top // fac
+            rows.append((t.key, n, "%d:%d" % (n, idx), str(s), str(fac),
+                         str(linext), str(linext // s),
+                         format_rational(murua_omega(t))))
     if args.format == "json":
-        text = json.dumps(rows, indent=2)
+        text = _json_records(_TREE_FIELDS, rows)
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
+        writer = csv.writer(buf)
+        writer.writerow(_TREE_FIELDS)
         writer.writerows(rows)
         text = buf.getvalue()
     return _write_output(text, args.output)
@@ -122,7 +147,9 @@ def cmd_series(args) -> int:
                   "%s vs %s" % (args.method, m, t.key, series.coeff(t),
                                 other.coeff(t)), file=sys.stderr)
             return 1
-    return _write_output(json.dumps(series.to_json(), indent=2), args.output)
+    return _write_output(_json_records(
+        ("forest", "coeff"),
+        [(t.key, str(c)) for t, c in series.items()]), args.output)
 
 
 # ---------------------------------------------------------------------------

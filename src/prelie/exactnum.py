@@ -47,7 +47,13 @@ def bernoulli(n: int) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
+    """Serialize a rational as "p/q", or "p" when the denominator is 1.
+
+    An int or a Fraction is already in that form (a Fraction is in lowest
+    terms with a positive denominator); anything else, a bool or a float
+    say, is read as the Fraction of its exact value first."""
+    if type(q) is int or type(q) is Fraction:
+        return str(q)
     return str(Fraction(q))
 
 

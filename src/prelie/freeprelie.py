@@ -262,9 +262,13 @@ def prelie_exp(a: TermMap, order: int, product=None) -> TermMap:
                          product or prelie)
 
 
-def cm_coefficient(t: RootedTree) -> Fraction:
-    """Connes-Moscovici coefficient |t|!/(sigma(t) t!)."""
-    return Fraction(factorial(t.size), sigma(t) * tree_factorial(t))
+def cm_coefficient(t: RootedTree) -> int:
+    """Connes-Moscovici coefficient |t|!/(sigma(t) t!), an int: it counts
+    the increasing labelings of t up to automorphism, and the automorphisms
+    act freely on them."""
+    cm, rem = divmod(factorial(t.size), sigma(t) * tree_factorial(t))
+    assert rem == 0
+    return cm
 
 
 def magnus_closed_form(order: int) -> TreeSeries:

@@ -207,16 +207,21 @@ def project(terms: dict, flavor: str) -> dict:
 
     'full' keeps every term, 'reduced' ((Id - unit counit) in every slot)
     drops terms with an empty slot, 'irr' keeps terms whose every slot is a
-    single generator.
+    single generator.  len() runs once per distinct slot, the per-term
+    tests are set operations (the empty slot is the one interned unit,
+    EMPTY_FOREST or the empty word monomial).
     """
     if flavor == "full":
         return terms
+    if flavor not in ("reduced", "irr"):
+        raise ValueError("flavor must be full, reduced or irr")
+    slots_seen = set(chain.from_iterable(terms))
     if flavor == "reduced":
-        return {slots: c for slots, c in terms.items() if all(slots)}
-    if flavor == "irr":
+        empty = {s for s in slots_seen if not len(s)}
         return {slots: c for slots, c in terms.items()
-                if all(len(s) == 1 for s in slots)}
-    raise ValueError("flavor must be full, reduced or irr")
+                if empty.isdisjoint(slots)}
+    single = {s for s in slots_seen if len(s) == 1}
+    return {slots: c for slots, c in terms.items() if single.issuperset(slots)}
 
 
 def pair(a: dict, b: dict, weight):

@@ -84,10 +84,20 @@ class NCPartition:
         return "NCPartition(%r)" % (self.blocks,)
 
     def is_irreducible(self) -> bool:
-        return self.n in self.blocks[0]
+        return _irreducible(self.blocks, self.n)
 
     def is_interval(self) -> bool:
-        return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
+        return _interval(self.blocks, self.n)
+
+
+# filters on the block tuple of a partition of [n] (blocks sorted, sorted by
+# minimum), shared by NCPartition and the compiled sums
+def _irreducible(blocks: tuple, n: int) -> bool:
+    return blocks[0][-1] == n
+
+
+def _interval(blocks: tuple, n: int) -> bool:
+    return all(b[-1] - b[0] + 1 == len(b) for b in blocks)
 
 
 @cache
@@ -252,9 +262,9 @@ _SUMS = {
 }
 
 _KEEP = {
-    "all": lambda pi: True,
-    "interval": NCPartition.is_interval,
-    "irreducible": NCPartition.is_irreducible,
+    "all": lambda blocks, n: True,
+    "interval": _interval,
+    "irreducible": _irreducible,
 }
 
 
@@ -267,15 +277,18 @@ def _terms(n: int, pair: tuple) -> tuple:
     lcm of the weights' denominators; a term is (its block ids, its weight
     times L, n - |pi|).  Zero weights are dropped."""
     which, signed, statistic = _SUMS[pair]
+    keep = _KEEP[which]
     kept = []
-    for pi in enumerate_nc(n):
-        if not _KEEP[which](pi):
+    # the blocks as enumerate_nc lists them, unvalidated: the tests check
+    # that every one is a valid NCPartition
+    for blocks, forest in _nc_blocks(n).items():
+        if not keep(blocks, n):
             continue
-        c = Fraction(statistic(nesting_forest(pi)) if statistic else 1)
-        if signed and len(pi) % 2 == 0:
+        c = Fraction(statistic(forest) if statistic else 1)
+        if signed and len(blocks) % 2 == 0:
             c = -c
         if c:
-            kept.append((pi.blocks, c))
+            kept.append((blocks, c))
     L = lcm(*(c.denominator for _, c in kept))
     ids: dict = {}
     terms = tuple((tuple(ids.setdefault(tuple(i - 1 for i in b), len(ids))

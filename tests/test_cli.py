@@ -14,9 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prelie import checks, cli, freeprelie
+from prelie.exactnum import format_rational
 from prelie.freeprelie import TreeSeries
 from prelie.nc import BRANDS, CumulantTable, convert, iter_words
-from prelie.trees import tree_from_string
+from prelie.trees import (enumerate_trees, murua_omega, num_linearizations,
+                          sigma, tree_factorial, tree_from_string)
 
 
 def run(capsys, *argv):
@@ -107,6 +109,68 @@ def test_tree_table_is_byte_stable(capsys, fmt, digest):
     code, out, err = run(capsys, "trees", "--max-order", "10", "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# oracles for the trees and series output: json.dumps under indent and
+# csv.DictWriter on the rows as dicts, built from the library functions
+
+def _dict_tree_rows(max_order):
+    return [{"tree": t.key, "order": n, "index": "%d:%d" % (n, idx),
+             "sigma": str(sigma(t)), "factorial": str(tree_factorial(t)),
+             "linext": str(num_linearizations(t)),
+             "cm": str(freeprelie.cm_coefficient(t)),
+             "omega": format_rational(murua_omega(t))}
+            for n in range(1, max_order + 1)
+            for idx, t in enumerate(enumerate_trees(n))]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_trees_match_the_dict_renderers(capsys, fmt):
+    rows = _dict_tree_rows(8)
+    if fmt == "json":
+        want = json.dumps(rows, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        want = buf.getvalue()
+    code, out, err = run(capsys, "trees", "--max-order", "8", "--format", fmt)
+    assert code == 0 and err == ""
+    assert out == want
+
+
+@pytest.mark.parametrize("which, method", [
+    (which, method) for which in checks.ROUTES for method in checks.ROUTES[which]])
+def test_series_match_the_dict_renderer(capsys, which, method):
+    for order in (1, 5):
+        series = checks.ROUTES[which][method][0](order)
+        code, out, err = run(capsys, "series", "--which", which,
+                             "--method", method, "--order", str(order))
+        assert code == 0 and err == ""
+        assert out == json.dumps(series.to_json(), indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, line separators and non-ASCII
+# text (astral-plane characters escape to surrogate pairs), besides the rest
+_NASTY = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\n\t%\u2028\xe9\U0001d504'),
+    st.characters()), max_size=8)
+
+
+@st.composite
+def _records(draw):
+    fields = draw(st.lists(_NASTY, min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from((_NASTY, st.integers()))) for _ in fields]
+    rows = draw(st.lists(st.tuples(*kinds), max_size=4))
+    return fields, rows
+
+
+@given(_records())
+def test_json_records_equals_json_dumps_with_indent(records):
+    fields, rows = records
+    assert cli._json_records(fields, rows) == json.dumps(
+        [dict(zip(fields, row)) for row in rows], indent=2)
 
 
 SRC = Path(cli.__file__).resolve().parents[1]

@@ -39,6 +39,16 @@ def test_format_parse_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
 
 
+@pytest.mark.parametrize("q, text", [
+    (0, "0"), (-12, "-12"), (10 ** 30, "1" + "0" * 30),
+    (Fraction(6, -4), "-3/2"), (Fraction(8, 4), "2"), (Fraction(0), "0"),
+    (True, "1"), (False, "0"), (0.5, "1/2"), (-2.0, "-2"), (0.1,
+     "3602879701896397/36028797018963968"),
+])
+def test_format_rational_of_each_number_type(q, text):
+    assert format_rational(q) == text
+
+
 def test_parse_accepts_integers_and_whitespace():
     assert parse_rational(" 7 ") == 7
     assert parse_rational("-3/9") == Fraction(-1, 3)

@@ -266,6 +266,14 @@ def test_prelie_exp_coefficients_are_cm_over_factorial():
             assert e.coeff(t) * factorial(n) == cm_coefficient(t)
 
 
+def test_cm_coefficients_are_ints():
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            c = cm_coefficient(t)
+            assert type(c) is int
+            assert c * sigma(t) * tree_factorial(t) == factorial(n)
+
+
 def test_cm_fixtures():
     assert cm_coefficient(LEAF) == 1
     assert cm_coefficient(CHERRY) == 1

@@ -1,5 +1,6 @@
 """The number policy: coefficients are int or Fraction, never float, and a
-Fraction appears only where a division does."""
+Fraction appears only where a division does; and the shared slot
+projections."""
 
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from prelie.freeprelie import (
     iterated_coproduct, magnus_closed_form, magnus_fixed_point, pairing,
     poly_exp, prelie_exp, sol1, tree_part,
 )
+from prelie.lincomb import project
 from prelie.trees import LEAF, enumerate_forests, enumerate_trees
 from prelie.words import (WordPoly, enumerate_words, word_iterated_coproducts,
                           word_prelie_series)
@@ -86,3 +88,27 @@ def test_float_input_becomes_an_exact_fraction():
     assert type(scaled.coeff(LEAF)) is Fraction
     assert scaled.coeff(LEAF) == Fraction(1, 8)
     assert s.scaled(3).coeff(LEAF) == Fraction(3, 2)
+
+
+_KEEPS = {"full": lambda slots: True,
+          "reduced": lambda slots: all(len(s) for s in slots),
+          "irr": lambda slots: all(len(s) == 1 for s in slots)}
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_project_keeps_what_the_slot_definitions_keep(flavor):
+    full = ([iterated_coproduct(t, k).terms for t in TREES for k in (2, 3)]
+            + [word_iterated_coproducts(WordPoly({(w,): 1}), k).terms
+               for w in WORDS for k in (2, 3)])
+    kept = 0
+    for terms in full:
+        got = project(terms, flavor)
+        assert list(got.items()) == [(slots, c) for slots, c in terms.items()
+                                     if _KEEPS[flavor](slots)]
+        kept += len(got)
+    assert kept > 50
+
+
+def test_project_rejects_an_unknown_flavor():
+    with pytest.raises(ValueError):
+        project({}, "nonempty")

@@ -83,6 +83,39 @@ def test_nesting_fixtures():
     assert f.trees == (RootedTree((CHERRY,)),)
 
 
+def test_enumerated_blocks_are_valid_partitions():
+    # the compiled sums read the enumeration's block tuples without building
+    # an NCPartition; every one must pass its validation unchanged
+    for n in range(1, 9):
+        for blocks in nc._nc_blocks(n):
+            pi = NCPartition(blocks)
+            assert pi.blocks == blocks and pi.n == n
+            assert nc._irreducible(blocks, n) == pi.is_irreducible() \
+                == (n in blocks[0])
+            assert nc._interval(blocks, n) == pi.is_interval() == all(
+                set(b) == set(range(b[0], b[-1] + 1)) for b in blocks)
+
+
+@pytest.mark.parametrize("pair", sorted(_SUMS), ids="->".join)
+def test_compiled_sums_follow_the_partition_list(pair):
+    # the terms, in order, of the sum over enumerate_nc's NCPartitions
+    which, signed, statistic = _SUMS[pair]
+    for n in range(1, 8):
+        want = []
+        for pi in enumerate_nc(n):
+            if which == "interval" and not pi.is_interval() or \
+                    which == "irreducible" and not pi.is_irreducible():
+                continue
+            c = Fraction(statistic(nesting_forest(pi)) if statistic else 1)
+            c = -c if signed and len(pi) % 2 == 0 else c
+            if c:
+                want.append((pi.blocks, c))
+        blocks, L, terms = nc._terms(n, pair)
+        got = [(tuple(tuple(i + 1 for i in blocks[j]) for j in ids),
+                Fraction(c, L)) for ids, c, _ in terms]
+        assert got == want
+
+
 def test_nesting_invariants():
     for n in range(1, 7):
         for pi in enumerate_nc(n):
