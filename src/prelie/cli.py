@@ -39,7 +39,7 @@ from .trees import enumerate_trees, murua_omega, sigma, tree_factorial
 # takes 1.2 s at 8 and 4.2 s at 9, a 3-variable one 12 s at 8
 CUMULANT_CAP = 8
 # forest --k, for the grade-8 corolla in full flavor on a 2-core machine:
-# 2.5 s and 100 MB peak RSS at 6, 9.2 s and 318 MB at 7
+# 1.2-1.6 s and 85 MB peak RSS at 6, 5.6 s and 271 MB at 7
 K_CAP = 6
 # a grade:ordinal index in ASCII digits; int() would also take "+1", " 2",
 # "1_0" and non-ASCII digits

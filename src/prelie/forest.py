@@ -3,9 +3,10 @@
 Any connected graded coalgebra whose reduced coproduct has known structure
 constants delta_bar(b_i) = sum lambda^{i;i0}_I b_{i0} (x) b_I can have its
 iterated coproducts assembled combinatorially: sum over decorated trees T
-associated to b_i and over (weak/surjective/bijective) order-preserving maps
-f from the vertices of T onto slots 1..k of lambda(T) times the slotwise
-products of fiber decorations.  The coefficient lambda(T) carries a per-vertex
+associated to b_i and over order-preserving maps f from the vertices of T
+onto slots 1..k of lambda(T) times the slotwise products of fiber
+decorations; this is the iterated reduced coproduct, and the bijective maps
+give its irreducible part.  The coefficient lambda(T) carries a per-vertex
 symmetry factor sym over the child forest; dropping it breaks the formula as
 soon as a vertex has two distinct child trees rooted at the same basis index.
 
@@ -14,10 +15,9 @@ constants read off the coproduct of freeprelie) and the word basis (odd
 factorizations).  Basis indices are (grade, ordinal) pairs tied to the
 deterministic enumerations of the trees/words modules.
 
-The maps depend only on a decorated tree's shape.  They are enumerated once
-per (shape, k), each tagged with the flavors whose filter keeps it, and
-forest_formula sums all three flavors in one walk: each map's slots are
-filled once and lambda(T) is credited to every flavor that keeps the map.
+The onto maps depend only on a decorated tree's shape and are enumerated
+once per (shape, j); the full iterated coproduct is the unit insertion of
+the sums over maps onto 1..j, pushed along each increasing [j] -> [k].
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
+from operator import itemgetter
 from weakref import WeakMethod
 
 from . import freeprelie
@@ -333,83 +334,103 @@ def _flatten(T: DecoratedTree) -> tuple:
     return T._flat
 
 
-# which strictly order-preserving maps each flavor sums over, read off the
-# map's values: reduced takes the surjective ones, irr the bijective ones
-_FLAVOR_MAPS = {
-    "full": lambda vals, k: True,
-    "reduced": lambda vals, k: len(set(vals)) == k,
-    "irr": lambda vals, k: len(vals) == k == len(set(vals)),
-}
-
-
 @cache
-def _shape_maps(parents: tuple, k: int) -> tuple:
-    """Every map from a tree shape (preorder parent positions) to 1..k,
-    strictly increasing from parent to child, as (values, flavors) pairs in
-    lexicographic order of the values; flavors names the _FLAVOR_MAPS
-    entries that keep the map.  Cached per (shape, k) for the process."""
+def _onto_maps(parents: tuple, j: int) -> tuple:
+    """Every map from a tree shape (preorder parent positions) onto 1..j,
+    strictly increasing from parent to child, in lexicographic order.
+    Cached per (shape, j) for the process."""
     n = len(parents)
     # height[p]: the longest chain below p, which needs that many slots above
     height = [0] * n
     for p in range(n - 1, 0, -1):
         q = parents[p]
         height[q] = max(height[q], height[p] + 1)
-    partial = [()]
+    # partial maps with the values they hit as a bit mask: one that misses
+    # more values than it has vertices left can never be onto
+    partial = [((), 0)]
     for p, q in enumerate(parents):
-        top = k - height[p] + 1
-        partial = [vals + (v,) for vals in partial
-                   for v in range(1 if q < 0 else vals[q] + 1, top)]
-    out, shared = [], {}  # one flavors tuple per distinct set
-    for vals in partial:
-        flavors = tuple(f for f, keep in _FLAVOR_MAPS.items()
-                        if keep(vals, k))
-        out.append((vals, shared.setdefault(flavors, flavors)))
-    return tuple(out)
+        top, left = j - height[p] + 1, n - 1 - p
+        partial = [(vals + (v,), hit | 1 << v) for vals, hit in partial
+                   for v in range(1 if q < 0 else vals[q] + 1, top)
+                   if j - (hit | 1 << v).bit_count() <= left]
+    return tuple(vals for vals, _ in partial)
 
 
-def _fills(T: DecoratedTree, k: int):
-    """Every strictly order-preserving map from T's vertices to 1..k, in the
-    order of _shape_maps, as (slots, flavors): slots holds, per value, the
-    sorted d2 decorations of the vertices the map sends there."""
+def _onto_fills(T: DecoratedTree, j: int):
+    """The maps of _onto_maps from T's vertices onto 1..j, as slot contents:
+    per value, the sorted d2 decorations of the vertices sent there."""
     parents, order, d2s = _flatten(T)
     pairs = tuple(zip(order, d2s))  # ascending d2: every slot comes sorted
-    for vals, flavors in _shape_maps(parents, k):
-        slots: list = [[] for _ in range(k)]
+    for vals in _onto_maps(parents, j):
+        slots: list = [[] for _ in range(j)]
         for p, d2 in pairs:
             slots[vals[p] - 1].append(d2)
-        yield tuple(map(tuple, slots)), flavors
+        yield tuple(map(tuple, slots))
+
+
+@cache
+def _injections(j: int, k: int) -> tuple:
+    """One getter per increasing injection [j] -> [k], j < k: applied to j
+    slots followed by (), it returns the k slots with () in the gaps."""
+    return tuple(itemgetter(*(pos.index(p) if p in pos else j
+                              for p in range(k)))
+                 for pos in combinations(range(k), j))
+
+
+def _insert_units(sums: list, k: int) -> dict:
+    """The full flavor from sums[j], the sums over maps onto 1..j: a map to
+    1..k is an onto map to its image followed by the image's increasing
+    injection [j] -> [k], so every key of full arises exactly once."""
+    full = {}
+    for j in range(1, k):
+        padded = [slots + ((),) for slots in sums[j]]
+        for get in _injections(j, k):
+            full.update(zip(map(get, padded), sums[j].values()))
+    full.update(sums[k])
+    return full
 
 
 def _slot_maps(T: DecoratedTree, k: int, flavor: str):
     """Strictly order-preserving maps from T's vertices to 1..k, yielded as
     slot contents (tuple of sorted index tuples built from d2 decorations).
-    reduced: surjective; irr: bijective; full: unconstrained.
-
-    The maps depend on T's shape only: they are enumerated once per
-    (shape, k) and the slots filled from T's decorations."""
-    return (slots for slots, flavors in _fills(T, k) if flavor in flavors)
+    reduced: surjective; irr: bijective; full: unconstrained, the onto maps
+    to every image with units inserted."""
+    n = T.size
+    if flavor == "full":
+        sums = [Counter(_onto_fills(T, j)) if 0 < j <= n else {}
+                for j in range(k + 1)]
+        return Counter(_insert_units(sums, k)).elements()
+    if n == k or n > k and flavor == "reduced":
+        return _onto_fills(T, k)
+    return iter(())
 
 
 def forest_formula(i, k: int, basis: BasisProvider) -> dict:
     """sum over decorated trees T in T_i and maps f of lambda(T) C(f), for
-    each flavor: reduced (the iterated reduced coproduct), full (the
-    iterated coproduct) and irr (the irreducible part, bijective maps).
+    each flavor: reduced (the iterated reduced coproduct, maps onto 1..k),
+    irr (its irreducible part, bijective maps) and full (the iterated
+    coproduct, all maps, as the unit insertion of the onto sums).
 
     Returns {flavor: {slot-tuples: coefficient}} with each slot a sorted
     tuple of basis indices (empty tuple = unit, full flavor only).  One walk
-    over the trees and their maps fills each map's slots once and credits
-    lambda(T) to every flavor that keeps the map.
+    fills each map onto 1..j, j = 1..min(k, |T|), once; irr is the part of
+    the sum for j = k from trees with k vertices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    accs = {flavor: {} for flavor in _FLAVOR_MAPS}
+    sums = [{} for _ in range(k + 1)]  # sums[j]: maps onto 1..j
+    irr: dict = {}
     for T, lam in enumerate_decorated_trees(i, basis):
-        for slots, flavors in _fills(T, k):
-            for flavor in flavors:
-                acc = accs[flavor]
+        n = T.size
+        for j in range(1, min(k, n) + 1):
+            acc = irr if n == j == k else sums[j]
+            for slots in _onto_fills(T, j):
                 acc[slots] = acc.get(slots, 0) + lam
-    return {flavor: {slots: c for slots, c in acc.items() if c}
-            for flavor, acc in accs.items()}
+    sums = [{slots: c for slots, c in acc.items() if c} for acc in sums]
+    irr = {slots: c for slots, c in irr.items() if c}
+    # irr's keys hold k indices, those of a bigger tree's fills more
+    sums[k].update(irr)
+    return {"full": _insert_units(sums, k), "reduced": sums[k], "irr": irr}
 
 
 def decorated_string(T: DecoratedTree, basis: BasisProvider) -> str:

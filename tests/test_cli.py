@@ -404,6 +404,24 @@ def test_forest_ck_cherry_irr(capsys):
                       "slots": ["[[]]", "[]"]}]
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("--basis ck --index 8:0 --k 6 --flavor full",
+     "e6987727b0cefceea999ac7557220a565c04bd072f28e5f91bf667e2965d6a41"),
+    ("--basis ck --index 6:10 --k 4 --flavor reduced",
+     "ec7fbf414e52e3f75b9509544012f8f5458692dc2a4c0d55aa86924f0de4c3c7"),
+    ("--basis ck --index 6:10 --k 6 --flavor irr",
+     "127878ee5081b62fd665af220893a5204047dc20dc7b38dfa4d9a736072427f1"),
+    ("--basis words --index abaab --k 4 --flavor full --format csv",
+     "0ab4967842f30efcb6267a5a315622d9a251be4414b6079727aad5b7328f518f"),
+])
+def test_forest_dump_is_byte_stable(capsys, argv, digest):
+    # every row of each flavor's dump, the grade-8 chain's full dump at the
+    # --k cap among them (187 KB)
+    code, out, err = run(capsys, "forest", *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_forest_index_spellings_agree(capsys):
     code, by_label, _ = run(capsys, "forest", "--basis", "ck",
                             "--index", "[[]]", "--k", "2")
@@ -559,7 +577,9 @@ def _nonzero(side):
 
 @pytest.mark.parametrize("identity, order, instances, nonzero", [
     (checks.brace_coproduct_duality, 5, 17360, 496),
-    (checks.magnus_three_way, 6, 37, 32)])
+    (checks.magnus_three_way, 6, 37, 32),
+    (checks.ck_forest_formula_vs_direct, 5, 153, 139),
+    (checks.word_forest_formula_vs_direct, 5, 558, 458)])
 def test_identities_do_not_pass_on_zeros_alone(identity, order, instances,
                                                nonzero):
     rows = list(identity(order))

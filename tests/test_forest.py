@@ -1,8 +1,6 @@
 import gc
 import weakref
 from collections import Counter
-from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -195,8 +193,10 @@ def test_word_formula_through_length_six():
 
 
 def test_full_flavor_decomposes_into_embedded_reduced():
-    # a weak k-linearization factors uniquely through its image: the full
-    # output is the sum of reduced outputs pushed along increasing injections
+    # full is assembled from the reduced sums pushed along increasing
+    # injections; a weak k-linearization factors uniquely through its image,
+    # so the result must be the lambda-weighted fills of every brute-force
+    # strictly increasing map into 1..k
     ck = CKBasis()
     wb = WordBasis("ab")
     jobs = [(ck, ck.index_of(t)) for n in (1, 2, 3, 4)
@@ -205,18 +205,16 @@ def test_full_flavor_decomposes_into_embedded_reduced():
              for w in words.enumerate_words("ab", n)]
     for basis, i in jobs:
         for k in (2, 3):
-            acc = {}
-            for l in range(1, k + 1):
-                red = forest_formula(i, l, basis)["reduced"]
-                for positions in combinations(range(k), l):
-                    for slots, c in red.items():
-                        full_slots = [()] * k
-                        for j, p in enumerate(positions):
-                            full_slots[p] = slots[j]
-                        key = tuple(full_slots)
-                        acc[key] = acc.get(key, Fraction(0)) + c
-            acc = {key: c for key, c in acc.items() if c}
-            assert acc == forest_formula(i, k, basis)["full"], (i, k)
+            want = Counter()
+            for T, lam in enumerate_decorated_trees(i, basis):
+                d2s, parents = _preorder(T)
+                for vals in oracles.brute_slot_maps(parents, k, "full"):
+                    slots = [[] for _ in range(k)]
+                    for d2, v in zip(d2s, vals):
+                        slots[v - 1].append(d2)
+                    want[tuple(tuple(sorted(s)) for s in slots)] += lam
+            want = {slots: c for slots, c in want.items() if c}
+            assert forest_formula(i, k, basis)["full"] == want, (i, k)
 
 
 def test_grade_is_conserved_termwise():
@@ -267,11 +265,11 @@ def _preorder(T):
 
 
 def test_slot_maps_match_brute_force_through_one_shared_memo():
-    # one process-wide cache for every tree and k, each map carrying the
-    # flavors that keep it: a cache keyed without k would hand one call the
-    # maps of another.  The formula's one walk must credit each flavor with
-    # exactly the lambda-weighted fills of that flavor's brute-force maps
-    prelie.forest._shape_maps.cache_clear()
+    # one process-wide cache of onto maps for every tree and j: a cache keyed
+    # without j would hand one call the maps of another.  The formula's one
+    # walk must credit each flavor with exactly the lambda-weighted fills of
+    # that flavor's brute-force maps
+    prelie.forest._onto_maps.cache_clear()
     ck, wb = CKBasis(), WordBasis("ab")
     jobs = [(ck, ck.index_of(t)) for n in range(1, 6)
             for t in enumerate_trees(n)]
@@ -301,25 +299,32 @@ def test_slot_maps_match_brute_force_through_one_shared_memo():
             got = forest_formula(i, k, basis)[flavor]
             assert got == {slots: c for slots, c in want.items() if c}, \
                 (basis.label(i), k, flavor)
-    assert prelie.forest._shape_maps.cache_info().currsize == 4 * len(shapes)
+    # one entry per shape and j = 1..min(4, vertices): k never exceeds 4
+    assert prelie.forest._onto_maps.cache_info().currsize == sum(
+        min(4, len(parents)) for parents in shapes)
 
 
-@pytest.mark.parametrize("flavor, keep", [
-    ("irr", lambda vals, k: len(vals) == k),  # non-injective maps too
-    ("reduced", lambda vals, k: True),        # non-surjective maps too
+def _irr_from_every_tree(i, k, basis):
+    out = forest_formula(i, k, basis)
+    return dict(out, irr=out["reduced"])
+
+
+@pytest.mark.parametrize("flavor, patch", [
+    # irr summed over the trees of every size, not only those with k vertices
+    ("irr", lambda monkeypatch: monkeypatch.setattr(
+        checks, "forest_formula", _irr_from_every_tree)),
+    # reduced summed over every map into 1..k, not only the onto ones
+    ("reduced", lambda monkeypatch: monkeypatch.setattr(
+        prelie.forest, "_onto_maps",
+        lambda parents, j: oracles.brute_slot_maps(parents, j, "full"))),
 ])
-def test_forest_suite_catches_a_wrong_map_filter(monkeypatch, flavor, keep):
+def test_forest_suite_catches_a_wrong_map_filter(monkeypatch, flavor, patch):
     # the three flavors share one direct iterate per (t, k); a forest side
-    # summing over the wrong maps must still fail its own comparison.  The
-    # maps are cached per process, so the cache is emptied after the patch
-    # (or earlier calls' maps would hide it) and again after the run
-    monkeypatch.setitem(prelie.forest._FLAVOR_MAPS, flavor, keep)
-    prelie.forest._shape_maps.cache_clear()
-    try:
-        failures = {name: failure
-                    for name, _, failure in checks.run("forest", 4)}
-    finally:
-        prelie.forest._shape_maps.cache_clear()
+    # summing over the wrong maps or trees must still fail its own
+    # comparison.  The patch replaces the cached _onto_maps whole, so no map
+    # cached by an earlier call can hide it
+    patch(monkeypatch)
+    failures = {name: failure for name, _, failure in checks.run("forest", 4)}
     for name in ("ck-forest-formula-vs-direct", "word-forest-formula-vs-direct"):
         assert failures[name]["instance"]["flavor"] == flavor, name
 
