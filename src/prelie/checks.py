@@ -174,35 +174,36 @@ def coproduct_grading(order: int):
             yield {"w": w}, len(l[0]) + sum(len(u) for u in r), len(w)
 
 
+def _forest_formula_vs_direct(basis, key, elements, iterate):
+    """The forest formula of each element's index in basis against
+    iterate(element, k), one direct iterate per (element, k) whose projections
+    are the three flavors; each record names the element's label under key."""
+    for element in elements:
+        i = basis.index_of(element)
+        label = basis.label(i)
+        for k in range(2, 5):
+            direct = iterate(element, k)
+            by_flavor = forest_formula(i, k, basis)
+            for flavor in ("full", "reduced", "irr"):
+                yield ({key: label, "k": k, "flavor": flavor},
+                       basis.slot_tensor(by_flavor[flavor], k),
+                       type(direct)(k, project(direct.terms, flavor)))
+
+
 def ck_forest_formula_vs_direct(order: int):
-    ck = CKBasis()
-    for n in range(1, order + 1):
-        for t in enumerate_trees(n):
-            i = ck.index_of(t)
-            for k in range(2, 5):
-                # one direct iterate per (t, k); its reduced and irr parts
-                # are what reduced_/irr_iterated_coproduct return
-                full = freeprelie.iterated_coproduct(t, k).terms
-                by_flavor = forest_formula(i, k, ck)
-                for flavor in ("full", "reduced", "irr"):
-                    yield ({"tree": t.key, "k": k, "flavor": flavor},
-                           ck.slot_tensor(by_flavor[flavor], k),
-                           TensorPoly(k, project(full, flavor)))
+    yield from _forest_formula_vs_direct(
+        CKBasis(), "tree",
+        (t for n in range(1, order + 1) for t in enumerate_trees(n)),
+        freeprelie.iterated_coproduct)
 
 
 def word_forest_formula_vs_direct(order: int):
-    wb = WordBasis("ab")
-    for n in range(1, min(order, 5) + 1):
-        for w in words.enumerate_words("ab", n):
-            i = wb.index_of(w)
-            poly = words.WordPoly({(w,): 1})
-            for k in range(2, 5):
-                full = words.word_iterated_coproducts(poly, k).terms
-                by_flavor = forest_formula(i, k, wb)
-                for flavor in ("full", "reduced", "irr"):
-                    yield ({"word": w, "k": k, "flavor": flavor},
-                           wb.slot_tensor(by_flavor[flavor], k),
-                           words.WordTensor(k, project(full, flavor)))
+    yield from _forest_formula_vs_direct(
+        WordBasis("ab"), "word",
+        (w for n in range(1, min(order, 5) + 1)
+         for w in words.enumerate_words("ab", n)),
+        lambda w, k: words.word_iterated_coproducts(
+            words.WordPoly({(w,): 1}), k))
 
 
 def _random_tables(order: int) -> list:

@@ -67,6 +67,15 @@ def _json_records(fields, rows) -> str:
     return "[\n%s\n]" % ",\n".join(map(template.__mod__, zip(*columns)))
 
 
+def _csv_records(fields, rows) -> str:
+    """The header row fields, then rows, as ``csv.writer`` writes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fields)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _write_output(text: str, path) -> int:
     """Write text to stdout or to path; the exit code, 2 if path cannot be
     written."""
@@ -115,11 +124,7 @@ def cmd_trees(args) -> int:
     if args.format == "json":
         text = _json_records(_TREE_FIELDS, rows)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_TREE_FIELDS)
-        writer.writerows(rows)
-        text = buf.getvalue()
+        text = _csv_records(_TREE_FIELDS, rows)
     return _write_output(text, args.output)
 
 
@@ -219,7 +224,7 @@ def cmd_forest(args) -> int:
     labels: dict = {}  # one string per distinct slot, shared by the lines
     for T, lam in enumerate_decorated_trees(index, basis):
         tree_str = decorated_string(T, basis)
-        for slots in sorted(_slot_maps(T, args.k, args.flavor)):
+        for slots in _slot_maps(T, args.k, args.flavor):
             rendered = []
             for slot in slots:
                 text = labels.get(slot)
@@ -234,12 +239,9 @@ def cmd_forest(args) -> int:
             json.dumps({"tree": t, "lambda": str(lam), "slots": slots})
             for t, slots, lam in lines)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["tree", "lambda"] + ["slot%d" % (j + 1) for j in range(args.k)])
-        for t, slots, lam in lines:
-            writer.writerow([t, str(lam)] + slots)
-        text = buf.getvalue()
+        text = _csv_records(
+            ["tree", "lambda"] + ["slot%d" % (j + 1) for j in range(args.k)],
+            ([t, str(lam)] + slots for t, slots, lam in lines))
     return _write_output(text, args.output)
 
 

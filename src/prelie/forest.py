@@ -13,7 +13,9 @@ soon as a vertex has two distinct child trees rooted at the same basis index.
 Two providers are included: the Connes-Kreimer basis (rooted trees, structure
 constants read off the coproduct of freeprelie) and the word basis (odd
 factorizations).  Basis indices are (grade, ordinal) pairs tied to the
-deterministic enumerations of the trees/words modules.
+deterministic enumerations of the trees/words modules.  A provider's
+delta_bar is computed once per index, by the per-basis cache of
+enumerate_decorated_trees.
 
 The onto maps depend only on a decorated tree's shape and are enumerated
 once per (shape, j); the full iterated coproduct is the unit insertion of
@@ -62,33 +64,20 @@ class BasisProvider(ABC):
 
     Indices are (grade, ordinal) pairs.  delta_bar(i) lists the terms of the
     reduced coproduct of b_i as (i0, I, coefficient) with I a sorted tuple of
-    indices; every term satisfies grade(i0) + sum of grades over I = grade(i).
+    indices; the grades of i0 and of the indices in I sum to the grade of i.
     """
 
     def __init__(self):
-        self._delta_cache: dict = {}
         self._enum_cache: dict = {}
         self._slot_cache = _SlotCache(self._slot_element)
-
-    def grade(self, i) -> int:
-        self.validate(i)
-        return i[0]
 
     @abstractmethod
     def validate(self, i) -> None:
         """Raise ValueError when i is not an index of this basis."""
 
     @abstractmethod
-    def _delta_bar_terms(self, i) -> tuple:
-        ...
-
     def delta_bar(self, i) -> tuple:
-        out = self._delta_cache.get(i)
-        if out is None:
-            self.validate(i)
-            out = self._delta_bar_terms(i)
-            self._delta_cache[i] = out
-        return out
+        """The terms of delta_bar(b_i); ValueError when i is no index."""
 
     @abstractmethod
     def label(self, i) -> str:
@@ -133,7 +122,7 @@ class CKBasis(BasisProvider):
     def index_of(self, t) -> tuple:
         return (t.size, tree_rank(t))
 
-    def _delta_bar_terms(self, i) -> tuple:
+    def delta_bar(self, i) -> tuple:
         out = []
         for (trunk, pruning), c in freeprelie._delta_tree(self.tree(i)).items():
             if trunk and pruning:  # skip the 1 (x) t and t (x) 1 corners
@@ -163,10 +152,12 @@ class WordBasis(BasisProvider):
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be nonempty without repeats")
-        if ":" in self.alphabet:
-            # a ":" in an index marks a grade:ordinal pair, never a word
-            raise ValueError("alphabet %r holds ':', which marks a "
-                             "grade:ordinal index" % "".join(self.alphabet))
+        for mark, role in ((":", "marks a grade:ordinal index"),
+                           ("1", "renders the unit slot"),
+                           ("·", "joins the words of a slot")):
+            if mark in self.alphabet:
+                raise ValueError("alphabet %r holds %r, which %s"
+                                 % ("".join(self.alphabet), mark, role))
         self._pos = {a: p for p, a in enumerate(self.alphabet)}
 
     def validate(self, i) -> None:
@@ -191,7 +182,7 @@ class WordBasis(BasisProvider):
             rank = rank * len(self.alphabet) + self._pos[a]
         return (len(w), rank)
 
-    def _delta_bar_terms(self, i) -> tuple:
+    def delta_bar(self, i) -> tuple:
         w = self.word(i)
         out = []
         for (left, right), c in word_dual_coproduct(w).terms.items():
@@ -290,11 +281,11 @@ def lambda_coeff(T: DecoratedTree, basis: BasisProvider):
 def enumerate_decorated_trees(i, basis: BasisProvider) -> tuple:
     """All decorated trees associated to b_i with nonzero lambda, as
     (tree, lambda) pairs, the bare leaf first.  Finite because every vertex
-    consumes at least one unit of grade.  Cached per basis instance."""
+    consumes at least one unit of grade.  Cached per basis instance, so
+    delta_bar(i) is computed once per index."""
     out = basis._enum_cache.get(i)
     if out is not None:
         return out
-    basis.validate(i)
     result = [(leaf(i), 1)]
     for i0, I, const in basis.delta_bar(i):
         mult = Counter(I)

@@ -11,7 +11,7 @@ sums (which partitions, which sign, which nesting-forest weight).
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb
 
 from prelie.nc import _SUMS
 from prelie.trees import Forest, RootedTree, labeled

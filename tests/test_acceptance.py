@@ -13,16 +13,15 @@ from math import factorial
 import prelie.forest
 from prelie import freeprelie, nc, words
 from prelie.forest import (
-    CKBasis, DecoratedTree, WordBasis, enumerate_decorated_trees,
-    forest_formula, lambda_coeff, leaf,
+    CKBasis, DecoratedTree, WordBasis, forest_formula, lambda_coeff, leaf,
 )
 from prelie.freeprelie import (
     cm_coefficient, magnus_closed_form, magnus_fixed_point, poly_exp,
     prelie_exp, sol1, tree_part,
 )
 from prelie.trees import (
-    Forest, LEAF, RootedTree, enumerate_trees, murua_omega,
-    murua_omega_recursive, sigma, tree_factorial,
+    LEAF, RootedTree, enumerate_trees, murua_omega, murua_omega_recursive,
+    sigma, tree_factorial,
 )
 from prelie.words import (
     WordPoly, WordTensor, enumerate_words, monomial, word_brace,

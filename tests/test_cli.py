@@ -571,6 +571,17 @@ def test_verify_all_counts_are_pinned(capsys):
         "PASS cumulants.exp-magnus-functionals (56 instances)"]
 
 
+def test_verify_forest_counts_are_pinned_past_the_word_bound(capsys):
+    # the word side stops at length 5, so order 6 is the first whose word
+    # count equals that of the order below
+    code, out, err = run(capsys, "verify", "--suite", "forest", "--max-order",
+                         "6")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "PASS forest.ck-forest-formula-vs-direct (333 instances)",
+        "PASS forest.word-forest-formula-vs-direct (558 instances)"]
+
+
 def _nonzero(side):
     return any(side) if isinstance(side, tuple) else bool(side)
 
@@ -641,6 +652,22 @@ def test_forest_rejects_colon_in_alphabet(capsys, alphabet, index):
     assert code == 2 and out == ""
     assert err == "error: bad --alphabet: alphabet %r holds ':', which marks " \
                   "a grade:ordinal index\n" % alphabet
+
+
+@pytest.mark.parametrize("alphabet, rest, mark, role", [
+    ("1a", "--index a1a --k 3 --flavor full", "1", "renders the unit slot"),
+    ("ab·", "--index aba·bab --k 2", "·", "joins the words of a slot"),
+])
+def test_forest_rejects_slot_marks_in_alphabet(capsys, alphabet, rest, mark,
+                                               role):
+    # with the letter 1 the word "1" prints as the unit slot does, and with
+    # the letter · the word "a·b" as the monomial a·b: two different rows of
+    # each of these dumps would print the same
+    code, out, err = run(capsys, "forest", "--basis", "words", "--alphabet",
+                         alphabet, *rest.split())
+    assert code == 2 and out == ""
+    assert err == "error: bad --alphabet: alphabet %r holds %r, which %s\n" \
+                  % (alphabet, mark, role)
 
 
 @pytest.mark.parametrize("values", [["1", "2"], {"a": 3}])

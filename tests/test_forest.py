@@ -11,9 +11,7 @@ from prelie.forest import (
     CKBasis, DecoratedTree, WordBasis, _slot_maps, decorated_string,
     enumerate_decorated_trees, forest_formula, lambda_coeff, leaf, sym,
 )
-from prelie.trees import (
-    Forest, LEAF, RootedTree, enumerate_trees, tree_from_string,
-)
+from prelie.trees import LEAF, RootedTree, enumerate_trees
 
 CHAIN2 = RootedTree((LEAF,))
 CHERRY = RootedTree((LEAF, LEAF))
@@ -370,19 +368,33 @@ def test_index_validation():
         WordBasis("aa")
 
 
+def test_bad_indices_raise_where_they_are_decoded():
+    # delta_bar, the enumeration and label validate no index of their own:
+    # decoding it as a tree or a word does.  A fresh basis each time, so no
+    # cached enumeration answers first
+    for make, out_of_range in ((CKBasis, (3, 2)),
+                               (lambda: WordBasis("ab"), (2, 4))):
+        for i in (out_of_range, (1, "0"), (1.5, 0)):
+            for call in (lambda b, i: b.delta_bar(i),
+                         lambda b, i: enumerate_decorated_trees(i, b),
+                         lambda b, i: b.label(i)):
+                with pytest.raises(ValueError):
+                    call(make(), i)
+
+
 def test_index_label_parse_round_trip():
     ck = CKBasis()
     for n in range(1, 5):
         for t in enumerate_trees(n):
             i = ck.index_of(t)
-            assert ck.grade(i) == n
+            assert i[0] == n
             assert ck.parse(ck.label(i)) == i
             assert ck.tree(i) == t
     wb = WordBasis("ab")
     for n in range(1, 4):
         for w in words.enumerate_words("ab", n):
             i = wb.index_of(w)
-            assert wb.grade(i) == n
+            assert i[0] == n
             assert wb.parse(wb.label(i)) == i
             assert wb.word(i) == w
 

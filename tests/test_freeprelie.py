@@ -14,11 +14,11 @@ from prelie.freeprelie import (
     gl_product, graft, irr_iterated_coproduct, iterated_coproduct,
     magnus_closed_form, magnus_fixed_point, pairing, poly_exp, poly_mul,
     prelie, prelie_exp, reduced_iterated_coproduct, sol1, tensor_pairing,
-    tree_part, tree_series_to_poly,
+    tree_part,
 )
 from prelie.trees import (
     EMPTY_FOREST, Forest, LEAF, RootedTree, enumerate_forests, enumerate_trees,
-    murua_omega, sigma, tree_factorial, tree_from_string,
+    sigma, tree_factorial, tree_from_string,
 )
 
 CHAIN2 = RootedTree((LEAF,))

@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -13,7 +12,7 @@ from prelie.nc import (
     enumerate_nc, enumerate_nc_irr, forest_factorial, forest_omega,
     iter_words, nesting_forest,
 )
-from prelie.trees import Forest, LEAF, RootedTree, murua_omega
+from prelie.trees import LEAF, RootedTree, murua_omega
 from prelie.words import WordPoly, word_prelie_series
 
 CHAIN2 = RootedTree((LEAF,))
