@@ -187,7 +187,7 @@ def _forest_formula_vs_direct(basis, key, elements, iterate):
             for flavor in ("full", "reduced", "irr"):
                 yield ({key: label, "k": k, "flavor": flavor},
                        basis.slot_tensor(by_flavor[flavor], k),
-                       type(direct)(k, project(direct.terms, flavor)))
+                       project(direct, flavor))
 
 
 def ck_forest_formula_vs_direct(order: int):

@@ -4,11 +4,11 @@ dumps, cumulant conversion, and the verification suites of ``prelie.checks``.
 Exit codes: 0 success, 1 verification failure, 2 input error (an output
 that cannot be written, stdout included, counts as one).  Output is
 deterministic for a given configuration; rationals are always rendered as
-strings ("p/q").  Enumeration orders are capped (12 for tree tables; for
-series the least cap of the routes that run, read with the routes from
-checks.ROUTES: 12, or 9 where sol1 runs; 8 for forest-formula indices, 6
-for the forest --k, 8 for cumulant word lengths, and per suite for verify)
-unless --unsafe-uncapped is given.
+strings ("p/q").  Unless --unsafe-uncapped is given, enumeration orders are
+capped: tree tables at TREE_CAP; series at the least cap of the routes that
+run, read with the routes from ROUTES; forest-formula indices at FOREST_CAP
+and the forest --k at K_CAP; cumulant word lengths at CUMULANT_CAP; verify
+at each suite's cap in SUITES.
 
 The trees table and the series are lists of flat records, built once as
 tuples of str and int.  ``_json_records`` writes them as

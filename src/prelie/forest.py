@@ -282,7 +282,9 @@ def enumerate_decorated_trees(i, basis: BasisProvider) -> tuple:
     """All decorated trees associated to b_i with nonzero lambda, as
     (tree, lambda) pairs, the bare leaf first.  Finite because every vertex
     consumes at least one unit of grade.  Cached per basis instance, so
-    delta_bar(i) is computed once per index."""
+    delta_bar(i) is computed once per index.  i is validated first: a cached
+    (2, 0) must not answer for (2, 0.0)."""
+    basis.validate(i)
     out = basis._enum_cache.get(i)
     if out is not None:
         return out

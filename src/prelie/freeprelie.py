@@ -7,9 +7,10 @@ one-argument brace graft(t, u) = t{u}, and the Grossman-Larson product of
 forests is a * b = B-(B+(a){b}) (Oudom-Guin): each tree of b goes below a
 vertex of a or becomes a component of its own.  Coproduct: Connes-Kreimer,
 the admissible cuts with the trunk on the left and the pruning on the right,
-with iterated, reduced and irreducible variants.  It is multiplicative on
-forests, and on a tree B+(f) it follows from the coproduct of the branch
-forest f by the B+ cocycle
+and its left iterates, whose reduced and irreducible parts lincomb.project
+takes, as for words.  The coproduct is multiplicative on forests, and on a
+tree B+(f) it follows from the coproduct of the branch forest f by the B+
+cocycle
 
     Delta(B+(f)) = 1 (x) B+(f) + (B+ (x) id) Delta(f),
 
@@ -37,7 +38,7 @@ from math import comb, factorial, prod
 
 from .exactnum import bernoulli
 from .lincomb import (Tensor, TermMap, bilinear, iterate_coproduct,
-                      multiplicative_coproduct, pair, project)
+                      multiplicative_coproduct, pair)
 from .trees import (
     EMPTY_FOREST, Forest, RootedTree, b_minus, b_plus, enumerate_trees,
     murua_omega, sigma, tree_factorial,
@@ -46,8 +47,7 @@ from .trees import (
 __all__ = [
     "TreeSeries", "ForestPoly", "TensorPoly",
     "graft", "prelie", "brace", "gl_product", "poly_mul",
-    "ck_coproduct", "iterated_coproduct", "reduced_iterated_coproduct",
-    "irr_iterated_coproduct",
+    "ck_coproduct", "iterated_coproduct",
     "pairing", "tensor_pairing",
     "prelie_exp", "cm_coefficient",
     "magnus_closed_form", "magnus_fixed_point", "sol1", "poly_exp",
@@ -209,16 +209,6 @@ def iterated_coproduct(x, k: int) -> TensorPoly:
     """delta^[k] by left iteration (k = 1 is the identity)."""
     poly = _as_forest_poly(x)
     return TensorPoly(k, iterate_coproduct(_delta_forest, poly.terms, k))
-
-
-def reduced_iterated_coproduct(x, k: int) -> TensorPoly:
-    """(Id - unit counit)^(x)k of delta^[k]: drop terms with an empty slot."""
-    return TensorPoly(k, project(iterated_coproduct(x, k).terms, "reduced"))
-
-
-def irr_iterated_coproduct(x, k: int) -> TensorPoly:
-    """delta_irr^[k]: project every slot onto single-tree monomials."""
-    return TensorPoly(k, project(iterated_coproduct(x, k).terms, "irr"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ new objects, terms dicts are never shared, so concurrent readers are safe.
 The module functions are the loops every graded algebra in the package
 shares: the bilinear extension of a product of basis keys, the
 multiplicative extension of a coproduct from generators to monomials, its
-left iteration, the reduced/irreducible slot projections, and the pairing
-of two term dicts under a diagonal weight.
+left iteration, the one projection of a tensor onto its reduced or
+irreducible slots (the flavors of an iterated coproduct, for every
+algebra), and the pairing of two term dicts under a diagonal weight.
 """
 
 from __future__ import annotations
@@ -202,26 +203,26 @@ def iterate_coproduct(delta2, x_terms: dict, k: int) -> dict:
     return cur
 
 
-def project(terms: dict, flavor: str) -> dict:
-    """Slot projection of a tensor's terms, len(slot) counting generators.
+def project(tensor: Tensor, flavor: str) -> Tensor:
+    """Slot projection of a tensor, in its type and arity; len(slot) counts
+    generators.
 
-    'full' keeps every term, 'reduced' ((Id - unit counit) in every slot)
-    drops terms with an empty slot, 'irr' keeps terms whose every slot is a
-    single generator.  len() runs once per distinct slot, the per-term
-    tests are set operations (the empty slot is the one interned unit,
-    EMPTY_FOREST or the empty word monomial).
+    'full' returns the tensor itself, 'reduced' ((Id - unit counit) in every
+    slot) keeps the terms whose every slot is nonempty, 'irr' those whose
+    every slot is a single generator.  len() runs once per distinct slot,
+    the per-term test is a set operation.
     """
     if flavor == "full":
-        return terms
-    if flavor not in ("reduced", "irr"):
-        raise ValueError("flavor must be full, reduced or irr")
-    slots_seen = set(chain.from_iterable(terms))
+        return tensor
+    slots_seen = set(chain.from_iterable(tensor.terms))
     if flavor == "reduced":
-        empty = {s for s in slots_seen if not len(s)}
-        return {slots: c for slots, c in terms.items()
-                if empty.isdisjoint(slots)}
-    single = {s for s in slots_seen if len(s) == 1}
-    return {slots: c for slots, c in terms.items() if single.issuperset(slots)}
+        keep = {s for s in slots_seen if len(s)}
+    elif flavor == "irr":
+        keep = {s for s in slots_seen if len(s) == 1}
+    else:
+        raise ValueError("flavor must be full, reduced or irr")
+    return tensor._with({slots: c for slots, c in tensor.terms.items()
+                         if keep.issuperset(slots)}, None)
 
 
 def pair(a: dict, b: dict, weight):

@@ -23,14 +23,15 @@ builds them from the branches' coefficients by a binomial-basis product and
 an index shift for the root.  As d/dx C(x, k) at 0 is (-1)^(k-1)/k, omega is
 W_t'(0); murua_omega reads it from the values W_t(1..|t|), the weak
 linearization counts, with one weight vector per order (Lagrange at the
-nodes 0..|t|), never forming the a_k.  murua_omega_recursive recomputes
-omega through the Bernoulli-weighted sum over root-containing vertex
-selections of B-(t), walking the parent and children arrays of its
-LabeledForest: the factorial s! of a selection is the product, over its
-vertices, of the number of selected vertices at or below each, so no induced
-shape is built, and only the cut-above components are built as trees.  It
-reads neither the weak counts nor the a_k.  The two routes must agree on
-every tree.
+nodes 0..|t|), never forming the a_k.  It keeps no memo of its own: the
+weights and the values are cached, and it takes one dot product of them.
+murua_omega_recursive recomputes omega through the Bernoulli-weighted sum
+over root-containing vertex selections of B-(t), walking the parent and
+children arrays of its LabeledForest: the factorial s! of a selection is the
+product, over its vertices, of the number of selected vertices at or below
+each, so no induced shape is built, and only the cut-above components are
+built as trees.  It reads neither the weak counts nor the a_k.  The two
+routes must agree on every tree.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ __all__ = [
     "sigma", "tree_factorial", "forest_factorial", "num_linearizations",
     "count_k_linearizations", "count_weak_k_linearizations",
     "murua_omega", "murua_omega_forest", "murua_omega_recursive",
-    "LabeledForest", "labeled",
+    "LabeledForest",
 ]
 
 
@@ -343,11 +344,6 @@ def _weak_values(t: RootedTree, m: int) -> tuple:
     return tuple(accumulate(terms, initial=0))
 
 
-def murua_omega(t: RootedTree) -> Fraction:
-    """omega(t) = sum_{k=1..|t|} ((-1)^(k-1)/k) * |k-lin(t)| = W_t'(0)."""
-    return _omega(t)
-
-
 @cache
 def _omega_weights(n: int) -> tuple:
     """(L, (w_1, ..., w_n)) with L = lcm(1..n) and
@@ -358,10 +354,10 @@ def _omega_weights(n: int) -> tuple:
                     for j in range(1, n + 1))
 
 
-@cache
-def _omega(t: RootedTree) -> Fraction:
-    # omega(t) = W_t'(0): the order polynomial has degree |t| and W_t(0) = 0,
-    # so its values at 1..|t| fix the derivative; one Fraction is normalised
+def murua_omega(t: RootedTree) -> Fraction:
+    """omega(t) = sum_{k=1..|t|} ((-1)^(k-1)/k) * |k-lin(t)| = W_t'(0)."""
+    # the order polynomial has degree |t| and W_t(0) = 0, so its values at
+    # 1..|t| fix the derivative; one Fraction is normalised
     L, weights = _omega_weights(t.size)
     values = _weak_values(t, t.size)
     return Fraction(sum(map(mul, weights, values[1:])), L)
@@ -409,13 +405,6 @@ class LabeledForest:
         self.roots = tuple(roots)
 
 
-def labeled(f: Forest) -> LabeledForest:
-    return _labeled(f)
-
-
-_labeled = cache(LabeledForest)
-
-
 def murua_omega_recursive(t: RootedTree) -> Fraction:
     """omega via the Bernoulli recursion over root-containing selections.
 
@@ -433,7 +422,7 @@ def murua_omega_recursive(t: RootedTree) -> Fraction:
 def _omega_rec(t: RootedTree) -> Fraction:
     if t.size == 1:
         return Fraction(1)
-    lf = labeled(b_minus(t))
+    lf = LabeledForest(b_minus(t))
     n, parent, children, roots = lf.n, lf.parent, lf.children, lf.roots
     others = [v for v in range(n) if parent[v] is not None]
     out = Fraction(0)

@@ -6,7 +6,10 @@ permutations and over n-tuples of interior cut positions (ends stay nonempty,
 consecutive insertion points may coincide).  Dual to it is the coproduct
 delta_bar(w), a sum over odd-length factorizations w = w_1 ... w_{2m+1} with
 nonempty ends and even factors; the left slot keeps the concatenated odd
-factors, the right slot the commutative product of even factors.
+factors, the right slot the commutative product of even factors.  With
+w (x) 1 + 1 (x) w added and extended multiplicatively to monomials it is
+the full coproduct that word_iterated_coproducts iterates on the left;
+lincomb.project takes the reduced and irreducible parts of the iterates.
 
 Monomials are multisets of words, stored as sorted tuples; () is the unit.
 The pairing is the permanent extension of the orthonormal one on words:
@@ -21,12 +24,12 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 from .lincomb import (Tensor, TermMap, bilinear, iterate_coproduct,
-                      multiplicative_coproduct, pair, project)
+                      multiplicative_coproduct, pair)
 
 __all__ = [
     "WordPoly", "WordTensor", "monomial", "enumerate_words",
     "word_prelie", "word_prelie_series", "word_brace", "word_dual_coproduct",
-    "word_full_coproduct", "word_iterated_coproducts", "word_pairing",
+    "word_iterated_coproducts", "word_pairing",
 ]
 
 
@@ -154,16 +157,11 @@ def _join(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
-def word_full_coproduct(x: WordPoly) -> WordTensor:
-    """delta = delta_bar + 1 (x) w + w (x) 1 on words, multiplicative on monomials."""
-    return word_iterated_coproducts(x, 2)
-
-
-def word_iterated_coproducts(x: WordPoly, k: int, flavor: str = "full") -> WordTensor:
-    """delta^[k] of x; flavor 'reduced' drops empty slots, 'irr' keeps only
-    tensors of single words."""
-    return WordTensor(k, project(iterate_coproduct(_delta_monomial, x.terms, k),
-                                 flavor))
+def word_iterated_coproducts(x: WordPoly, k: int) -> WordTensor:
+    """delta^[k] of x, delta = delta_bar + 1 (x) w + w (x) 1 on words and
+    multiplicative on monomials; lincomb.project takes its reduced and
+    irreducible parts."""
+    return WordTensor(k, iterate_coproduct(_delta_monomial, x.terms, k))
 
 
 def _mono_pairing(u: tuple, v: tuple) -> int:

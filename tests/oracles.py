@@ -14,7 +14,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from prelie.nc import _SUMS
-from prelie.trees import Forest, RootedTree, labeled
+from prelie.trees import Forest, LabeledForest, RootedTree
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def catalan_by_convolution(n_max: int) -> list:
 # poset maps on concrete vertex sets
 
 def _poset(f: Forest):
-    lf = labeled(f)
+    lf = LabeledForest(f)
     parent = tuple(-1 if p is None else p for p in lf.parent)
     return lf.n, parent
 
@@ -94,7 +94,7 @@ def brute_slot_maps(parents: tuple, k: int, flavor: str) -> tuple:
 
 def brute_automorphisms(t: RootedTree) -> int:
     """Order of Aut(t): vertex permutations fixing the root and the parent map."""
-    lf = labeled(Forest((t,)))
+    lf = LabeledForest(Forest((t,)))
     n, parent = lf.n, lf.parent
     count = 0
     for perm in permutations(range(n)):
@@ -111,7 +111,7 @@ def brute_automorphisms(t: RootedTree) -> int:
 def brute_admissible_cuts(t: RootedTree) -> dict:
     """All antichain edge subsets (edges named by their lower vertex),
     aggregated as {(trunk_key, pruning_key): count}; includes the empty cut."""
-    lf = labeled(Forest((t,)))
+    lf = LabeledForest(Forest((t,)))
     n, parent = lf.n, lf.parent
     children = lf.children
 
@@ -148,7 +148,7 @@ def simultaneous_grafting(t: RootedTree, args) -> dict:
     """t{u_1,..,u_n} computed as the sum over all ways to attach every u_i
     below some vertex of t simultaneously.  Returns {RootedTree: int}."""
     args = tuple(args)
-    lf = labeled(Forest((t,)))
+    lf = LabeledForest(Forest((t,)))
     n, children = lf.n, lf.children
     out: dict = {}
     for targets in product(range(n), repeat=len(args)):
@@ -194,7 +194,7 @@ def oudom_guin_brace(prelie_on_basis, x, args) -> dict:
 def brute_gl_product(fa: Forest, fb: Forest) -> dict:
     """fa * fb as the sum over all maps sending each tree of fb below some
     vertex of fa or to a new component of its own.  Returns {Forest: int}."""
-    lf = labeled(fa)
+    lf = LabeledForest(fa)
     n, children, args = lf.n, lf.children, fb.trees
     out: dict = {}
     for targets in product(range(n + 1), repeat=len(args)):  # n: new component

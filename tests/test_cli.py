@@ -111,6 +111,25 @@ def test_tree_table_is_byte_stable(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of each order-7 series; every route of a series prints the same
+# bytes, so one digest per series
+_SERIES_DIGESTS = {
+    "exp": "b8fad6efbbb96eb3a6ce918d37a757595ab1006fb5e095fb9e8f06b03e583c05",
+    "magnus": "017d30a0cfc3dfb49093474894513a4b2ca99addb563e0c9071016992cf07a56",
+}
+
+
+@pytest.mark.parametrize("which, method", [
+    (which, method) for which in checks.ROUTES for method in checks.ROUTES[which]])
+def test_series_is_byte_stable(capsys, which, method):
+    # the routes are compared with each other in-process; this pins each
+    # one's output, so an edit inside a route shows on its own
+    code, out, err = run(capsys, "series", "--which", which, "--method", method,
+                         "--order", "7")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _SERIES_DIGESTS[which]
+
+
 # oracles for the trees and series output: json.dumps under indent and
 # csv.DictWriter on the rows as dicts, built from the library functions
 

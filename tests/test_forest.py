@@ -11,6 +11,7 @@ from prelie.forest import (
     CKBasis, DecoratedTree, WordBasis, _slot_maps, decorated_string,
     enumerate_decorated_trees, forest_formula, lambda_coeff, leaf, sym,
 )
+from prelie.lincomb import project
 from prelie.trees import LEAF, RootedTree, enumerate_trees
 
 CHAIN2 = RootedTree((LEAF,))
@@ -154,12 +155,10 @@ def test_ck_formula_matches_direct_iterates():
         for t in enumerate_trees(n):
             i = ck.index_of(t)
             for k in (2, 3):
-                for flavor, direct in (
-                        ("full", freeprelie.iterated_coproduct),
-                        ("reduced", freeprelie.reduced_iterated_coproduct),
-                        ("irr", freeprelie.irr_iterated_coproduct)):
+                direct = freeprelie.iterated_coproduct(t, k)
+                for flavor in ("full", "reduced", "irr"):
                     got = ck.slot_tensor(forest_formula(i, k, ck)[flavor], k)
-                    assert got == direct(t, k), (t.key, k, flavor)
+                    assert got == project(direct, flavor), (t.key, k, flavor)
 
 
 def test_word_formula_matches_direct_iterates():
@@ -169,10 +168,10 @@ def test_word_formula_matches_direct_iterates():
             i = wb.index_of(w)
             poly = words.WordPoly({(w,): 1})
             for k in (2, 3):
+                direct = words.word_iterated_coproducts(poly, k)
                 for flavor in ("full", "reduced", "irr"):
                     got = wb.slot_tensor(forest_formula(i, k, wb)[flavor], k)
-                    want = words.word_iterated_coproducts(poly, k, flavor)
-                    assert got == want, (w, k, flavor)
+                    assert got == project(direct, flavor), (w, k, flavor)
 
 
 def test_word_formula_through_length_six():
@@ -184,10 +183,10 @@ def test_word_formula_through_length_six():
             i = wb.index_of(w)
             poly = words.WordPoly({(w,): 1})
             for k in (2, 3, 4):
+                direct = words.word_iterated_coproducts(poly, k)
                 for flavor in ("full", "reduced", "irr"):
                     got = wb.slot_tensor(forest_formula(i, k, wb)[flavor], k)
-                    want = words.word_iterated_coproducts(poly, k, flavor)
-                    assert got == want, (w, k, flavor)
+                    assert got == project(direct, flavor), (w, k, flavor)
 
 
 def test_full_flavor_decomposes_into_embedded_reduced():
@@ -241,7 +240,8 @@ def test_symmetry_factor_is_load_bearing(monkeypatch):
     monkeypatch.undo()
     again = CKBasis()
     assert forest_formula(again.index_of(t), 3, again)["reduced"] == honest
-    assert fresh.slot_tensor(honest, 3) == freeprelie.reduced_iterated_coproduct(t, 3)
+    assert fresh.slot_tensor(honest, 3) == project(
+        freeprelie.iterated_coproduct(t, 3), "reduced")
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +369,9 @@ def test_index_validation():
 
 
 def test_bad_indices_raise_where_they_are_decoded():
-    # delta_bar, the enumeration and label validate no index of their own:
-    # decoding it as a tree or a word does.  A fresh basis each time, so no
-    # cached enumeration answers first
+    # delta_bar and label validate no index of their own: decoding it as a
+    # tree or a word does.  A fresh basis each time, so no cached
+    # enumeration answers first
     for make, out_of_range in ((CKBasis, (3, 2)),
                                (lambda: WordBasis("ab"), (2, 4))):
         for i in (out_of_range, (1, "0"), (1.5, 0)):
@@ -380,6 +380,14 @@ def test_bad_indices_raise_where_they_are_decoded():
                          lambda b, i: b.label(i)):
                 with pytest.raises(ValueError):
                     call(make(), i)
+    # the enumeration validates before its cache: a basis that has
+    # enumerated (3, 0), and so (2, 0) and (1, 0), rejects the indices that
+    # hash and compare equal to those two
+    for basis in (CKBasis(), WordBasis("ab")):
+        assert len(enumerate_decorated_trees((3, 0), basis)) > 1
+        for i in ((2, 0.0), (2.0, 0), (True, 0), (1, False)):
+            with pytest.raises(ValueError):
+                enumerate_decorated_trees(i, basis)
 
 
 def test_index_label_parse_round_trip():

@@ -11,11 +11,11 @@ from prelie import freeprelie
 from prelie.exactnum import bernoulli
 from prelie.freeprelie import (
     ForestPoly, TensorPoly, TreeSeries, brace, ck_coproduct, cm_coefficient,
-    gl_product, graft, irr_iterated_coproduct, iterated_coproduct,
-    magnus_closed_form, magnus_fixed_point, pairing, poly_exp, poly_mul,
-    prelie, prelie_exp, reduced_iterated_coproduct, sol1, tensor_pairing,
-    tree_part,
+    gl_product, graft, iterated_coproduct, magnus_closed_form,
+    magnus_fixed_point, pairing, poly_exp, poly_mul, prelie, prelie_exp, sol1,
+    tensor_pairing, tree_part,
 )
+from prelie.lincomb import project
 from prelie.trees import (
     EMPTY_FOREST, Forest, LEAF, RootedTree, enumerate_forests, enumerate_trees,
     sigma, tree_factorial, tree_from_string,
@@ -216,7 +216,7 @@ def test_iterated_coproduct_identity_and_reduced():
         for t in enumerate_trees(n):
             f = Forest((t,))
             assert iterated_coproduct(t, 1) == TensorPoly(1, {(f,): 1})
-            reduced = reduced_iterated_coproduct(t, 2)
+            reduced = project(iterated_coproduct(t, 2), "reduced")
             full = ck_coproduct(t)
             want = {k: c for k, c in full.terms.items()
                     if k[0] != EMPTY_FOREST and k[1] != EMPTY_FOREST}
@@ -224,7 +224,7 @@ def test_iterated_coproduct_identity_and_reduced():
 
 
 def test_irr_keeps_only_single_tree_slots():
-    out = irr_iterated_coproduct(CHERRY, 2)
+    out = project(iterated_coproduct(CHERRY, 2), "irr")
     assert out == TensorPoly(2, {(Forest((CHAIN2,)), Forest((LEAF,))): 2})
 
 

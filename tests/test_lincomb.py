@@ -15,8 +15,8 @@ from prelie.freeprelie import (
 )
 from prelie.lincomb import project
 from prelie.trees import LEAF, enumerate_forests, enumerate_trees
-from prelie.words import (WordPoly, enumerate_words, word_iterated_coproducts,
-                          word_prelie_series)
+from prelie.words import (WordPoly, WordTensor, enumerate_words,
+                          word_iterated_coproducts, word_prelie_series)
 
 TREES = [t for n in range(1, 5) for t in enumerate_trees(n)]
 FORESTS = [f for n in range(4) for f in enumerate_forests(n)]
@@ -38,7 +38,7 @@ def integer_routes():
         yield ck_coproduct(t)
         yield iterated_coproduct(t, 3)
     for w, flavor in product(WORDS, FLAVORS):
-        yield word_iterated_coproducts(WordPoly({(w,): 1}), 3, flavor)
+        yield project(word_iterated_coproducts(WordPoly({(w,): 1}), 3), flavor)
     ck, wb = CKBasis(), WordBasis("ab")
     indices = ([(ck, ck.index_of(t)) for t in TREES + enumerate_trees(5)]
                + [(wb, wb.index_of(w)) for w in WORDS])
@@ -97,18 +97,20 @@ _KEEPS = {"full": lambda slots: True,
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_project_keeps_what_the_slot_definitions_keep(flavor):
-    full = ([iterated_coproduct(t, k).terms for t in TREES for k in (2, 3)]
-            + [word_iterated_coproducts(WordPoly({(w,): 1}), k).terms
+    full = ([iterated_coproduct(t, k) for t in TREES for k in (2, 3)]
+            + [word_iterated_coproducts(WordPoly({(w,): 1}), k)
                for w in WORDS for k in (2, 3)])
     kept = 0
-    for terms in full:
-        got = project(terms, flavor)
-        assert list(got.items()) == [(slots, c) for slots, c in terms.items()
-                                     if _KEEPS[flavor](slots)]
-        kept += len(got)
+    for tensor in full:
+        got = project(tensor, flavor)
+        assert type(got) is type(tensor) and got.arity == tensor.arity
+        assert list(got.terms.items()) == [
+            (slots, c) for slots, c in tensor.terms.items()
+            if _KEEPS[flavor](slots)]
+        kept += len(got.terms)
     assert kept > 50
 
 
 def test_project_rejects_an_unknown_flavor():
     with pytest.raises(ValueError):
-        project({}, "nonempty")
+        project(WordTensor(2), "nonempty")

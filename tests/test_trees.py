@@ -324,8 +324,7 @@ def _route_called(*args):
 
 
 def _clear_omega_caches():
-    for memo in (trees._surjections, trees._omega, trees._omega_rec,
-                 trees._weak_values):
+    for memo in (trees._surjections, trees._omega_rec, trees._weak_values):
         memo.cache_clear()
 
 
