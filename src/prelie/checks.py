@@ -29,7 +29,7 @@ from .trees import (LEAF, enumerate_forests, enumerate_trees,
 # fixed-point, on a 2-core machine: 4.5 s at order 11 and 19 s at 12)
 TREE_CAP = 12
 # forest-formula grades (the forest suite, forest --index): on a 2-core
-# machine the forest suite takes 1.2-2.0 s at order 8 and 6.2-9.0 s at 9
+# machine the forest suite takes 1.0-1.3 s at order 8 and 4.9-7.6 s at 9
 FOREST_CAP = 8
 
 # the one-vertex tree, the generator of every series in ROUTES
@@ -174,27 +174,28 @@ def coproduct_grading(order: int):
             yield {"w": w}, len(l[0]) + sum(len(u) for u in r), len(w)
 
 
-def _forest_formula_vs_direct(basis, key, elements, iterate):
-    """The forest formula of each element's index in basis against
-    iterate(element, k), one direct iterate per (element, k) whose projections
-    are the three flavors; each record names the element's label under key."""
+def _forest_formula_vs_direct(basis, key, elements, iterates):
+    """The forest formula of each element's index in basis against the
+    direct iterates(element, 4), for k = 2, 3, 4: one forest-formula call
+    and one left iteration per element, whose k-th iterate's projections are
+    the three flavors; each record names the element's label under key."""
     for element in elements:
         i = basis.index_of(element)
         label = basis.label(i)
+        direct = iterates(element, 4)
+        by_k = forest_formula(i, 4, basis)
         for k in range(2, 5):
-            direct = iterate(element, k)
-            by_flavor = forest_formula(i, k, basis)
             for flavor in ("full", "reduced", "irr"):
                 yield ({key: label, "k": k, "flavor": flavor},
-                       basis.slot_tensor(by_flavor[flavor], k),
-                       project(direct, flavor))
+                       basis.slot_tensor(by_k[k][flavor], k),
+                       project(direct[k - 1], flavor))
 
 
 def ck_forest_formula_vs_direct(order: int):
     yield from _forest_formula_vs_direct(
         CKBasis(), "tree",
         (t for n in range(1, order + 1) for t in enumerate_trees(n)),
-        freeprelie.iterated_coproduct)
+        freeprelie.coproduct_iterates)
 
 
 def word_forest_formula_vs_direct(order: int):
@@ -202,7 +203,7 @@ def word_forest_formula_vs_direct(order: int):
         WordBasis("ab"), "word",
         (w for n in range(1, min(order, 5) + 1)
          for w in words.enumerate_words("ab", n)),
-        lambda w, k: words.word_iterated_coproducts(
+        lambda w, k: words.word_coproduct_iterates(
             words.WordPoly({(w,): 1}), k))
 
 
@@ -251,8 +252,8 @@ def exp_magnus_functionals(order: int):
 # order is the suite's default order; each cap is the last order a suite
 # finishes within seconds, measured on a 2-core machine: trees 4.1 s at 10 and
 # 19 s at 11, hopf 1.6-2.9 s at 8 and 13 s at 9, magnus 1.1 s at 9 and
-# 5.4 s at 10, words 4.9 s at 6 and over 60 s at 7, forest 1.2-2.0 s at 8
-# and 6.2-9.0 s at 9, cumulants 0.8-0.9 s at 12 (its tables stop at length 6)
+# 5.4 s at 10, words 4.9 s at 6 and over 60 s at 7, forest 1.0-1.3 s at 8
+# and 4.9-7.6 s at 9, cumulants 0.8-0.9 s at 12 (its tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
 
 

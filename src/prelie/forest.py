@@ -20,6 +20,8 @@ enumerate_decorated_trees.
 The onto maps depend only on a decorated tree's shape and are enumerated
 once per (shape, j); the full iterated coproduct is the unit insertion of
 the sums over maps onto 1..j, pushed along each increasing [j] -> [k].
+Those sums do not depend on k, so forest_formula(i, K, basis) walks the
+decorated trees of i once and returns the three flavors for every k <= K.
 """
 
 from __future__ import annotations
@@ -398,32 +400,37 @@ def _slot_maps(T: DecoratedTree, k: int, flavor: str):
     return iter(())
 
 
-def forest_formula(i, k: int, basis: BasisProvider) -> dict:
+def forest_formula(i, K: int, basis: BasisProvider) -> dict:
     """sum over decorated trees T in T_i and maps f of lambda(T) C(f), for
-    each flavor: reduced (the iterated reduced coproduct, maps onto 1..k),
-    irr (its irreducible part, bijective maps) and full (the iterated
-    coproduct, all maps, as the unit insertion of the onto sums).
+    every k = 1..K and each flavor: reduced (the iterated reduced
+    coproduct, maps onto 1..k), irr (its irreducible part, bijective maps)
+    and full (the iterated coproduct, all maps, as the unit insertion of the
+    onto sums).
 
-    Returns {flavor: {slot-tuples: coefficient}} with each slot a sorted
-    tuple of basis indices (empty tuple = unit, full flavor only).  One walk
-    fills each map onto 1..j, j = 1..min(k, |T|), once; irr is the part of
-    the sum for j = k from trees with k vertices.
+    Returns {k: {flavor: {slot-tuples: coefficient}}} for k = 1..K, with
+    each slot a sorted tuple of basis indices (empty tuple = unit, full
+    flavor only); a caller that wants one k indexes the result.  One walk
+    over the decorated trees fills each map onto 1..j, j = 1..min(K, |T|),
+    once: the sum for j is reduced at k = j and feeds full at every k >= j,
+    and irr at k is the part of the sum for k from trees with k vertices.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    sums = [{} for _ in range(k + 1)]  # sums[j]: maps onto 1..j
-    irr: dict = {}
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    sums = [{} for _ in range(K + 1)]  # sums[j]: maps onto 1..j
+    irr = [{} for _ in range(K + 1)]  # irr[j]: the bijections of sums[j]
     for T, lam in enumerate_decorated_trees(i, basis):
         n = T.size
-        for j in range(1, min(k, n) + 1):
-            acc = irr if n == j == k else sums[j]
+        for j in range(1, min(K, n) + 1):
+            acc = irr[j] if n == j else sums[j]
             for slots in _onto_fills(T, j):
                 acc[slots] = acc.get(slots, 0) + lam
     sums = [{slots: c for slots, c in acc.items() if c} for acc in sums]
-    irr = {slots: c for slots, c in irr.items() if c}
-    # irr's keys hold k indices, those of a bigger tree's fills more
-    sums[k].update(irr)
-    return {"full": _insert_units(sums, k), "reduced": sums[k], "irr": irr}
+    irr = [{slots: c for slots, c in acc.items() if c} for acc in irr]
+    for j in range(1, K + 1):
+        # irr's keys hold j indices, those of a bigger tree's fills more
+        sums[j].update(irr[j])
+    return {k: {"full": _insert_units(sums, k), "reduced": sums[k],
+                "irr": irr[k]} for k in range(1, K + 1)}
 
 
 def decorated_string(T: DecoratedTree, basis: BasisProvider) -> str:

@@ -7,10 +7,10 @@ one-argument brace graft(t, u) = t{u}, and the Grossman-Larson product of
 forests is a * b = B-(B+(a){b}) (Oudom-Guin): each tree of b goes below a
 vertex of a or becomes a component of its own.  Coproduct: Connes-Kreimer,
 the admissible cuts with the trunk on the left and the pruning on the right,
-and its left iterates, whose reduced and irreducible parts lincomb.project
-takes, as for words.  The coproduct is multiplicative on forests, and on a
-tree B+(f) it follows from the coproduct of the branch forest f by the B+
-cocycle
+and its left iterates (one, or every one up to k from one loop), whose
+reduced and irreducible parts lincomb.project takes, as for words.  The
+coproduct is multiplicative on forests, and on a tree B+(f) it follows from
+the coproduct of the branch forest f by the B+ cocycle
 
     Delta(B+(f)) = 1 (x) B+(f) + (B+ (x) id) Delta(f),
 
@@ -47,7 +47,7 @@ from .trees import (
 __all__ = [
     "TreeSeries", "ForestPoly", "TensorPoly",
     "graft", "prelie", "brace", "gl_product", "poly_mul",
-    "ck_coproduct", "iterated_coproduct",
+    "ck_coproduct", "iterated_coproduct", "coproduct_iterates",
     "pairing", "tensor_pairing",
     "prelie_exp", "cm_coefficient",
     "magnus_closed_form", "magnus_fixed_point", "sol1", "poly_exp",
@@ -208,7 +208,14 @@ def ck_coproduct(x) -> TensorPoly:
 def iterated_coproduct(x, k: int) -> TensorPoly:
     """delta^[k] by left iteration (k = 1 is the identity)."""
     poly = _as_forest_poly(x)
-    return TensorPoly(k, iterate_coproduct(_delta_forest, poly.terms, k))
+    return TensorPoly(k, iterate_coproduct(_delta_forest, poly.terms, k)[-1])
+
+
+def coproduct_iterates(x, k: int) -> list:
+    """[delta^[1], ..., delta^[k]] of x from one left-iteration loop."""
+    poly = _as_forest_poly(x)
+    return [TensorPoly(j, terms) for j, terms in
+            enumerate(iterate_coproduct(_delta_forest, poly.terms, k), 1)]
 
 
 # ---------------------------------------------------------------------------

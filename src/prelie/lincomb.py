@@ -15,9 +15,10 @@ new objects, terms dicts are never shared, so concurrent readers are safe.
 The module functions are the loops every graded algebra in the package
 shares: the bilinear extension of a product of basis keys, the
 multiplicative extension of a coproduct from generators to monomials, its
-left iteration, the one projection of a tensor onto its reduced or
-irreducible slots (the flavors of an iterated coproduct, for every
-algebra), and the pairing of two term dicts under a diagonal weight.
+left iteration (every iterate up to k from one loop), the one projection
+of a tensor onto its reduced or irreducible slots (the flavors of an
+iterated coproduct, for every algebra), and the pairing of two term dicts
+under a diagonal weight.
 """
 
 from __future__ import annotations
@@ -182,25 +183,28 @@ def multiplicative_coproduct(factors, factor_delta, unit, join) -> dict:
     return acc
 
 
-def iterate_coproduct(delta2, x_terms: dict, k: int) -> dict:
-    """Left-iterate a binary coproduct k-1 times on a term dict.
+def iterate_coproduct(delta2, x_terms: dict, k: int) -> list:
+    """Left-iterate a binary coproduct k-1 times on a term dict, keeping
+    every iterate.
 
-    delta2 maps a monomial key to a dict {(left, right): coeff}; the result
-    maps k-tuples of monomial keys to coefficients (k = 1 wraps keys in
-    1-tuples) and may hold zeros, which the Tensor built from it drops.
-    Left iteration: the coproduct is applied to slot 0 at every step.
+    delta2 maps a monomial key to a dict {(left, right): coeff}; entry j-1
+    of the result maps j-tuples of monomial keys to coefficients, the
+    iterate delta^[j] for j = 1..k (j = 1 wraps keys in 1-tuples), and may
+    hold zeros, which the Tensor built from it drops.  Left iteration: the
+    coproduct is applied to slot 0 at every step, so one loop hands out
+    every j <= k and a caller that wants delta^[k] alone takes the last.
     """
     if k < 1:
         raise ValueError("iterated coproduct needs k >= 1, got %r" % (k,))
-    cur = {(key,): c for key, c in x_terms.items()}
+    out = [{(key,): c for key, c in x_terms.items()}]
     for _ in range(k - 1):
         nxt: dict = {}
-        for slots, c in cur.items():
+        for slots, c in out[-1].items():
             for (a, b), d in delta2(slots[0]).items():
                 key = (a, b) + slots[1:]
                 nxt[key] = nxt.get(key, 0) + c * d
-        cur = nxt
-    return cur
+        out.append(nxt)
+    return out
 
 
 def project(tensor: Tensor, flavor: str) -> Tensor:

@@ -92,6 +92,21 @@ def brute_slot_maps(parents: tuple, k: int, flavor: str) -> tuple:
     return tuple(out)
 
 
+def left_iterate(delta2, x_terms: dict, k: int) -> dict:
+    """delta^[k] of a term dict by k-1 left steps of the binary coproduct
+    delta2 (a monomial key -> {(left, right): coeff}), applied to slot 0 and
+    started afresh from the 1-tuples for every k; keeps any zero sums."""
+    cur = {(key,): c for key, c in x_terms.items()}
+    for _ in range(k - 1):
+        nxt: dict = {}
+        for slots, c in cur.items():
+            for (a, b), d in delta2(slots[0]).items():
+                key = (a, b) + slots[1:]
+                nxt[key] = nxt.get(key, 0) + c * d
+        cur = nxt
+    return cur
+
+
 def brute_automorphisms(t: RootedTree) -> int:
     """Order of Aut(t): vertex permutations fixing the root and the parent map."""
     lf = LabeledForest(Forest((t,)))

@@ -89,7 +89,8 @@ def test_criterion_4_forest_formula_oracle_equivalence(monkeypatch):
             for k in range(1, 5):
                 direct = freeprelie.iterated_coproduct(t, k)
                 for flavor in ("full", "reduced", "irr"):
-                    got = ck.slot_tensor(forest_formula(i, k, ck)[flavor], k)
+                    got = ck.slot_tensor(
+                        forest_formula(i, k, ck)[k][flavor], k)
                     assert got == project(direct, flavor), (t.key, k, flavor)
     wb = WordBasis("ab")
     for n in range(1, 6):
@@ -99,7 +100,8 @@ def test_criterion_4_forest_formula_oracle_equivalence(monkeypatch):
             for k in range(1, 5):
                 direct = words.word_iterated_coproducts(poly, k)
                 for flavor in ("full", "reduced", "irr"):
-                    got = wb.slot_tensor(forest_formula(i, k, wb)[flavor], k)
+                    got = wb.slot_tensor(
+                        forest_formula(i, k, wb)[k][flavor], k)
                     assert got == project(direct, flavor), (w, k, flavor)
 
     # dropping the symmetry factor must break the formula on an instance
@@ -107,11 +109,11 @@ def test_criterion_4_forest_formula_oracle_equivalence(monkeypatch):
     t = RootedTree((CHAIN2, CHAIN2))
     honest_basis = CKBasis()
     honest = forest_formula(
-        honest_basis.index_of(t), 3, honest_basis)["reduced"]
+        honest_basis.index_of(t), 3, honest_basis)[3]["reduced"]
     monkeypatch.setattr(prelie.forest, "sym", lambda children: 1)
     mutated_basis = CKBasis()
     mutated = forest_formula(
-        mutated_basis.index_of(t), 3, mutated_basis)["reduced"]
+        mutated_basis.index_of(t), 3, mutated_basis)[3]["reduced"]
     monkeypatch.undo()
     assert mutated != honest
     assert honest_basis.slot_tensor(honest, 3) == \

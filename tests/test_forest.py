@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 import prelie.forest
-from prelie import checks, freeprelie, words
+from prelie import checks, cli, freeprelie, words
 from prelie.forest import (
     CKBasis, DecoratedTree, WordBasis, _slot_maps, decorated_string,
     enumerate_decorated_trees, forest_formula, lambda_coeff, leaf, sym,
@@ -130,21 +130,21 @@ def test_lambda_positive_on_enumerated_trees():
 
 def test_primitive_reduced_is_empty():
     ck = CKBasis()
-    assert forest_formula(ck.index_of(LEAF), 2, ck)["reduced"] == {}
+    assert forest_formula(ck.index_of(LEAF), 2, ck)[2]["reduced"] == {}
     wb = WordBasis("ab")
-    assert forest_formula(wb.index_of("ab"), 2, wb)["reduced"] == {}
+    assert forest_formula(wb.index_of("ab"), 2, wb)[2]["reduced"] == {}
 
 
 def test_cherry_irr_k2():
     ck = CKBasis()
-    out = forest_formula(ck.index_of(CHERRY), 2, ck)["irr"]
+    out = forest_formula(ck.index_of(CHERRY), 2, ck)[2]["irr"]
     key = ((ck.index_of(CHAIN2),), (ck.index_of(LEAF),))
     assert out == {key: 2}
 
 
 def test_word_abc_reduced_k2():
     wb = WordBasis("abc")
-    out = forest_formula(wb.index_of("abc"), 2, wb)["reduced"]
+    out = forest_formula(wb.index_of("abc"), 2, wb)[2]["reduced"]
     key = ((wb.index_of("ac"),), (wb.index_of("b"),))
     assert out == {key: 1}
 
@@ -157,7 +157,8 @@ def test_ck_formula_matches_direct_iterates():
             for k in (2, 3):
                 direct = freeprelie.iterated_coproduct(t, k)
                 for flavor in ("full", "reduced", "irr"):
-                    got = ck.slot_tensor(forest_formula(i, k, ck)[flavor], k)
+                    got = ck.slot_tensor(
+                        forest_formula(i, k, ck)[k][flavor], k)
                     assert got == project(direct, flavor), (t.key, k, flavor)
 
 
@@ -170,7 +171,8 @@ def test_word_formula_matches_direct_iterates():
             for k in (2, 3):
                 direct = words.word_iterated_coproducts(poly, k)
                 for flavor in ("full", "reduced", "irr"):
-                    got = wb.slot_tensor(forest_formula(i, k, wb)[flavor], k)
+                    got = wb.slot_tensor(
+                        forest_formula(i, k, wb)[k][flavor], k)
                     assert got == project(direct, flavor), (w, k, flavor)
 
 
@@ -185,7 +187,8 @@ def test_word_formula_through_length_six():
             for k in (2, 3, 4):
                 direct = words.word_iterated_coproducts(poly, k)
                 for flavor in ("full", "reduced", "irr"):
-                    got = wb.slot_tensor(forest_formula(i, k, wb)[flavor], k)
+                    got = wb.slot_tensor(
+                        forest_formula(i, k, wb)[k][flavor], k)
                     assert got == project(direct, flavor), (w, k, flavor)
 
 
@@ -211,14 +214,14 @@ def test_full_flavor_decomposes_into_embedded_reduced():
                         slots[v - 1].append(d2)
                     want[tuple(tuple(sorted(s)) for s in slots)] += lam
             want = {slots: c for slots, c in want.items() if c}
-            assert forest_formula(i, k, basis)["full"] == want, (i, k)
+            assert forest_formula(i, k, basis)[k]["full"] == want, (i, k)
 
 
 def test_grade_is_conserved_termwise():
     ck = CKBasis()
     i = ck.index_of(CHERRY)
     for flavor in ("full", "reduced", "irr"):
-        for slots, c in forest_formula(i, 3, ck)[flavor].items():
+        for slots, c in forest_formula(i, 3, ck)[3][flavor].items():
             assert sum(j[0] for slot in slots for j in slot) == 3
             assert c != 0
 
@@ -229,17 +232,17 @@ def test_symmetry_factor_is_load_bearing(monkeypatch):
     t = RootedTree((CHAIN2, CHAIN2))
     fresh = CKBasis()
     i = fresh.index_of(t)
-    honest = forest_formula(i, 3, fresh)["reduced"]
+    honest = forest_formula(i, 3, fresh)[3]["reduced"]
 
     monkeypatch.setattr(prelie.forest, "sym", lambda children: 1)
     broken_basis = CKBasis()
     broken = forest_formula(
-        broken_basis.index_of(t), 3, broken_basis)["reduced"]
+        broken_basis.index_of(t), 3, broken_basis)[3]["reduced"]
     assert broken != honest
 
     monkeypatch.undo()
     again = CKBasis()
-    assert forest_formula(again.index_of(t), 3, again)["reduced"] == honest
+    assert forest_formula(again.index_of(t), 3, again)[3]["reduced"] == honest
     assert fresh.slot_tensor(honest, 3) == project(
         freeprelie.iterated_coproduct(t, 3), "reduced")
 
@@ -264,9 +267,11 @@ def _preorder(T):
 
 def test_slot_maps_match_brute_force_through_one_shared_memo():
     # one process-wide cache of onto maps for every tree and j: a cache keyed
-    # without j would hand one call the maps of another.  The formula's one
-    # walk must credit each flavor with exactly the lambda-weighted fills of
-    # that flavor's brute-force maps
+    # without j would hand one call the maps of another.  One call's walk
+    # must credit every k <= K and each flavor with exactly the
+    # lambda-weighted fills of that flavor's brute-force maps: at K = 4, at
+    # K = 1, and at K past the index's grade, where reduced and irr are empty
+    # and full holds only unit insertions
     prelie.forest._onto_maps.cache_clear()
     ck, wb = CKBasis(), WordBasis("ab")
     jobs = [(ck, ck.index_of(t)) for n in range(1, 6)
@@ -275,36 +280,73 @@ def test_slot_maps_match_brute_force_through_one_shared_memo():
              for w in words.enumerate_words("ab", n)]
     flavors = ("full", "reduced", "irr")
     shapes = set()
+    past_grade = 0
     for basis, i in jobs:
-        sums = {(k, flavor): Counter() for k in range(1, 5)
+        Ks = (1, 4, i[0] + 2) if i[0] <= 3 else (1, 4)
+        sums = {(k, flavor): Counter() for k in range(1, max(Ks) + 1)
                 for flavor in flavors}
         for T, lam in enumerate_decorated_trees(i, basis):
             d2s, parents = _preorder(T)
             shapes.add(parents)
-            for k in range(1, 5):
+            for k, flavor in sums:
+                want = Counter()
+                for vals in oracles.brute_slot_maps(parents, k, flavor):
+                    slots = [[] for _ in range(k)]
+                    for d2, v in zip(d2s, vals):
+                        slots[v - 1].append(d2)
+                    want[tuple(tuple(sorted(s)) for s in slots)] += 1
+                where = (decorated_string(T, basis), k, flavor)
+                assert Counter(_slot_maps(T, k, flavor)) == want, where
+                for slots, m in want.items():
+                    sums[k, flavor][slots] += lam * m
+        for K in Ks:
+            got = forest_formula(i, K, basis)
+            assert list(got) == list(range(1, K + 1)), (basis.label(i), K)
+            for k in got:
                 for flavor in flavors:
-                    want = Counter()
-                    for vals in oracles.brute_slot_maps(parents, k, flavor):
-                        slots = [[] for _ in range(k)]
-                        for d2, v in zip(d2s, vals):
-                            slots[v - 1].append(d2)
-                        want[tuple(tuple(sorted(s)) for s in slots)] += 1
-                    where = (decorated_string(T, basis), k, flavor)
-                    assert Counter(_slot_maps(T, k, flavor)) == want, where
-                    for slots, m in want.items():
-                        sums[k, flavor][slots] += lam * m
-        for (k, flavor), want in sums.items():
-            got = forest_formula(i, k, basis)[flavor]
-            assert got == {slots: c for slots, c in want.items() if c}, \
-                (basis.label(i), k, flavor)
-    # one entry per shape and j = 1..min(4, vertices): k never exceeds 4
+                    want = {slots: c for slots, c in sums[k, flavor].items()
+                            if c}
+                    assert got[k][flavor] == want, \
+                        (basis.label(i), K, k, flavor)
+                if k > i[0]:
+                    past_grade += 1
+                    assert got[k]["reduced"] == got[k]["irr"] == {}
+                    assert got[k]["full"]
+                    assert all(() in slots for slots in got[k]["full"])
+    assert past_grade > 50
+    # one entry per shape and j = 1..min(4, vertices): j never exceeds 4,
+    # and K past 4 only reaches indices of grade 3 or less
     assert prelie.forest._onto_maps.cache_info().currsize == sum(
         min(4, len(parents)) for parents in shapes)
 
 
-def _irr_from_every_tree(i, k, basis):
-    out = forest_formula(i, k, basis)
-    return dict(out, irr=out["reduced"])
+def test_forest_suite_walks_each_index_once(monkeypatch, capsys):
+    # every k of an element comes from one walk over its decorated trees,
+    # which fills each (decorated tree, j) once; one call per k = 2, 3, 4
+    # made 441 walks and 24,566 fills at order 7
+    walks, fills = Counter(), [0]
+    formula, onto_fills = checks.forest_formula, prelie.forest._onto_fills
+
+    def counted_formula(i, K, basis):
+        walks[type(basis).__name__, i] += 1
+        return formula(i, K, basis)
+
+    def counted_fills(T, j):
+        for slots in onto_fills(T, j):
+            fills[0] += 1
+            yield slots
+
+    monkeypatch.setattr(checks, "forest_formula", counted_formula)
+    monkeypatch.setattr(prelie.forest, "_onto_fills", counted_fills)
+    assert cli.main(["verify", "--suite", "forest", "--max-order", "7"]) == 0
+    assert capsys.readouterr().out.count("PASS ") == 2
+    assert len(walks) == sum(walks.values()) == 147  # 85 trees, 62 words
+    assert fills[0] == 17276
+
+
+def _irr_from_every_tree(i, K, basis):
+    return {k: dict(out, irr=out["reduced"])
+            for k, out in forest_formula(i, K, basis).items()}
 
 
 @pytest.mark.parametrize("flavor, patch", [
@@ -317,10 +359,10 @@ def _irr_from_every_tree(i, k, basis):
         lambda parents, j: oracles.brute_slot_maps(parents, j, "full"))),
 ])
 def test_forest_suite_catches_a_wrong_map_filter(monkeypatch, flavor, patch):
-    # the three flavors share one direct iterate per (t, k); a forest side
-    # summing over the wrong maps or trees must still fail its own
-    # comparison.  The patch replaces the cached _onto_maps whole, so no map
-    # cached by an earlier call can hide it
+    # the three flavors share one direct iterate per (t, k), and every k one
+    # forest-formula call per t; a forest side summing over the wrong maps or
+    # trees must still fail its own comparison.  The patch replaces the
+    # cached _onto_maps whole, so no map cached by an earlier call can hide it
     patch(monkeypatch)
     failures = {name: failure for name, _, failure in checks.run("forest", 4)}
     for name in ("ck-forest-formula-vs-direct", "word-forest-formula-vs-direct"):
@@ -339,7 +381,7 @@ def test_a_basis_is_freed_without_the_cycle_collector():
                             (lambda: WordBasis("ab"), "ab")):
             basis = make()
             i = basis.parse(label)
-            basis.slot_tensor(forest_formula(i, 2, basis)["full"], 2)
+            basis.slot_tensor(forest_formula(i, 2, basis)[2]["full"], 2)
             assert basis._slot_cache
             ref = weakref.ref(basis)
             del basis

@@ -1,22 +1,26 @@
 """The number policy: coefficients are int or Fraction, never float, and a
-Fraction appears only where a division does; and the shared slot
-projections."""
+Fraction appears only where a division does; the shared slot projections;
+and the one left-iteration loop that hands out every iterate."""
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import oracles
+from prelie import freeprelie, words
 from prelie.forest import CKBasis, WordBasis, forest_formula
 from prelie.freeprelie import (
-    ForestPoly, TreeSeries, brace, ck_coproduct, gl_product, graft,
-    iterated_coproduct, magnus_closed_form, magnus_fixed_point, pairing,
-    poly_exp, prelie_exp, sol1, tree_part,
+    ForestPoly, TensorPoly, TreeSeries, brace, ck_coproduct,
+    coproduct_iterates, gl_product, graft, iterated_coproduct,
+    magnus_closed_form, magnus_fixed_point, pairing, poly_exp, prelie_exp,
+    sol1, tree_part,
 )
-from prelie.lincomb import project
-from prelie.trees import LEAF, enumerate_forests, enumerate_trees
+from prelie.lincomb import iterate_coproduct, project
+from prelie.trees import LEAF, Forest, enumerate_forests, enumerate_trees
 from prelie.words import (WordPoly, WordTensor, enumerate_words,
-                          word_iterated_coproducts, word_prelie_series)
+                          word_coproduct_iterates, word_iterated_coproducts,
+                          word_prelie_series)
 
 TREES = [t for n in range(1, 5) for t in enumerate_trees(n)]
 FORESTS = [f for n in range(4) for f in enumerate_forests(n)]
@@ -43,7 +47,7 @@ def integer_routes():
     indices = ([(ck, ck.index_of(t)) for t in TREES + enumerate_trees(5)]
                + [(wb, wb.index_of(w)) for w in WORDS])
     for (basis, i), k, flavor in product(indices, (2, 3), FLAVORS):
-        yield forest_formula(i, k, basis)[flavor]
+        yield forest_formula(i, k, basis)[k][flavor]
 
 
 def test_integer_routes_give_ints():
@@ -114,3 +118,26 @@ def test_project_keeps_what_the_slot_definitions_keep(flavor):
 def test_project_rejects_an_unknown_flavor():
     with pytest.raises(ValueError):
         project(WordTensor(2), "nonempty")
+
+
+def test_every_iterate_matches_the_per_k_left_iteration():
+    # one loop hands out delta^[1..k]; each must equal k-1 left steps
+    # started afresh, and the single iterate must be the last of them
+    cases = [(freeprelie._delta_forest, {Forest((t,)): 1}, t,
+              coproduct_iterates, iterated_coproduct, TensorPoly)
+             for t in TREES + enumerate_trees(5)]
+    cases += [(words._delta_monomial, {(w,): 1}, WordPoly({(w,): 1}),
+               word_coproduct_iterates, word_iterated_coproducts, WordTensor)
+              for w in WORDS + enumerate_words("ab", 5)]
+    terms = 0
+    for delta2, x_terms, x, iterates, last, tensor in cases:
+        want = [oracles.left_iterate(delta2, x_terms, k) for k in range(1, 6)]
+        assert iterate_coproduct(delta2, x_terms, 5) == want, x
+        got = iterates(x, 5)
+        assert got == [tensor(k, w) for k, w in enumerate(want, 1)], x
+        assert [g.arity for g in got] == [1, 2, 3, 4, 5]
+        assert last(x, 5) == got[-1] and last(x, 2) == got[1], x
+        terms += sum(len(g.terms) for g in got)
+    assert terms > 10000
+    with pytest.raises(ValueError):
+        iterate_coproduct(freeprelie._delta_forest, {}, 0)
