@@ -43,11 +43,11 @@ ROUTES = {
     "exp": {  # as Connes-Moscovici integers, |t|! times each coefficient
         "closed": (lambda n: TreeSeries(
             {t: freeprelie.cm_coefficient(t)
-             for k in range(1, n + 1) for t in enumerate_trees(k)}, n),
+             for k in range(1, n + 1) for t in enumerate_trees(k)}),
             TREE_CAP),
         "fixed-point": (lambda n: TreeSeries(
             {t: c * factorial(t.size) for t, c in
-             freeprelie.prelie_exp(_GENERATOR, n).terms.items()}, n),
+             freeprelie.prelie_exp(_GENERATOR, n).terms.items()}),
             TREE_CAP),
     },
     "magnus": {
@@ -118,7 +118,7 @@ def coassociativity(order: int):
     """The third iterate against (id (x) Delta) Delta, term by term."""
     for n in range(1, order + 1):
         for t in enumerate_trees(n):
-            left = freeprelie.iterated_coproduct(t, 3)
+            left = freeprelie.coproduct_iterates(t, 3)[2]
             right = {}
             for (a, b), c in freeprelie.ck_coproduct(t).terms.items():
                 for (b1, b2), d in freeprelie.ck_coproduct(

@@ -7,8 +7,8 @@ one-argument brace graft(t, u) = t{u}, and the Grossman-Larson product of
 forests is a * b = B-(B+(a){b}) (Oudom-Guin): each tree of b goes below a
 vertex of a or becomes a component of its own.  Coproduct: Connes-Kreimer,
 the admissible cuts with the trunk on the left and the pruning on the right,
-and its left iterates (one, or every one up to k from one loop), whose
-reduced and irreducible parts lincomb.project takes, as for words.  The
+and its left iterates (every one up to k from one loop), whose reduced
+and irreducible parts lincomb.project takes, as for words.  The
 coproduct is multiplicative on forests, and on a tree B+(f) it follows from
 the coproduct of the branch forest f by the B+ cocycle
 
@@ -24,9 +24,9 @@ series three ways (closed form via Murua coefficients, fixed point with
 Bernoulli weights, and sol1 of the polynomial exponential); prelie_exp and
 the fixed point take any pre-Lie product of series, graft by default.
 
-Truncation discipline: TreeSeries and ForestPoly carry a truncation order
-(None = untruncated); binary operations keep the min of the declared orders
-and every series operator takes an explicit order argument.
+Truncation discipline: a series carries no order of its own.  The products
+and series operators take their order as an argument and keep the terms of
+grade <= order; sol1, being graded, needs none.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .trees import (
 __all__ = [
     "TreeSeries", "ForestPoly", "TensorPoly",
     "graft", "prelie", "brace", "gl_product", "poly_mul",
-    "ck_coproduct", "iterated_coproduct", "coproduct_iterates",
+    "ck_coproduct", "coproduct_iterates",
     "pairing", "tensor_pairing",
     "prelie_exp", "cm_coefficient",
     "magnus_closed_form", "magnus_fixed_point", "sol1", "poly_exp",
@@ -56,7 +56,7 @@ __all__ = [
 
 
 class TreeSeries(TermMap):
-    """Finite rational combination of rooted trees, with a truncation order."""
+    """Finite rational combination of rooted trees, graded by tree size."""
 
     __slots__ = ()
 
@@ -77,13 +77,13 @@ class TensorPoly(Tensor):
 
 
 def tree_series_to_poly(s: TreeSeries) -> ForestPoly:
-    return ForestPoly({Forest((t,)): c for t, c in s.terms.items()}, s.order)
+    return ForestPoly({Forest((t,)): c for t, c in s.terms.items()})
 
 
 def tree_part(p: ForestPoly) -> TreeSeries:
     """Projection onto single-tree monomials."""
-    return TreeSeries({f.trees[0]: c for f, c in p.terms.items() if len(f.trees) == 1},
-                      p.order)
+    return TreeSeries({f.trees[0]: c for f, c in p.terms.items()
+                       if len(f.trees) == 1})
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +202,12 @@ def _as_forest_poly(x) -> ForestPoly:
 def ck_coproduct(x) -> TensorPoly:
     """Connes-Kreimer coproduct: 1 (x) t + sum over admissible cuts, trunk (x)
     pruning (the empty cut giving t (x) 1); multiplicative on forests."""
-    return iterated_coproduct(x, 2)
-
-
-def iterated_coproduct(x, k: int) -> TensorPoly:
-    """delta^[k] by left iteration (k = 1 is the identity)."""
-    poly = _as_forest_poly(x)
-    return TensorPoly(k, iterate_coproduct(_delta_forest, poly.terms, k)[-1])
+    return coproduct_iterates(x, 2)[1]
 
 
 def coproduct_iterates(x, k: int) -> list:
-    """[delta^[1], ..., delta^[k]] of x from one left-iteration loop."""
+    """[delta^[1], ..., delta^[k]] of x from one left-iteration loop
+    (delta^[1] is the identity); delta^[k] alone is the last."""
     poly = _as_forest_poly(x)
     return [TensorPoly(j, terms) for j, terms in
             enumerate(iterate_coproduct(_delta_forest, poly.terms, k), 1)]
@@ -242,7 +237,7 @@ def tensor_pairing(a: TensorPoly, b: TensorPoly):
 def _right_powers(a, x, weight, order: int, product):
     """sum_{n>=0} weight(n) r_n, r_0 = a, r_(n+1) = r_n <| x, truncated at
     order; a's terms have grade >= 1, so r_n has grade > n."""
-    acc = type(a)({}, order)
+    acc = type(a)({})
     r = a.truncated(order)
     n = 0
     while r and n < order:
@@ -276,7 +271,7 @@ def magnus_closed_form(order: int) -> TreeSeries:
             c = murua_omega(t) / sigma(t)
             if c:
                 acc[t] = c
-    return TreeSeries(acc, order)
+    return TreeSeries(acc)
 
 
 def magnus_fixed_point(a: TermMap, order: int, product=None) -> TermMap:
@@ -284,15 +279,14 @@ def magnus_fixed_point(a: TermMap, order: int, product=None) -> TermMap:
 
     The n = 0 term is a itself, the n = 1 term is B_1 (a <| Omega), and so on.
     Every term of a has grade >= 1, so grade p of the right side reads only
-    grades < p of Omega: pass p, truncated at grade p, fixes grade p.  Omega
-    is kept untruncated between passes, so the next pass's products are cut
-    at its own grade only; the last pass is truncated at `order`.
+    grades < p of Omega: pass p, truncated at grade p, fixes grade p.  Each
+    pass's products are cut at its own grade p, the last pass's at `order`.
     """
     product = product or prelie
-    acc = type(a)({}, order)
+    acc = type(a)({})
     for p in range(1, order + 1):
-        acc = _right_powers(a, type(a)(acc.terms),
-                            lambda n: bernoulli(n) / factorial(n), p, product)
+        acc = _right_powers(a, acc, lambda n: bernoulli(n) / factorial(n), p,
+                            product)
     return acc
 
 
@@ -331,10 +325,12 @@ def sol1(x: ForestPoly) -> ForestPoly:
 
     sol1(b1...bn) = sum_{k=1..n} ((-1)^(k-1)/k) sum over ordered partitions
     (I1,..,Ik) of [n] of b_{I1} * ... * b_{Ik}; linear in x; sol1(1) = 0.
+    The GL product is graded, so sol1 is: a grade-g monomial maps to grade-g
+    terms only, and sol1 needs no truncation order.
     """
-    acc = ForestPoly({}, x.order)
+    acc = ForestPoly({})
     for f, c in x.terms.items():
-        acc = acc + _sol1_monomial(f).truncated(x.order).scaled(c)
+        acc = acc + _sol1_monomial(f).scaled(c)
     return acc
 
 
@@ -343,8 +339,8 @@ def poly_exp(a: TreeSeries, order: int) -> ForestPoly:
     p = _as_forest_poly(a).truncated(order)
     if any(f.size == 0 for f in p.terms):
         raise ValueError("poly_exp needs grade >= 1 terms only")
-    out = ForestPoly({EMPTY_FOREST: 1}, order)
-    term = ForestPoly({EMPTY_FOREST: 1}, order)
+    out = ForestPoly({EMPTY_FOREST: 1})
+    term = out
     for n in range(1, order + 1):
         term = poly_mul(term, p, order).scaled(Fraction(1, n))
         if not term:

@@ -1,16 +1,17 @@
 """Shared machinery for finite rational linear combinations.
 
-TermMap is a thin dict wrapper (basis key -> coefficient) with zero pruning,
-the usual module arithmetic and a truncation order: terms whose key grade
-(``grade(key)``, the key's ``size`` unless a subclass says otherwise)
-exceeds the order are dropped, and binary operations keep the min of the
-two orders (None = untruncated).  Coefficients are int or Fraction and are
-kept as given, so integer structure constants stay ints until a division
-makes a Fraction; any other number is turned into the Fraction of its exact
-value, never kept as a float.  Tensor is the same over k-tuples of keys,
-with the arity checked.  Subclasses fix only the key type's grade and its
-sort key for serialization.  Everything is value-like: operations return
-new objects, terms dicts are never shared, so concurrent readers are safe.
+TermMap is a thin dict wrapper (basis key -> coefficient) with zero pruning
+and the usual module arithmetic.  It carries no truncation order: a caller
+truncates by argument, ``truncated(order)`` keeping the terms whose key grade
+(``grade(key)``, the key's ``size`` unless a subclass says otherwise) is at
+most order and ``bilinear`` skipping the key pairs whose grades sum past its
+order.  Coefficients are int or Fraction and are kept as given, so integer
+structure constants stay ints until a division makes a Fraction; any other
+number is turned into the Fraction of its exact value, never kept as a
+float.  Tensor is the same over k-tuples of keys, with the arity checked.
+Subclasses fix only the key type's grade and its sort key for
+serialization.  Everything is value-like: operations return new objects,
+terms dicts are never shared, so concurrent readers are safe.
 
 The module functions are the loops every graded algebra in the package
 shares: the bilinear extension of a product of basis keys, the
@@ -36,18 +37,10 @@ def _exact(c):
     return c if type(c) is int or type(c) is Fraction else Fraction(c)
 
 
-def _min_order(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class TermMap:
-    __slots__ = ("terms", "order")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, order=None):
+    def __init__(self, terms=None):
         data: dict = {}
         if isinstance(terms, dict):
             data.update(terms)  # distinct keys: copied in C, nothing summed
@@ -59,14 +52,12 @@ class TermMap:
                 c = _exact(c)
                 acc = data.get(k)
                 data[k] = c if acc is None else acc + c
-        for k in [k for k, c in data.items()
-                  if not c or order is not None and self.grade(k) > order]:
+        for k in [k for k, c in data.items() if not c]:
             del data[k]
         self.terms = data
-        self.order = order
 
-    def _with(self, terms, order):
-        return type(self)(terms, order)
+    def _with(self, terms):
+        return type(self)(terms)
 
     @staticmethod
     def grade(key):
@@ -81,7 +72,10 @@ class TermMap:
         return sorted(self.terms.items(), key=lambda kv: self.sort_key(kv[0]))
 
     def truncated(self, order):
-        return self._with(self.terms, _min_order(self.order, order))
+        """The terms of grade <= order."""
+        grade = self.grade
+        return self._with({k: c for k, c in self.terms.items()
+                           if grade(k) <= order})
 
     def __bool__(self):
         return bool(self.terms)
@@ -93,15 +87,14 @@ class TermMap:
 
     def __add__(self, other):
         self._check(other)
-        return self._with(chain(self.terms.items(), other.terms.items()),
-                          _min_order(self.order, other.order))
+        return self._with(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "TermMap":
         c = _exact(c)
-        return self._with({k: v * c for k, v in self.terms.items()}, self.order)
+        return self._with({k: v * c for k, v in self.terms.items()})
 
     def coeff(self, key):
         """The coefficient of key, an int or a Fraction (0 if absent)."""
@@ -129,7 +122,7 @@ class Tensor(TermMap):
             if len(key) != arity:
                 raise ValueError("tensor term %r does not have arity %d" % (key, arity))
 
-    def _with(self, terms, order):
+    def _with(self, terms):
         return type(self)(self.arity, terms)
 
     def _check(self, other):
@@ -145,10 +138,9 @@ class Tensor(TermMap):
 def bilinear(a: TermMap, b: TermMap, mul, order=None) -> TermMap:
     """Bilinear extension of mul (a pair of keys -> TermMap) to a x b.
 
-    The result has a's type and the min of order and the two operands'
-    orders; key pairs whose grades already sum past it are skipped.
+    The result has a's type; key pairs whose grades sum past order, when
+    given, are skipped.
     """
-    order = _min_order(order, _min_order(a.order, b.order))
     grade = a.grade
     right = [(y, cb, grade(y)) for y, cb in b.terms.items()]
     acc: dict = {}
@@ -160,7 +152,7 @@ def bilinear(a: TermMap, b: TermMap, mul, order=None) -> TermMap:
             c = ca * cb
             for r, d in mul(x, y).terms.items():
                 acc[r] = acc.get(r, 0) + c * d
-    return type(a)(acc, order)
+    return type(a)(acc)
 
 
 def multiplicative_coproduct(factors, factor_delta, unit, join) -> dict:
@@ -226,7 +218,7 @@ def project(tensor: Tensor, flavor: str) -> Tensor:
     else:
         raise ValueError("flavor must be full, reduced or irr")
     return tensor._with({slots: c for slots, c in tensor.terms.items()
-                         if keep.issuperset(slots)}, None)
+                         if keep.issuperset(slots)})
 
 
 def pair(a: dict, b: dict, weight):

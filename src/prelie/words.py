@@ -8,9 +8,9 @@ delta_bar(w), a sum over odd-length factorizations w = w_1 ... w_{2m+1} with
 nonempty ends and even factors; the left slot keeps the concatenated odd
 factors, the right slot the commutative product of even factors.  With
 w (x) 1 + 1 (x) w added and extended multiplicatively to monomials it is
-the full coproduct that word_iterated_coproducts iterates on the left
-(word_coproduct_iterates keeps every iterate up to k);
-lincomb.project takes the reduced and irreducible parts of the iterates.
+the full coproduct that word_coproduct_iterates iterates on the left,
+keeping every iterate up to k; lincomb.project takes the reduced and
+irreducible parts of the iterates.
 
 Monomials are multisets of words, stored as sorted tuples; () is the unit.
 The pairing is the permanent extension of the orthonormal one on words:
@@ -30,7 +30,7 @@ from .lincomb import (Tensor, TermMap, bilinear, iterate_coproduct,
 __all__ = [
     "WordPoly", "WordTensor", "monomial", "enumerate_words",
     "word_prelie", "word_prelie_series", "word_brace", "word_dual_coproduct",
-    "word_iterated_coproducts", "word_coproduct_iterates", "word_pairing",
+    "word_coproduct_iterates", "word_pairing",
 ]
 
 
@@ -158,16 +158,10 @@ def _join(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
-def word_iterated_coproducts(x: WordPoly, k: int) -> WordTensor:
-    """delta^[k] of x, delta = delta_bar + 1 (x) w + w (x) 1 on words and
-    multiplicative on monomials; lincomb.project takes its reduced and
-    irreducible parts."""
-    return WordTensor(k, iterate_coproduct(_delta_monomial, x.terms, k)[-1])
-
-
 def word_coproduct_iterates(x: WordPoly, k: int) -> list:
-    """[delta^[1], ..., delta^[k]] of x from one left-iteration loop; the
-    last is word_iterated_coproducts(x, k)."""
+    """[delta^[1], ..., delta^[k]] of x from one left-iteration loop, delta =
+    delta_bar + 1 (x) w + w (x) 1 on words and multiplicative on monomials;
+    lincomb.project takes their reduced and irreducible parts."""
     return [WordTensor(j, terms) for j, terms in
             enumerate(iterate_coproduct(_delta_monomial, x.terms, k), 1)]
 

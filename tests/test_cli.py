@@ -111,11 +111,11 @@ def test_tree_table_is_byte_stable(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of each order-7 series; every route of a series prints the same
-# bytes, so one digest per series
+# sha256 of each order-8 series; every route of a series prints the same
+# bytes, so one digest per series, and --check prints the Magnus series too
 _SERIES_DIGESTS = {
-    "exp": "b8fad6efbbb96eb3a6ce918d37a757595ab1006fb5e095fb9e8f06b03e583c05",
-    "magnus": "017d30a0cfc3dfb49093474894513a4b2ca99addb563e0c9071016992cf07a56",
+    "exp": "a75f1b33273bf37795c23108b488a2c4af6786180d53d92f7cfd791cfff7b651",
+    "magnus": "38d176f35e87a636c30bf14dfcf6678364067dc2c37d9b2e3ee49d11120bda41",
 }
 
 
@@ -125,9 +125,16 @@ def test_series_is_byte_stable(capsys, which, method):
     # the routes are compared with each other in-process; this pins each
     # one's output, so an edit inside a route shows on its own
     code, out, err = run(capsys, "series", "--which", which, "--method", method,
-                         "--order", "7")
+                         "--order", "8")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == _SERIES_DIGESTS[which]
+
+
+def test_series_check_is_byte_stable(capsys):
+    code, out, err = run(capsys, "series", "--which", "magnus", "--order", "8",
+                         "--check")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _SERIES_DIGESTS["magnus"]
 
 
 # oracles for the trees and series output: json.dumps under indent and

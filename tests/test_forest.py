@@ -154,12 +154,13 @@ def test_ck_formula_matches_direct_iterates():
     for n in range(1, 5):
         for t in enumerate_trees(n):
             i = ck.index_of(t)
+            iterates = freeprelie.coproduct_iterates(t, 3)
             for k in (2, 3):
-                direct = freeprelie.iterated_coproduct(t, k)
                 for flavor in ("full", "reduced", "irr"):
                     got = ck.slot_tensor(
                         forest_formula(i, k, ck)[k][flavor], k)
-                    assert got == project(direct, flavor), (t.key, k, flavor)
+                    assert got == project(iterates[k - 1], flavor), \
+                        (t.key, k, flavor)
 
 
 def test_word_formula_matches_direct_iterates():
@@ -167,13 +168,14 @@ def test_word_formula_matches_direct_iterates():
     for n in range(1, 5):
         for w in words.enumerate_words("ab", n):
             i = wb.index_of(w)
-            poly = words.WordPoly({(w,): 1})
+            iterates = words.word_coproduct_iterates(
+                words.WordPoly({(w,): 1}), 3)
             for k in (2, 3):
-                direct = words.word_iterated_coproducts(poly, k)
                 for flavor in ("full", "reduced", "irr"):
                     got = wb.slot_tensor(
                         forest_formula(i, k, wb)[k][flavor], k)
-                    assert got == project(direct, flavor), (w, k, flavor)
+                    assert got == project(iterates[k - 1], flavor), \
+                        (w, k, flavor)
 
 
 def test_word_formula_through_length_six():
@@ -183,13 +185,14 @@ def test_word_formula_through_length_six():
     for n in (5, 6):
         for w in words.enumerate_words("ab", n):
             i = wb.index_of(w)
-            poly = words.WordPoly({(w,): 1})
+            iterates = words.word_coproduct_iterates(
+                words.WordPoly({(w,): 1}), 4)
             for k in (2, 3, 4):
-                direct = words.word_iterated_coproducts(poly, k)
                 for flavor in ("full", "reduced", "irr"):
                     got = wb.slot_tensor(
                         forest_formula(i, k, wb)[k][flavor], k)
-                    assert got == project(direct, flavor), (w, k, flavor)
+                    assert got == project(iterates[k - 1], flavor), \
+                        (w, k, flavor)
 
 
 def test_full_flavor_decomposes_into_embedded_reduced():
@@ -244,7 +247,7 @@ def test_symmetry_factor_is_load_bearing(monkeypatch):
     again = CKBasis()
     assert forest_formula(again.index_of(t), 3, again)[3]["reduced"] == honest
     assert fresh.slot_tensor(honest, 3) == project(
-        freeprelie.iterated_coproduct(t, 3), "reduced")
+        freeprelie.coproduct_iterates(t, 3)[2], "reduced")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from prelie import freeprelie
 from prelie.exactnum import bernoulli
 from prelie.freeprelie import (
     ForestPoly, TensorPoly, TreeSeries, brace, ck_coproduct, cm_coefficient,
-    gl_product, graft, iterated_coproduct, magnus_closed_form,
+    coproduct_iterates, gl_product, graft, magnus_closed_form,
     magnus_fixed_point, pairing, poly_exp, poly_mul, prelie, prelie_exp, sol1,
     tensor_pairing, tree_part,
 )
@@ -20,6 +20,7 @@ from prelie.trees import (
     EMPTY_FOREST, Forest, LEAF, RootedTree, enumerate_forests, enumerate_trees,
     sigma, tree_factorial, tree_from_string,
 )
+from prelie.words import WordPoly, word_prelie_series
 
 CHAIN2 = RootedTree((LEAF,))
 CHAIN3 = RootedTree((CHAIN2,))
@@ -153,10 +154,9 @@ def test_gl_associativity(fa, fb, fc):
 
 
 def test_gl_truncation_respects_grades():
-    dot = ForestPoly({Forest((LEAF,)): 1}, order=1)
-    out = gl_product(dot, dot)
-    assert out.order == 1
-    assert not out.terms  # every product term has grade 2
+    dot = ForestPoly({Forest((LEAF,)): 1})
+    assert not gl_product(dot, dot, 1).terms  # every product term has grade 2
+    assert {f.size for f in gl_product(dot, dot, 2).terms} == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +215,9 @@ def test_iterated_coproduct_identity_and_reduced():
     for n in range(1, 5):
         for t in enumerate_trees(n):
             f = Forest((t,))
-            assert iterated_coproduct(t, 1) == TensorPoly(1, {(f,): 1})
-            reduced = project(iterated_coproduct(t, 2), "reduced")
+            one, two = coproduct_iterates(t, 2)
+            assert one == TensorPoly(1, {(f,): 1})
+            reduced = project(two, "reduced")
             full = ck_coproduct(t)
             want = {k: c for k, c in full.terms.items()
                     if k[0] != EMPTY_FOREST and k[1] != EMPTY_FOREST}
@@ -224,7 +225,7 @@ def test_iterated_coproduct_identity_and_reduced():
 
 
 def test_irr_keeps_only_single_tree_slots():
-    out = project(iterated_coproduct(CHERRY, 2), "irr")
+    out = project(coproduct_iterates(CHERRY, 2)[1], "irr")
     assert out == TensorPoly(2, {(Forest((CHAIN2,)), Forest((LEAF,))): 2})
 
 
@@ -319,9 +320,9 @@ def test_magnus_fixed_point_matches_closed_form_at_order_10():
 def _fixed_point_full_passes(a, order):
     """`order` passes of Omega = sum_n (B_n/n!) r^(n+1)_Omega(a), each
     computing every grade up to order."""
-    omega = TreeSeries({}, order)
+    omega = TreeSeries({})
     for _ in range(order):
-        acc = TreeSeries({}, order)
+        acc = TreeSeries({})
         r = a.truncated(order)
         n = 0
         while r and n <= order:
@@ -340,7 +341,7 @@ def test_magnus_fixed_point_of_a_non_generator_series():
     for order in range(1, 8):
         got = magnus_fixed_point(a, order)
         assert got == _fixed_point_full_passes(a, order), order
-        assert got.order == order
+        assert all(t.size <= order for t in got.terms), order
 
 
 def test_sol1_projects_group_like_onto_trees():
@@ -349,7 +350,7 @@ def test_sol1_projects_group_like_onto_trees():
 
 
 def test_sol1_fixtures():
-    assert sol1(poly(EMPTY_FOREST)) == ForestPoly({}, None)
+    assert sol1(poly(EMPTY_FOREST)) == ForestPoly({})
     assert sol1(poly(Forest((CHAIN2,)))) == poly(Forest((CHAIN2,)))
     assert sol1(poly(Forest((LEAF, LEAF)))) == ForestPoly({Forest((CHAIN2,)): -1})
 
@@ -369,7 +370,31 @@ def test_sol1_matches_ordered_partition_oracle():
 
 def test_exp_after_magnus_is_identity():
     omega = magnus_closed_form(4)
-    assert prelie_exp(omega, 4) == TreeSeries({LEAF: 1}, 4)
+    assert prelie_exp(omega, 4) == TreeSeries({LEAF: 1})
+
+
+def test_operators_truncate_by_their_own_order():
+    # every input holds a term above order; a series carries no order, so
+    # only each operator's own argument can cut it
+    five = tree_from_string("[[[[[]]]]]")
+    a = TreeSeries({LEAF: 1, CHAIN2: Fraction(1, 2), CHERRY: -1, five: 3})
+    p = ForestPoly({Forest((LEAF,)): 1, Forest((CHAIN2, LEAF)): 2,
+                    Forest((five,)): 1})
+    w = WordPoly({("a",): 1, ("ab",): -2, ("abaab",): 1})
+    for order in range(2, 5):  # every product has a term at grade 2
+        outputs = [
+            prelie_exp(a, order), magnus_fixed_point(a, order),
+            prelie_exp(w, order, word_prelie_series),
+            magnus_fixed_point(w, order, word_prelie_series),
+            poly_exp(a, order), prelie(a, a, order), gl_product(p, p, order),
+            poly_mul(p, p, order),
+        ]
+        for out in outputs:
+            assert out and all(out.grade(k) <= order for k in out.terms), \
+                (order, out)
+    # the GL product is graded, so sol1 is and needs no order of its own
+    for f in (f for n in range(6) for f in enumerate_forests(n)):
+        assert all(g.size == f.size for g in sol1(poly(f)).terms), f
 
 
 def test_poly_exp_includes_unit_and_grades():
@@ -384,10 +409,11 @@ def test_poly_exp_includes_unit_and_grades():
 # containers
 
 def test_series_truncation_and_order_propagation():
-    s = TreeSeries({LEAF: 1, CHERRY: 1}, order=2)
-    assert CHERRY not in s.terms
-    t = s + TreeSeries({CHAIN2: 1}, order=5)
-    assert t.order == 2
+    s = TreeSeries({LEAF: 1, CHAIN2: -1, CHERRY: 1})
+    assert s.truncated(2) == TreeSeries({LEAF: 1, CHAIN2: -1})
+    assert s.truncated(0) == TreeSeries({})
+    # a sum truncates nothing: the order is only ever an argument
+    assert (s.truncated(2) + TreeSeries({CHAIN3: 1})).coeff(CHAIN3) == 1
 
 
 def test_tensor_arity_validation():
@@ -399,7 +425,7 @@ def test_json_round_trip_of_series():
     m = magnus_closed_form(4)
     data = json.loads(json.dumps(m.to_json()))
     rebuilt = TreeSeries({tree_from_string(row["forest"]): Fraction(row["coeff"])
-                          for row in data}, 4)
+                          for row in data})
     assert rebuilt == m
 
 

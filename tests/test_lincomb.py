@@ -12,15 +12,13 @@ from prelie import freeprelie, words
 from prelie.forest import CKBasis, WordBasis, forest_formula
 from prelie.freeprelie import (
     ForestPoly, TensorPoly, TreeSeries, brace, ck_coproduct,
-    coproduct_iterates, gl_product, graft, iterated_coproduct,
-    magnus_closed_form, magnus_fixed_point, pairing, poly_exp, prelie_exp,
-    sol1, tree_part,
+    coproduct_iterates, gl_product, graft, magnus_closed_form,
+    magnus_fixed_point, pairing, poly_exp, prelie_exp, sol1, tree_part,
 )
 from prelie.lincomb import iterate_coproduct, project
 from prelie.trees import LEAF, Forest, enumerate_forests, enumerate_trees
 from prelie.words import (WordPoly, WordTensor, enumerate_words,
-                          word_coproduct_iterates, word_iterated_coproducts,
-                          word_prelie_series)
+                          word_coproduct_iterates, word_prelie_series)
 
 TREES = [t for n in range(1, 5) for t in enumerate_trees(n)]
 FORESTS = [f for n in range(4) for f in enumerate_forests(n)]
@@ -40,9 +38,10 @@ def integer_routes():
         yield gl_product(ForestPoly({fa: 1}), ForestPoly({fb: 1}))
     for t in TREES:
         yield ck_coproduct(t)
-        yield iterated_coproduct(t, 3)
+        yield coproduct_iterates(t, 3)[2]
     for w, flavor in product(WORDS, FLAVORS):
-        yield project(word_iterated_coproducts(WordPoly({(w,): 1}), 3), flavor)
+        yield project(word_coproduct_iterates(WordPoly({(w,): 1}), 3)[2],
+                      flavor)
     ck, wb = CKBasis(), WordBasis("ab")
     indices = ([(ck, ck.index_of(t)) for t in TREES + enumerate_trees(5)]
                + [(wb, wb.index_of(w)) for w in WORDS])
@@ -101,9 +100,9 @@ _KEEPS = {"full": lambda slots: True,
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_project_keeps_what_the_slot_definitions_keep(flavor):
-    full = ([iterated_coproduct(t, k) for t in TREES for k in (2, 3)]
-            + [word_iterated_coproducts(WordPoly({(w,): 1}), k)
-               for w in WORDS for k in (2, 3)])
+    full = ([d for t in TREES for d in coproduct_iterates(t, 3)[1:]]
+            + [d for w in WORDS
+               for d in word_coproduct_iterates(WordPoly({(w,): 1}), 3)[1:]])
     kept = 0
     for tensor in full:
         got = project(tensor, flavor)
@@ -122,21 +121,20 @@ def test_project_rejects_an_unknown_flavor():
 
 def test_every_iterate_matches_the_per_k_left_iteration():
     # one loop hands out delta^[1..k]; each must equal k-1 left steps
-    # started afresh, and the single iterate must be the last of them
+    # started afresh
     cases = [(freeprelie._delta_forest, {Forest((t,)): 1}, t,
-              coproduct_iterates, iterated_coproduct, TensorPoly)
+              coproduct_iterates, TensorPoly)
              for t in TREES + enumerate_trees(5)]
     cases += [(words._delta_monomial, {(w,): 1}, WordPoly({(w,): 1}),
-               word_coproduct_iterates, word_iterated_coproducts, WordTensor)
+               word_coproduct_iterates, WordTensor)
               for w in WORDS + enumerate_words("ab", 5)]
     terms = 0
-    for delta2, x_terms, x, iterates, last, tensor in cases:
+    for delta2, x_terms, x, iterates, tensor in cases:
         want = [oracles.left_iterate(delta2, x_terms, k) for k in range(1, 6)]
         assert iterate_coproduct(delta2, x_terms, 5) == want, x
         got = iterates(x, 5)
         assert got == [tensor(k, w) for k, w in enumerate(want, 1)], x
         assert [g.arity for g in got] == [1, 2, 3, 4, 5]
-        assert last(x, 5) == got[-1] and last(x, 2) == got[1], x
         terms += sum(len(g.terms) for g in got)
     assert terms > 10000
     with pytest.raises(ValueError):

@@ -227,18 +227,18 @@ def test_bad_route_and_brand():
 # ---------------------------------------------------------------------------
 # exp and Magnus of a table in the insertion pre-Lie algebra of words
 
-def _series(values: dict, maxlen: int, sign: int) -> WordPoly:
+def _series(values: dict, sign: int) -> WordPoly:
     """The linear form on words as the series sum sign * values[w] w."""
-    return WordPoly({(w,): sign * v for w, v in values.items()}, maxlen)
+    return WordPoly({(w,): sign * v for w, v in values.items()})
 
 
 def word_exp(values: dict, maxlen: int, sign: int = 1) -> WordPoly:
-    return prelie_exp(_series(values, maxlen, sign), maxlen,
+    return prelie_exp(_series(values, sign), maxlen,
                       word_prelie_series)
 
 
 def word_magnus(values: dict, maxlen: int, sign: int = 1) -> WordPoly:
-    return magnus_fixed_point(_series(values, maxlen, sign), maxlen,
+    return magnus_fixed_point(_series(values, sign), maxlen,
                               word_prelie_series)
 
 

@@ -9,7 +9,7 @@ import oracles
 from prelie.lincomb import bilinear, project
 from prelie.words import (
     WordPoly, WordTensor, enumerate_words, monomial, word_brace,
-    word_dual_coproduct, word_iterated_coproducts, word_pairing, word_prelie,
+    word_coproduct_iterates, word_dual_coproduct, word_pairing, word_prelie,
     word_prelie_series,
 )
 
@@ -129,7 +129,7 @@ def test_dual_coproduct_fixtures():
 
 
 def test_full_coproduct_on_a_letter():
-    d = word_iterated_coproducts(wp("a"), 2)
+    d = word_coproduct_iterates(wp("a"), 2)[1]
     assert d == WordTensor(2, {((), ("a",)): 1, (("a",), ()): 1})
 
 
@@ -142,29 +142,29 @@ def test_full_coproduct_is_multiplicative():
         for (l2, r2), d in dv.items():
             key = (monomial(l1 + l2), monomial(r1 + r2))
             merged[key] = merged.get(key, Fraction(0)) + c * d
-    got = word_iterated_coproducts(WordPoly({monomial((u, v)): 1}), 2)
+    got = word_coproduct_iterates(WordPoly({monomial((u, v)): 1}), 2)[1]
     assert got == WordTensor(2, merged)
 
 
 def _delta_terms(mono):
-    return dict(word_iterated_coproducts(WordPoly({mono: 1}), 2).terms)
+    return dict(word_coproduct_iterates(WordPoly({mono: 1}), 2)[1].terms)
 
 
 def test_iterated_flavors():
-    irr2 = project(word_iterated_coproducts(wp("abc"), 2), "irr")
+    irr2 = project(word_coproduct_iterates(wp("abc"), 2)[1], "irr")
     assert irr2 == WordTensor(2, {(("ac",), ("b",)): 1})
-    irr3 = project(word_iterated_coproducts(wp("abcde"), 3), "irr")
+    irr3 = project(word_coproduct_iterates(wp("abcde"), 3)[2], "irr")
     assert irr3.terms.get((("ace",), ("b",), ("d",))) == 1
     assert irr3.terms.get((("ace",), ("d",), ("b",))) == 1
-    red = project(word_iterated_coproducts(wp("abc"), 2), "reduced")
+    red = project(word_coproduct_iterates(wp("abc"), 2)[1], "reduced")
     assert red == WordTensor(2, {(("ac",), ("b",)): 1})
     with pytest.raises(ValueError):
-        project(word_iterated_coproducts(wp("abc"), 2), "bogus")
+        project(word_coproduct_iterates(wp("abc"), 2)[1], "bogus")
 
 
 def test_coproduct_respects_grading():
     for w in enumerate_words("ab", 4):
-        for slots, c in word_iterated_coproducts(wp(w), 2).terms.items():
+        for slots, c in word_coproduct_iterates(wp(w), 2)[1].terms.items():
             assert sum(sum(len(u) for u in m) for m in slots) == 4
             assert c > 0
 
@@ -232,10 +232,10 @@ def test_enumerate_words():
 
 def test_word_poly_truncates_by_total_letters():
     x = WordPoly({("ab",): 1, ("a", "b"): 2, ("abc",): 3, ("a",): 4})
-    assert WordPoly(x.terms, 2) == WordPoly({("ab",): 1, ("a", "b"): 2,
-                                             ("a",): 4})
+    assert x.truncated(2) == WordPoly({("ab",): 1, ("a", "b"): 2,
+                                       ("a",): 4})
     assert x.truncated(1) == WordPoly({("a",): 4})
-    assert x.truncated(1).order == 1
+    assert WordPoly({(): 5, ("a",): 1}).truncated(0) == WordPoly({(): 5})
 
     def concat(u, v):
         return WordPoly({tuple(sorted(u + v)): 1})
