@@ -26,10 +26,10 @@ from .trees import (LEAF, enumerate_forests, enumerate_trees,
                     murua_omega, murua_omega_recursive, sigma)
 
 # orders past these take minutes or more: tree orders (series --method
-# fixed-point, on a 2-core machine: 4.5 s at order 11 and 19 s at 12)
+# fixed-point, on a 2-core machine: 2.3 s at order 11 and 8.9 s at 12)
 TREE_CAP = 12
 # forest-formula grades (the forest suite, forest --index): on a 2-core
-# machine the forest suite takes 1.0-1.3 s at order 8 and 4.9-7.6 s at 9
+# machine the forest suite takes 0.9 s at order 8 and 4.2 s at 9
 FOREST_CAP = 8
 
 # the one-vertex tree, the generator of every series in ROUTES
@@ -55,8 +55,7 @@ ROUTES = {
         "fixed-point": (lambda n: freeprelie.magnus_fixed_point(_GENERATOR, n),
                         TREE_CAP),
         # on a 2-core machine series --which magnus --order 9 --check takes
-        # 1.1-2.4 s, sol1 alone 4.5-6.5 s at order 10 and --order 10 --check
-        # 5.3-6.1 s
+        # 0.7 s, sol1 alone 2.0 s at order 10 and --order 10 --check 2.7 s
         "sol1": (lambda n: freeprelie.tree_part(freeprelie.sol1(
             freeprelie.poly_exp(_GENERATOR, n))), 9),
     },
@@ -250,10 +249,10 @@ def exp_magnus_functionals(order: int):
 
 
 # order is the suite's default order; each cap is the last order a suite
-# finishes within seconds, measured on a 2-core machine: trees 4.1 s at 10 and
-# 19 s at 11, hopf 1.6-2.9 s at 8 and 13 s at 9, magnus 1.1 s at 9 and
-# 5.4 s at 10, words 4.9 s at 6 and over 60 s at 7, forest 1.0-1.3 s at 8
-# and 4.9-7.6 s at 9, cumulants 0.8-0.9 s at 12 (its tables stop at length 6)
+# finishes within seconds, measured on a 2-core machine: trees 2.0 s at 10 and
+# 10.9 s at 11, hopf 1.3 s at 8 and 5.4 s at 9, magnus 0.6 s at 9 and 2.3 s
+# at 10, words 1.7 s at 6 and 25.5 s at 7, forest 0.9 s at 8 and 4.2 s at 9,
+# cumulants 0.4 s at 12 (its tables stop at length 6)
 Suite = namedtuple("Suite", "identities order cap")
 
 

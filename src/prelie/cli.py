@@ -14,12 +14,19 @@ The trees table and the series are lists of flat records, built once as
 tuples of str and int.  ``_json_records`` writes them as
 ``json.dumps(..., indent=2)`` would write the same rows as dicts, and
 ``csv.writer`` writes the trees CSV from the same tuples.
+
+Called as the process entry (``main()`` with no argv, as the ``prelie``
+script and ``python -m prelie.cli`` call it), ``main`` freezes the heap with
+``gc.freeze()`` before it returns, so the collection at interpreter exit
+skips the intern tables and memos that die with the process; a caller that
+passes argv runs in a process that goes on, and its heap is left as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -36,10 +43,10 @@ from .forest import (CKBasis, WordBasis, decorated_string,
 from .trees import enumerate_trees, murua_omega, sigma, tree_factorial
 
 # table maxlen: a 2-variable free -> monotone conversion through moments
-# takes 1.2 s at 8 and 4.2 s at 9, a 3-variable one 12 s at 8
+# takes 0.6 s at 8 and 2.9 s at 9, a 3-variable one 11 s at 8
 CUMULANT_CAP = 8
 # forest --k, for the grade-8 corolla in full flavor on a 2-core machine:
-# 1.2-1.6 s and 85 MB peak RSS at 6, 5.6 s and 271 MB at 7
+# 0.9 s and 86 MB peak RSS at 6, 3.9 s and 275 MB at 7
 K_CAP = 6
 # a grade:ordinal index in ASCII digits; int() would also take "+1", " 2",
 # "1_0" and non-ASCII digits
@@ -349,6 +356,11 @@ def main(argv=None) -> int:
         # device so the interpreter's flush at exit drops the rest quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _input_error("cannot write output: %s" % exc)
+    finally:
+        if argv is None:
+            # the process entry: the heap dies with the process, so the
+            # collection at exit need not walk it
+            gc.freeze()
     return code
 
 

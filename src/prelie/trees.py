@@ -6,7 +6,9 @@ by their own encodings ("[]" is the single vertex, "[[]]" the 2-chain,
 form, i.e. per isomorphism class of rooted posets, so equality is identity
 and hashing is the object's own.  A forest is a multiset of trees, interned
 the same way; its key is the juxtaposition of the sorted member keys (empty
-string for the empty forest).
+string for the empty forest).  Enumeration builds each tree of size n as
+a root over a multiset of smaller trees, with no forest in between; only
+enumerate_forests interns those multisets as forests.
 
 Poset orientation: the root is MINIMAL.  A k-linearization is a surjective
 strictly order preserving map onto {1..k} (smaller labels closer to the root);
@@ -177,7 +179,8 @@ def enumerate_trees(n: int):
 
 @cache
 def _trees(n: int) -> tuple:
-    return tuple(sorted((b_plus(f) for f in _forests(n - 1)), key=_key))
+    # a root over each multiset of n - 1 vertices: no Forest per tree
+    return tuple(sorted(map(RootedTree, _multisets(n - 1)), key=_key))
 
 
 def enumerate_forests(n: int):
@@ -189,6 +192,12 @@ def enumerate_forests(n: int):
 
 @cache
 def _forests(n: int) -> tuple:
+    return tuple(sorted(map(Forest, _multisets(n)), key=_key))
+
+
+def _multisets(n: int):
+    """Every multiset of trees with n vertices in all, each once, as a tuple
+    of trees from _trees(1..n) that ascends by size and then by key."""
     pool = [t for s in range(1, n + 1) for t in _trees(s)]
 
     def pick(total, start):
@@ -202,7 +211,7 @@ def _forests(n: int) -> tuple:
             for rest in pick(total - t.size, i):
                 yield (t,) + rest
 
-    return tuple(sorted((Forest(ts) for ts in pick(n, 0)), key=_key))
+    return pick(n, 0)
 
 
 def tree_rank(t: RootedTree) -> int:

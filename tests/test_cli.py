@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -236,6 +237,37 @@ def test_failed_stdout_write_is_an_input_error(argv, buffered, sink):
     assert proc.wait(timeout=60) == 2, err
     assert err.startswith("error: cannot write output: ") and \
         err.count("\n") == 1, err
+
+
+# the three ways main ends: a table, help text (SystemExit), an input error
+_ENDINGS = [["trees", "--max-order", "3"], ["--help"],
+            ["trees", "--max-order", "0"]]
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    for argv in _ENDINGS:
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    # python -c puts the arguments after the script in sys.argv[1:], where
+    # a bare main() reads them
+    script = ("import gc, sys\n"
+              "from prelie import cli\n"
+              "try:\n"
+              "    cli.main()\n"
+              "except SystemExit:\n"
+              "    pass\n"
+              "print('frozen', gc.get_freeze_count(), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in _ENDINGS:
+        err = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                             text=True, timeout=60).stderr
+        assert int(err.splitlines()[-1].split()[1]) > 0, err
 
 
 # ---------------------------------------------------------------------------

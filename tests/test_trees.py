@@ -1,10 +1,13 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,8 @@ from prelie.trees import (
     murua_omega_forest, murua_omega_recursive, num_linearizations, sigma,
     tree_by_rank, tree_factorial, tree_from_string, tree_rank,
 )
+
+SRC = Path(trees.__file__).resolve().parents[1]
 
 CHAIN2 = RootedTree((LEAF,))
 CHAIN3 = RootedTree((CHAIN2,))
@@ -161,10 +166,25 @@ def test_tree_counts_match_independent_recursion():
 
 
 def test_forests_biject_with_trees_one_size_up():
-    for n in range(0, 7):
+    # the trees do not come from the forests' memo: B+ must map the forests
+    # of n onto the trees of n + 1, one to one
+    for n in range(0, 10):
         forests = enumerate_forests(n)
-        assert len(forests) == len(enumerate_trees(n + 1))
-        assert len(set(b_plus(f) for f in forests)) == len(forests)
+        assert len(set(forests)) == len(forests)
+        assert {b_plus(f) for f in forests} == set(enumerate_trees(n + 1))
+
+
+def test_trees_are_enumerated_without_forests():
+    # a fresh interpreter, so no other test's forests are interned
+    script = ("from prelie import trees\n"
+              "for n in range(1, 13):\n"
+              "    trees.enumerate_trees(n)\n"
+              "print(trees._forests.cache_info().currsize,"
+              " len(trees.Forest._table))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True, timeout=120).stdout
+    assert out.split() == ["0", "1"]  # only the empty forest is interned
 
 
 def test_enumerations_are_duplicate_free_and_sized():
