@@ -25,11 +25,11 @@ from .trees import (LEAF, enumerate_forests, enumerate_trees,
                     count_k_linearizations, count_weak_k_linearizations,
                     murua_omega, murua_omega_recursive, sigma)
 
-# orders past these take minutes or more: tree orders (series --method
-# fixed-point, on a 2-core machine: 2.3 s at order 11 and 8.9 s at 12)
+# each cap is the last order that finishes within a few seconds, the next
+# taking about three times as long or more; the measured times are in the
+# README.  Tree orders (series --method fixed-point):
 TREE_CAP = 12
-# forest-formula grades (the forest suite, forest --index): on a 2-core
-# machine the forest suite takes 0.9 s at order 8 and 4.2 s at 9
+# forest-formula grades (the forest suite, forest --index):
 FOREST_CAP = 8
 
 # the one-vertex tree, the generator of every series in ROUTES
@@ -54,8 +54,7 @@ ROUTES = {
         "closed": (lambda n: freeprelie.magnus_closed_form(n), TREE_CAP),
         "fixed-point": (lambda n: freeprelie.magnus_fixed_point(_GENERATOR, n),
                         TREE_CAP),
-        # on a 2-core machine series --which magnus --order 9 --check takes
-        # 0.7 s, sol1 alone 2.0 s at order 10 and --order 10 --check 2.7 s
+        # sol1 costs the most of the three, so it has a cap of its own
         "sol1": (lambda n: freeprelie.tree_part(freeprelie.sol1(
             freeprelie.poly_exp(_GENERATOR, n))), 9),
     },
@@ -225,10 +224,16 @@ def moment_roundtrips(order: int):
 
 
 def direct_vs_via_moments(order: int):
-    for src, table in zip(nc.BRANDS, _random_tables(order)):
-        for tgt in nc.BRANDS:
-            yield ({"from": src, "to": tgt}, nc.convert(table, tgt, "direct"),
-                   nc.convert(table, tgt, "via-moments"))
+    # cumulant brands only: from = to copies the table, and with moments on
+    # either side via-moments is the direct route (moment-roundtrips has them)
+    tables = dict(zip(nc.BRANDS, _random_tables(order)))
+    del tables["moment"]
+    for src, table in tables.items():
+        for tgt in tables:
+            if tgt != src:
+                yield ({"from": src, "to": tgt},
+                       nc.convert(table, tgt, "direct"),
+                       nc.convert(table, tgt, "via-moments"))
 
 
 def exp_magnus_functionals(order: int):
@@ -248,11 +253,9 @@ def exp_magnus_functionals(order: int):
                    (sign * got.coeff((w,)), d), (via[w], via[w]))
 
 
-# order is the suite's default order; each cap is the last order a suite
-# finishes within seconds, measured on a 2-core machine: trees 2.0 s at 10 and
-# 10.9 s at 11, hopf 1.3 s at 8 and 5.4 s at 9, magnus 0.6 s at 9 and 2.3 s
-# at 10, words 1.7 s at 6 and 25.5 s at 7, forest 0.9 s at 8 and 4.2 s at 9,
-# cumulants 0.4 s at 12 (its tables stop at length 6)
+# order is the suite's default order; cap is the last order the suite
+# finishes within a few seconds, as for TREE_CAP (cumulants' tables stop at
+# length 6)
 Suite = namedtuple("Suite", "identities order cap")
 
 

@@ -42,11 +42,10 @@ from .forest import (CKBasis, WordBasis, decorated_string,
                      enumerate_decorated_trees, _slot_maps)
 from .trees import enumerate_trees, murua_omega, sigma, tree_factorial
 
-# table maxlen: a 2-variable free -> monotone conversion through moments
-# takes 0.6 s at 8 and 2.9 s at 9, a 3-variable one 11 s at 8
+# caps as in checks.TREE_CAP, measured times in the README.  Table maxlen,
+# for a 2-variable free -> monotone conversion through moments:
 CUMULANT_CAP = 8
-# forest --k, for the grade-8 corolla in full flavor on a 2-core machine:
-# 0.9 s and 86 MB peak RSS at 6, 3.9 s and 275 MB at 7
+# forest --k, for the grade-8 corolla in full flavor (time and peak RSS):
 K_CAP = 6
 # a grade:ordinal index in ASCII digits; int() would also take "+1", " 2",
 # "1_0" and non-ASCII digits
@@ -84,16 +83,15 @@ def _csv_records(fields, rows) -> str:
 
 
 def _write_output(text: str, path) -> int:
-    """Write text to stdout or to path; the exit code, 2 if path cannot be
-    written."""
+    """Write text, ended by a newline, to stdout or to path, the same bytes
+    either way; the exit code, 2 if path cannot be written."""
+    end = "" if text.endswith("\n") else "\n"
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        print(text, end=end)
         return 0
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            print(text, end=end, file=fh)
     except OSError as exc:
         return _input_error("cannot write output: %s" % exc)
     return 0

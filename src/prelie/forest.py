@@ -13,13 +13,15 @@ soon as a vertex has two distinct child trees rooted at the same basis index.
 Two providers are included: the Connes-Kreimer basis (rooted trees, structure
 constants read off the coproduct of freeprelie) and the word basis (odd
 factorizations).  Basis indices are (grade, ordinal) pairs tied to the
-deterministic enumerations of the trees/words modules.  A provider's
-delta_bar is computed once per index, by the per-basis cache of
-enumerate_decorated_trees.
+deterministic enumerations of the trees/words modules.  Each basis instance
+keeps two plain dicts, which go with it: the decorated trees of each index
+(enumerate_decorated_trees), so delta_bar is computed once per index, and
+the native monomial of each slot that slot_tensor has converted.
 
 The onto maps depend only on a decorated tree's shape and are enumerated
-once per (shape, j); the full iterated coproduct is the unit insertion of
-the sums over maps onto 1..j, pushed along each increasing [j] -> [k].
+once per (shape, j) for the process; a walk flattens each tree to its shape
+once.  The full iterated coproduct is the unit insertion of the sums over
+maps onto 1..j, pushed along each increasing [j] -> [k].
 Those sums do not depend on k, so forest_formula(i, K, basis) walks the
 decorated trees of i once and returns the three flavors for every k <= K.
 """
@@ -29,10 +31,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (chain, combinations, combinations_with_replacement,
+                       product)
 from math import factorial
 from operator import itemgetter
-from weakref import WeakMethod
 
 from . import freeprelie
 from .trees import Forest, _trees, tree_by_rank, tree_from_string, tree_rank
@@ -45,22 +47,6 @@ __all__ = [
 ]
 
 
-class _SlotCache(dict):
-    """Sorted tuple of indices -> its native monomial, built by a basis's
-    _slot_element on the first lookup; a hit is a plain dict lookup.  The
-    method is held weakly, so that basis and cache make no cycle."""
-
-    __slots__ = ("element",)
-
-    def __init__(self, element):
-        super().__init__()
-        self.element = WeakMethod(element)
-
-    def __missing__(self, slot):
-        out = self[slot] = self.element()(slot)
-        return out
-
-
 class BasisProvider(ABC):
     """Graded basis with reduced-coproduct structure constants.
 
@@ -70,8 +56,8 @@ class BasisProvider(ABC):
     """
 
     def __init__(self):
-        self._enum_cache: dict = {}
-        self._slot_cache = _SlotCache(self._slot_element)
+        self._enum_cache: dict = {}  # index -> its decorated trees
+        self._slot_cache: dict = {}  # sorted index tuple -> native monomial
 
     @abstractmethod
     def validate(self, i) -> None:
@@ -100,8 +86,10 @@ class BasisProvider(ABC):
     def slot_tensor(self, terms: dict, arity: int):
         """Wrap a {slot-index-tuples: coeff} map in this basis's native
         tensor; each distinct slot is converted once per basis instance."""
-        element = self._slot_cache.__getitem__
-        return self._tensor(arity, {tuple(map(element, slots)): c
+        known = self._slot_cache
+        for slot in set(chain.from_iterable(terms)).difference(known):
+            known[slot] = self._slot_element(slot)
+        return self._tensor(arity, {tuple(map(known.__getitem__, slots)): c
                                     for slots, c in terms.items()})
 
 
@@ -212,7 +200,7 @@ class DecoratedTree:
     whose leaves carry a single index (d1 = d2).  d1 is the basis element the
     subtree is associated to, d2 the residue left in the vertex's own slot."""
 
-    __slots__ = ("d1", "d2", "children", "key", "size", "_flat")
+    __slots__ = ("d1", "d2", "children", "key", "size")
 
     def __init__(self, d1, d2, children=()):
         children = tuple(sorted(children, key=lambda c: c.key))
@@ -223,7 +211,6 @@ class DecoratedTree:
         self.children = children
         self.key = (d1, d2, tuple(c.key for c in children))
         self.size = 1 + sum(c.size for c in children)
-        self._flat = None  # see _flatten
 
     def __eq__(self, other):
         return isinstance(other, DecoratedTree) and self.key == other.key
@@ -314,19 +301,15 @@ def enumerate_decorated_trees(i, basis: BasisProvider) -> tuple:
 
 def _flatten(T: DecoratedTree) -> tuple:
     """T's shape as the parent positions of its vertices in preorder (-1 at
-    the root), the positions in ascending d2 order and the d2s in that
-    order; computed once per tree and kept on it."""
-    if T._flat is None:
-        d2s, parents = [], []
-        stack = [(T, -1)]
-        while stack:
-            v, parent = stack.pop()
-            parents.append(parent)
-            stack.extend((c, len(d2s)) for c in reversed(v.children))
-            d2s.append(v.d2)
-        order = sorted(range(len(d2s)), key=d2s.__getitem__)
-        T._flat = (tuple(parents), tuple(order), tuple(sorted(d2s)))
-    return T._flat
+    the root), and its (position, d2) pairs in ascending d2 order."""
+    d2s, parents = [], []
+    stack = [(T, -1)]
+    while stack:
+        v, parent = stack.pop()
+        parents.append(parent)
+        stack.extend((c, len(d2s)) for c in reversed(v.children))
+        d2s.append(v.d2)
+    return tuple(parents), sorted(enumerate(d2s), key=itemgetter(1))
 
 
 @cache
@@ -351,11 +334,11 @@ def _onto_maps(parents: tuple, j: int) -> tuple:
     return tuple(vals for vals, _ in partial)
 
 
-def _onto_fills(T: DecoratedTree, j: int):
-    """The maps of _onto_maps from T's vertices onto 1..j, as slot contents:
-    per value, the sorted d2 decorations of the vertices sent there."""
-    parents, order, d2s = _flatten(T)
-    pairs = tuple(zip(order, d2s))  # ascending d2: every slot comes sorted
+def _onto_fills(flat: tuple, j: int):
+    """The maps of _onto_maps from a flattened tree's vertices onto 1..j, as
+    slot contents: per value, the sorted d2 decorations of the vertices sent
+    there (the pairs come in ascending d2, so every slot comes sorted)."""
+    parents, pairs = flat
     for vals in _onto_maps(parents, j):
         slots: list = [[] for _ in range(j)]
         for p, d2 in pairs:
@@ -392,11 +375,12 @@ def _slot_maps(T: DecoratedTree, k: int, flavor: str):
     to every image with units inserted."""
     n = T.size
     if flavor == "full":
-        sums = [Counter(_onto_fills(T, j)) if 0 < j <= n else {}
+        flat = _flatten(T)
+        sums = [Counter(_onto_fills(flat, j)) if 0 < j <= n else {}
                 for j in range(k + 1)]
         return Counter(_insert_units(sums, k)).elements()
     if n == k or n > k and flavor == "reduced":
-        return _onto_fills(T, k)
+        return _onto_fills(_flatten(T), k)
     return iter(())
 
 
@@ -419,10 +403,10 @@ def forest_formula(i, K: int, basis: BasisProvider) -> dict:
     sums = [{} for _ in range(K + 1)]  # sums[j]: maps onto 1..j
     irr = [{} for _ in range(K + 1)]  # irr[j]: the bijections of sums[j]
     for T, lam in enumerate_decorated_trees(i, basis):
-        n = T.size
+        n, flat = T.size, _flatten(T)
         for j in range(1, min(K, n) + 1):
             acc = irr[j] if n == j else sums[j]
-            for slots in _onto_fills(T, j):
+            for slots in _onto_fills(flat, j):
                 acc[slots] = acc.get(slots, 0) + lam
     sums = [{slots: c for slots, c in acc.items() if c} for acc in sums]
     irr = [{slots: c for slots, c in acc.items() if c} for acc in irr]

@@ -290,7 +290,6 @@ def magnus_fixed_point(a: TermMap, order: int, product=None) -> TermMap:
     return acc
 
 
-@cache
 def _sol1_monomial(f: Forest) -> ForestPoly:
     """sol1 of one monomial, summed over compositions of its multiplicities.
 

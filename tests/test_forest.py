@@ -334,8 +334,8 @@ def test_forest_suite_walks_each_index_once(monkeypatch, capsys):
         walks[type(basis).__name__, i] += 1
         return formula(i, K, basis)
 
-    def counted_fills(T, j):
-        for slots in onto_fills(T, j):
+    def counted_fills(flat, j):
+        for slots in onto_fills(flat, j):
             fills[0] += 1
             yield slots
 
@@ -376,8 +376,9 @@ def test_forest_suite_catches_a_wrong_map_filter(monkeypatch, flavor, patch):
 # providers and guards
 
 def test_a_basis_is_freed_without_the_cycle_collector():
-    # the slot cache holds its basis's element builder weakly, so a basis
-    # and everything it cached go as soon as the last reference does
+    # the slot table is a plain dict of monomials on the basis, which holds
+    # no reference back to it, so a basis and everything it cached go as soon
+    # as the last reference does
     gc.disable()
     try:
         for make, label in ((CKBasis, "[[]]"),
@@ -391,6 +392,33 @@ def test_a_basis_is_freed_without_the_cycle_collector():
             assert ref() is None, label
     finally:
         gc.enable()
+
+
+def test_slot_table_converts_each_new_slot_once():
+    # a second call with overlapping slots converts only the slots it adds,
+    # and both tensors equal those of a basis that has converted nothing
+    for make, label in ((CKBasis, "[[[]][]]"),
+                        (lambda: WordBasis("ab"), "abab")):
+        basis, converted = make(), Counter()
+        element = basis._slot_element
+
+        def counted_element(slot):
+            converted[slot] += 1
+            return element(slot)
+
+        basis._slot_element = counted_element
+        by_k = forest_formula(basis.parse(label), 3, basis)
+        first, second = by_k[3]["reduced"], by_k[2]["full"]
+        old = {slot for slots in first for slot in slots}
+        new = {slot for slots in second for slot in slots}
+        assert old & new and new - old
+        got = basis.slot_tensor(first, 3)
+        assert basis._slot_cache.keys() == converted.keys() == old
+        assert got == make().slot_tensor(first, 3)
+        got = basis.slot_tensor(second, 2)
+        assert basis._slot_cache.keys() == converted.keys() == old | new
+        assert set(converted.values()) == {1}
+        assert got == make().slot_tensor(second, 2)
 
 
 def test_index_validation():

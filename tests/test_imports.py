@@ -112,3 +112,124 @@ def test_no_private_helper_is_left_unread():
     others = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
               for path in SOURCES if path.parent.name != "prelie"}
     assert orphaned_helpers(package, others) == []
+
+
+# the module-level tables a function may fill: sigma's, which the benchmark's
+# self-test clears, and the Bernoulli numbers, which grow in order
+MODULE_TABLES = {("trees.py", "_SIGMA"), ("exactnum.py", "_BERNOULLI")}
+_CONTAINERS = {"dict", "list", "set", "defaultdict", "Counter", "OrderedDict"}
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
+             "pop", "popitem", "remove", "discard", "clear", "__setitem__"}
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, without those of nested functions."""
+    stack = [func]
+    while stack:
+        for child in ast.iter_child_nodes(stack.pop()):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child
+                stack.append(child)
+
+
+def _written_name(node):
+    """The name a node writes into: ``x[k] = v``, ``del x[k]``, ``x[k] += v``
+    or ``x.append(v)`` and the like write into x."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx,
+                                                      (ast.Store, ast.Del)):
+        target = node.value
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in _MUTATORS):
+        target = node.func.value
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def memo_policy_violations(package: dict) -> list:
+    """(file, line, finding) for every memo of the package sources that is
+    neither a functools.cache worker nor a table its object sets up in
+    __init__: a module-level dict, list or set that a function writes (but
+    MODULE_TABLES), a class defining __missing__, a weakref import, and an
+    attribute assigned by a function other than __init__ and __new__."""
+    found = []
+    for name, source in package.items():
+        tree = ast.parse(source)
+        tables = {target.id for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and (isinstance(node.value, (
+                      ast.Dict, ast.List, ast.Set, ast.DictComp,
+                      ast.ListComp, ast.SetComp))
+                       or isinstance(node.value, ast.Call)
+                       and isinstance(node.value.func, ast.Name)
+                       and node.value.func.id in _CONTAINERS)
+                  for target in (node.targets if isinstance(node, ast.Assign)
+                                 else [node.target])
+                  if isinstance(target, ast.Name)
+                  and (name, target.id) not in MODULE_TABLES}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                found.extend((name, sub.lineno, "%s.__missing__" % node.name)
+                             for sub in node.body
+                             if isinstance(sub, ast.FunctionDef)
+                             and sub.name == "__missing__")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([node.module] if isinstance(node, ast.ImportFrom)
+                           else [alias.name for alias in node.names])
+                found.extend((name, node.lineno, "import weakref")
+                             for module in modules if module
+                             and module.partition(".")[0] == "weakref")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in _own_nodes(node):
+                    written = _written_name(sub)
+                    if written in tables:
+                        found.append((name, sub.lineno, "%s writes %s"
+                                      % (node.name, written)))
+                    elif (isinstance(sub, ast.Attribute)
+                          and isinstance(sub.ctx, ast.Store)
+                          and node.name not in ("__init__", "__new__")):
+                        found.append((name, sub.lineno, "%s sets .%s"
+                                      % (node.name, sub.attr)))
+    return sorted(found)
+
+
+def test_memo_policy_violations_are_found():
+    package = {"mod.py": (
+        "import weakref\n"
+        "from functools import cache\n"
+        "_MEMO = {}\n"
+        "from weakref import ref\n"
+        "_SEEN = set()\n"
+        "_READ_ONLY = {'a': 1}\n"
+        "_SIGMA = {}\n"
+        "class Lazy(dict):\n"
+        "    def __missing__(self, key): return key\n"
+        "class Node:\n"
+        "    def __init__(self): self.table = {}\n"
+        "    def __new__(cls): return object.__new__(cls)\n"
+        "    def fill(self, k): self.table[k] = 1\n"
+        "    def shape(self): self._shape = 1\n"
+        "@cache\n"
+        "def cached(n): return _READ_ONLY.get(n)\n"
+        "def memo(n):\n"
+        "    _SIGMA[n] = n\n"
+        "    _MEMO.setdefault(n, [])\n"
+        "    def inner(): _MEMO[n] = 0\n"
+        "    _SEEN.add(n)\n"
+        "    return inner\n"),
+        "trees.py": "_SIGMA = {}\ndef sigma(t): _SIGMA[t] = 1\n"}
+    assert memo_policy_violations(package) == [
+        ("mod.py", 1, "import weakref"),
+        ("mod.py", 4, "import weakref"),
+        ("mod.py", 9, "Lazy.__missing__"),
+        ("mod.py", 14, "shape sets ._shape"),
+        ("mod.py", 18, "memo writes _SIGMA"),  # excepted in trees.py only
+        ("mod.py", 19, "memo writes _MEMO"),
+        ("mod.py", 20, "inner writes _MEMO"),
+        ("mod.py", 21, "memo writes _SEEN")]
+
+
+def test_every_memo_is_a_cache_worker_or_an_object_table():
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in SOURCES if path.parent.name == "prelie"}
+    assert memo_policy_violations(package) == []
