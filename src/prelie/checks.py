@@ -19,8 +19,8 @@ from math import comb, factorial
 
 from . import freeprelie, nc, words
 from .forest import CKBasis, WordBasis, forest_formula
-from .freeprelie import ForestPoly, TensorPoly, TreeSeries
-from .lincomb import project
+from .freeprelie import ForestPoly, TreeSeries
+from .lincomb import Tensor, project
 from .trees import (LEAF, enumerate_forests, enumerate_trees,
                     count_k_linearizations, count_weak_k_linearizations,
                     murua_omega, murua_omega_recursive, sigma)
@@ -102,7 +102,7 @@ def gl_ck_duality(order: int):
         # each x * y and x (x) y once per grade, not once per z
         pairs = [({"x": fx.key, "y": fy.key},
                   freeprelie.gl_product(ForestPoly({fx: 1}), ForestPoly({fy: 1})),
-                  TensorPoly(2, {(fx, fy): 1}))
+                  Tensor(2, {(fx, fy): 1}))
                  for a in range(n + 1)
                  for fx, fy in product(by_grade[a], by_grade[n - a])]
         for fz in by_grade[n]:
@@ -123,7 +123,7 @@ def coassociativity(order: int):
                         ForestPoly({b: 1})).terms.items():
                     key = (a, b1, b2)
                     right[key] = right.get(key, 0) + c * d
-            yield {"tree": t.key}, left, TensorPoly(3, right)
+            yield {"tree": t.key}, left, Tensor(3, right)
 
 
 def magnus_three_way(order: int):
@@ -162,7 +162,7 @@ def brace_coproduct_duality(order: int):
                     gm = words.monomial(gam)
                     yield ({"alpha": alpha, "gammas": gam, "w": w},
                            words.word_pairing(words.word_brace(alpha, gam), w),
-                           delta.coeff(((alpha,), gm)) * words._mono_pairing(gm, gm))
+                           delta.coeff(((alpha,), gm)) * words.monomial_weight(gm))
 
 
 def coproduct_grading(order: int):

@@ -39,7 +39,7 @@ from . import checks, nc
 from .checks import FOREST_CAP, ROUTES, SUITES, TREE_CAP
 from .exactnum import format_rational
 from .forest import (CKBasis, WordBasis, decorated_string,
-                     enumerate_decorated_trees, _slot_maps)
+                     enumerate_decorated_trees, slot_maps)
 from .trees import enumerate_trees, murua_omega, sigma, tree_factorial
 
 # caps as in checks.TREE_CAP, measured times in the README.  Table maxlen,
@@ -229,7 +229,7 @@ def cmd_forest(args) -> int:
     labels: dict = {}  # one string per distinct slot, shared by the lines
     for T, lam in enumerate_decorated_trees(index, basis):
         tree_str = decorated_string(T, basis)
-        for slots in _slot_maps(T, args.k, args.flavor):
+        for slots in slot_maps(T, args.k, args.flavor):
             rendered = []
             for slot in slots:
                 text = labels.get(slot)

@@ -37,13 +37,16 @@ from math import factorial
 from operator import itemgetter
 
 from . import freeprelie
-from .trees import Forest, _trees, tree_by_rank, tree_from_string, tree_rank
-from .words import WordTensor, monomial, word_dual_coproduct
+from .lincomb import Tensor
+from .trees import (Forest, enumerate_trees, tree_by_rank, tree_from_string,
+                    tree_rank)
+from .words import monomial, word_dual_coproduct
 
 __all__ = [
     "BasisProvider", "CKBasis", "WordBasis",
     "DecoratedTree", "leaf", "sym", "lambda_coeff",
-    "enumerate_decorated_trees", "forest_formula", "decorated_string",
+    "enumerate_decorated_trees", "forest_formula", "slot_maps",
+    "decorated_string",
 ]
 
 
@@ -79,18 +82,14 @@ class BasisProvider(ABC):
     def _slot_element(self, slot: tuple):
         """The native monomial of a sorted tuple of indices."""
 
-    @abstractmethod
-    def _tensor(self, arity: int, terms: dict):
-        """The native tensor of {tuples of native monomials: coeff}."""
-
-    def slot_tensor(self, terms: dict, arity: int):
-        """Wrap a {slot-index-tuples: coeff} map in this basis's native
-        tensor; each distinct slot is converted once per basis instance."""
+    def slot_tensor(self, terms: dict, arity: int) -> Tensor:
+        """The Tensor of native monomials of a {slot-index-tuples: coeff}
+        map; each distinct slot is converted once per basis instance."""
         known = self._slot_cache
         for slot in set(chain.from_iterable(terms)).difference(known):
             known[slot] = self._slot_element(slot)
-        return self._tensor(arity, {tuple(map(known.__getitem__, slots)): c
-                                    for slots, c in terms.items()})
+        return Tensor(arity, {tuple(map(known.__getitem__, slots)): c
+                              for slots, c in terms.items()})
 
 
 def _is_pair(i) -> bool:
@@ -102,7 +101,7 @@ class CKBasis(BasisProvider):
     """Rooted-tree basis with the Connes-Kreimer reduced coproduct."""
 
     def validate(self, i) -> None:
-        if not (_is_pair(i) and 0 <= i[1] < len(_trees(i[0]))):
+        if not (_is_pair(i) and 0 <= i[1] < len(enumerate_trees(i[0]))):
             raise ValueError("not a tree index: %r" % (i,))
 
     def tree(self, i):
@@ -114,7 +113,8 @@ class CKBasis(BasisProvider):
 
     def delta_bar(self, i) -> tuple:
         out = []
-        for (trunk, pruning), c in freeprelie._delta_tree(self.tree(i)).items():
+        delta = freeprelie.ck_coproduct(self.tree(i)).terms
+        for (trunk, pruning), c in delta.items():
             if trunk and pruning:  # skip the 1 (x) t and t (x) 1 corners
                 I = tuple(sorted(self.index_of(p) for p in pruning.trees))
                 out.append((self.index_of(trunk.trees[0]), I, c))
@@ -128,9 +128,6 @@ class CKBasis(BasisProvider):
 
     def _slot_element(self, slot: tuple):
         return Forest(tuple(self.tree(j) for j in slot))
-
-    def _tensor(self, arity: int, terms: dict):
-        return freeprelie.TensorPoly(arity, terms)
 
 
 class WordBasis(BasisProvider):
@@ -190,9 +187,6 @@ class WordBasis(BasisProvider):
 
     def _slot_element(self, slot: tuple):
         return monomial(self.word(j) for j in slot)
-
-    def _tensor(self, arity: int, terms: dict):
-        return WordTensor(arity, terms)
 
 
 class DecoratedTree:
@@ -368,7 +362,7 @@ def _insert_units(sums: list, k: int) -> dict:
     return full
 
 
-def _slot_maps(T: DecoratedTree, k: int, flavor: str):
+def slot_maps(T: DecoratedTree, k: int, flavor: str):
     """Strictly order-preserving maps from T's vertices to 1..k, yielded as
     slot contents (tuple of sorted index tuples built from d2 decorations).
     reduced: surjective; irr: bijective; full: unconstrained, the onto maps

@@ -45,7 +45,7 @@ from .trees import (
 )
 
 __all__ = [
-    "TreeSeries", "ForestPoly", "TensorPoly",
+    "TreeSeries", "ForestPoly",
     "graft", "prelie", "brace", "gl_product", "poly_mul",
     "ck_coproduct", "coproduct_iterates",
     "pairing", "tensor_pairing",
@@ -56,9 +56,18 @@ __all__ = [
 
 
 class TreeSeries(TermMap):
-    """Finite rational combination of rooted trees, graded by tree size."""
+    """Finite rational combination of rooted trees, graded by tree size;
+    the one combination printed, so the one that sorts its terms."""
 
     __slots__ = ()
+
+    @staticmethod
+    def sort_key(t):
+        return (t.size, t.key)
+
+    def items(self):
+        """Terms in printed order: by size, then by canonical key."""
+        return sorted(self.terms.items(), key=lambda kv: self.sort_key(kv[0]))
 
     def to_json(self):
         return [{"forest": t.key, "coeff": str(c)} for t, c in self.items()]
@@ -66,12 +75,6 @@ class TreeSeries(TermMap):
 
 class ForestPoly(TermMap):
     """Finite rational combination of forests (empty forest = the unit 1)."""
-
-    __slots__ = ()
-
-
-class TensorPoly(Tensor):
-    """Rational combination of k-tuples of forests (Sweedler tensors)."""
 
     __slots__ = ()
 
@@ -199,7 +202,7 @@ def _as_forest_poly(x) -> ForestPoly:
                     % (type(x),))
 
 
-def ck_coproduct(x) -> TensorPoly:
+def ck_coproduct(x) -> Tensor:
     """Connes-Kreimer coproduct: 1 (x) t + sum over admissible cuts, trunk (x)
     pruning (the empty cut giving t (x) 1); multiplicative on forests."""
     return coproduct_iterates(x, 2)[1]
@@ -209,7 +212,7 @@ def coproduct_iterates(x, k: int) -> list:
     """[delta^[1], ..., delta^[k]] of x from one left-iteration loop
     (delta^[1] is the identity); delta^[k] alone is the last."""
     poly = _as_forest_poly(x)
-    return [TensorPoly(j, terms) for j, terms in
+    return [Tensor(j, terms) for j, terms in
             enumerate(iterate_coproduct(_delta_forest, poly.terms, k), 1)]
 
 
@@ -223,7 +226,7 @@ def pairing(a, b):
                 lambda f: sigma(b_plus(f)))
 
 
-def tensor_pairing(a: TensorPoly, b: TensorPoly):
+def tensor_pairing(a: Tensor, b: Tensor):
     """Slotwise product extension of the pairing to equal-arity tensors."""
     if a.arity != b.arity:
         raise ValueError("tensor arities differ")
@@ -338,11 +341,5 @@ def poly_exp(a: TreeSeries, order: int) -> ForestPoly:
     p = _as_forest_poly(a).truncated(order)
     if any(f.size == 0 for f in p.terms):
         raise ValueError("poly_exp needs grade >= 1 terms only")
-    out = ForestPoly({EMPTY_FOREST: 1})
-    term = out
-    for n in range(1, order + 1):
-        term = poly_mul(term, p, order).scaled(Fraction(1, n))
-        if not term:
-            break
-        out = out + term
-    return out
+    # juxtaposition commutes, so the right powers of p are its powers
+    return ForestPoly({EMPTY_FOREST: 1}) + prelie_exp(p, order, poly_mul)

@@ -8,9 +8,10 @@ most order and ``bilinear`` skipping the key pairs whose grades sum past its
 order.  Coefficients are int or Fraction and are kept as given, so integer
 structure constants stay ints until a division makes a Fraction; any other
 number is turned into the Fraction of its exact value, never kept as a
-float.  Tensor is the same over k-tuples of keys, with the arity checked.
-Subclasses fix only the key type's grade and its sort key for
-serialization.  Everything is value-like: operations return new objects,
+float.  Tensor is the same over k-tuples of keys, with the arity checked,
+and is the one tensor type of every basis.  A subclass fixes at most the
+key type's grade; terms keep their dict order, and only a printed series
+sorts them.  Everything is value-like: operations return new objects,
 terms dicts are never shared, so concurrent readers are safe.
 
 The module functions are the loops every graded algebra in the package
@@ -63,14 +64,6 @@ class TermMap:
     def grade(key):
         return key.size
 
-    @staticmethod
-    def sort_key(key):
-        return (key.size, key.key)
-
-    def items(self):
-        """Terms in deterministic order."""
-        return sorted(self.terms.items(), key=lambda kv: self.sort_key(kv[0]))
-
     def truncated(self, order):
         """The terms of grade <= order."""
         grade = self.grade
@@ -106,7 +99,7 @@ class TermMap:
                             % (type(self).__name__, type(other).__name__))
 
     def __repr__(self):
-        body = ", ".join("%s: %s" % (k, c) for k, c in self.items())
+        body = ", ".join("%s: %s" % (k, c) for k, c in self.terms.items())
         return "%s({%s})" % (type(self).__name__, body)
 
 
@@ -129,10 +122,6 @@ class Tensor(TermMap):
         super()._check(other)
         if self.arity != other.arity:
             raise TypeError("tensor arities differ: %d vs %d" % (self.arity, other.arity))
-
-    @staticmethod
-    def sort_key(slots):
-        return tuple((s.size, s.key) for s in slots)
 
 
 def bilinear(a: TermMap, b: TermMap, mul, order=None) -> TermMap:

@@ -28,9 +28,9 @@ from .lincomb import (Tensor, TermMap, bilinear, iterate_coproduct,
                       multiplicative_coproduct, pair)
 
 __all__ = [
-    "WordPoly", "WordTensor", "monomial", "enumerate_words",
+    "WordPoly", "monomial", "enumerate_words",
     "word_prelie", "word_prelie_series", "word_brace", "word_dual_coproduct",
-    "word_coproduct_iterates", "word_pairing",
+    "word_coproduct_iterates", "monomial_weight", "word_pairing",
 ]
 
 
@@ -50,20 +50,6 @@ class WordPoly(TermMap):
     @staticmethod
     def grade(mono):
         return sum(len(w) for w in mono)
-
-    @staticmethod
-    def sort_key(mono):
-        return (WordPoly.grade(mono), len(mono), mono)
-
-
-class WordTensor(Tensor):
-    """Rational combination of k-tuples of word monomials."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def sort_key(slots):
-        return tuple(WordPoly.sort_key(m) for m in slots)
 
 
 def enumerate_words(alphabet, n: int) -> list:
@@ -120,7 +106,7 @@ def word_brace(alpha: str, gammas) -> WordPoly:
     return WordPoly(acc)
 
 
-def word_dual_coproduct(w: str) -> WordTensor:
+def word_dual_coproduct(w: str) -> Tensor:
     """delta_bar(w): odd factorizations, concatenated odd parts (x) even parts.
 
     Ends and even factors are nonempty; interior odd factors may be empty.
@@ -138,7 +124,7 @@ def word_dual_coproduct(w: str) -> WordTensor:
             right = monomial(parts[1::2])
             key = (left, right)
             acc[key] = acc.get(key, 0) + 1
-    return WordTensor(2, acc)
+    return Tensor(2, acc)
 
 
 @cache
@@ -162,15 +148,15 @@ def word_coproduct_iterates(x: WordPoly, k: int) -> list:
     """[delta^[1], ..., delta^[k]] of x from one left-iteration loop, delta =
     delta_bar + 1 (x) w + w (x) 1 on words and multiplicative on monomials;
     lincomb.project takes their reduced and irreducible parts."""
-    return [WordTensor(j, terms) for j, terms in
+    return [Tensor(j, terms) for j, terms in
             enumerate(iterate_coproduct(_delta_monomial, x.terms, k), 1)]
 
 
-def _mono_pairing(u: tuple, v: tuple) -> int:
-    if u != v:
-        return 0
+def monomial_weight(mono: tuple) -> int:
+    """<m|m> for a word monomial m: the product of its multiplicity
+    factorials."""
     out = 1
-    for mult in Counter(u).values():
+    for mult in Counter(mono).values():
         out *= factorial(mult)
     return out
 
@@ -182,4 +168,4 @@ def word_pairing(x, y):
         x = WordPoly({(x,): 1})
     if isinstance(y, str):
         y = WordPoly({(y,): 1})
-    return pair(x.terms, y.terms, lambda mono: _mono_pairing(mono, mono))
+    return pair(x.terms, y.terms, monomial_weight)

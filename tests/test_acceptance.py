@@ -19,13 +19,13 @@ from prelie.freeprelie import (
     cm_coefficient, magnus_closed_form, magnus_fixed_point, poly_exp,
     prelie_exp, sol1, tree_part,
 )
-from prelie.lincomb import project
+from prelie.lincomb import Tensor, project
 from prelie.trees import (
     LEAF, RootedTree, enumerate_trees, murua_omega, murua_omega_recursive,
     sigma, tree_factorial,
 )
 from prelie.words import (
-    WordPoly, WordTensor, enumerate_words, monomial, word_brace,
+    WordPoly, enumerate_words, monomial, monomial_weight, word_brace,
     word_dual_coproduct, word_pairing, word_prelie_series,
 )
 
@@ -164,7 +164,7 @@ def test_criterion_7_word_duality_exhaustive():
                     if L > 5:
                         continue
                     braced = word_brace(alpha, gs)
-                    probe = WordTensor(2, {((alpha,), monomial(gs)): 1})
+                    probe = Tensor(2, {((alpha,), monomial(gs)): 1})
                     for w in enumerate_words("ab", L):
                         lhs = word_pairing(braced, w)
                         rhs = _tensor_pair(probe, deltas[w])
@@ -177,12 +177,11 @@ def test_criterion_7_word_duality_exhaustive():
 
 
 def _tensor_pair(a, b):
-    from prelie.words import _mono_pairing
     out = Fraction(0)
     for (l1, r1), c in a.terms.items():
         for (l2, r2), d in b.terms.items():
             if l1 == l2 and r1 == r2:
-                out += c * d * _mono_pairing(l1, l1) * _mono_pairing(r1, r1)
+                out += c * d * monomial_weight(l1) * monomial_weight(r1)
     return out
 
 

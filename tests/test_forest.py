@@ -8,8 +8,9 @@ import oracles
 import prelie.forest
 from prelie import checks, cli, freeprelie, words
 from prelie.forest import (
-    CKBasis, DecoratedTree, WordBasis, _slot_maps, decorated_string,
-    enumerate_decorated_trees, forest_formula, lambda_coeff, leaf, sym,
+    CKBasis, DecoratedTree, WordBasis, decorated_string,
+    enumerate_decorated_trees, forest_formula, lambda_coeff, leaf, slot_maps,
+    sym,
 )
 from prelie.lincomb import project
 from prelie.trees import LEAF, RootedTree, enumerate_trees
@@ -299,7 +300,7 @@ def test_slot_maps_match_brute_force_through_one_shared_memo():
                         slots[v - 1].append(d2)
                     want[tuple(tuple(sorted(s)) for s in slots)] += 1
                 where = (decorated_string(T, basis), k, flavor)
-                assert Counter(_slot_maps(T, k, flavor)) == want, where
+                assert Counter(slot_maps(T, k, flavor)) == want, where
                 for slots, m in want.items():
                     sums[k, flavor][slots] += lam * m
         for K in Ks:

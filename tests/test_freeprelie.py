@@ -10,12 +10,12 @@ import oracles
 from prelie import freeprelie
 from prelie.exactnum import bernoulli
 from prelie.freeprelie import (
-    ForestPoly, TensorPoly, TreeSeries, brace, ck_coproduct, cm_coefficient,
+    ForestPoly, TreeSeries, brace, ck_coproduct, cm_coefficient,
     coproduct_iterates, gl_product, graft, magnus_closed_form,
     magnus_fixed_point, pairing, poly_exp, poly_mul, prelie, prelie_exp, sol1,
     tensor_pairing, tree_part,
 )
-from prelie.lincomb import project
+from prelie.lincomb import Tensor, project
 from prelie.trees import (
     EMPTY_FOREST, Forest, LEAF, RootedTree, enumerate_forests, enumerate_trees,
     sigma, tree_factorial, tree_from_string,
@@ -174,14 +174,14 @@ def test_cut_terms_against_brute_edge_subsets():
 
 def test_ck_coproduct_fixtures():
     d = ck_coproduct(CHERRY)
-    assert d == TensorPoly(2, {
+    assert d == Tensor(2, {
         (EMPTY_FOREST, Forest((CHERRY,))): 1,
         (Forest((CHERRY,)), EMPTY_FOREST): 1,
         (Forest((CHAIN2,)), Forest((LEAF,))): 2,
         (Forest((LEAF,)), Forest((LEAF, LEAF))): 1,
     })
     d3 = ck_coproduct(CHAIN3)
-    assert d3 == TensorPoly(2, {
+    assert d3 == Tensor(2, {
         (EMPTY_FOREST, Forest((CHAIN3,))): 1,
         (Forest((CHAIN3,)), EMPTY_FOREST): 1,
         (Forest((CHAIN2,)), Forest((LEAF,))): 1,
@@ -199,7 +199,7 @@ def test_ck_coproduct_is_multiplicative():
                 for (l2, r2), d in db.terms.items():
                     key = (Forest(l1.trees + l2.trees), Forest(r1.trees + r2.trees))
                     merged[key] = merged.get(key, Fraction(0)) + c * d
-            assert prod_first == TensorPoly(2, merged)
+            assert prod_first == Tensor(2, merged)
 
 
 def test_counit_corners():
@@ -216,17 +216,17 @@ def test_iterated_coproduct_identity_and_reduced():
         for t in enumerate_trees(n):
             f = Forest((t,))
             one, two = coproduct_iterates(t, 2)
-            assert one == TensorPoly(1, {(f,): 1})
+            assert one == Tensor(1, {(f,): 1})
             reduced = project(two, "reduced")
             full = ck_coproduct(t)
             want = {k: c for k, c in full.terms.items()
                     if k[0] != EMPTY_FOREST and k[1] != EMPTY_FOREST}
-            assert reduced == TensorPoly(2, want)
+            assert reduced == Tensor(2, want)
 
 
 def test_irr_keeps_only_single_tree_slots():
     out = project(coproduct_iterates(CHERRY, 2)[1], "irr")
-    assert out == TensorPoly(2, {(Forest((CHAIN2,)), Forest((LEAF,))): 2})
+    assert out == Tensor(2, {(Forest((CHAIN2,)), Forest((LEAF,))): 2})
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +248,13 @@ def test_gl_ck_duality_small():
                 if fx.size + fy.size != fz.size:
                     continue
                 lhs = pairing(gl_product(poly(fx), poly(fy)), poly(fz))
-                rhs = tensor_pairing(TensorPoly(2, {(fx, fy): 1}), dz)
+                rhs = tensor_pairing(Tensor(2, {(fx, fy): 1}), dz)
                 assert lhs == rhs
 
 
 def test_tensor_pairing_arity_guard():
     with pytest.raises(ValueError):
-        tensor_pairing(TensorPoly(2, {}), TensorPoly(3, {}))
+        tensor_pairing(Tensor(2, {}), Tensor(3, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ def test_series_truncation_and_order_propagation():
 
 def test_tensor_arity_validation():
     with pytest.raises(ValueError):
-        TensorPoly(2, {(EMPTY_FOREST,): 1})
+        Tensor(2, {(EMPTY_FOREST,): 1})
 
 
 def test_json_round_trip_of_series():

@@ -114,6 +114,59 @@ def test_no_private_helper_is_left_unread():
     assert orphaned_helpers(package, others) == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(package: dict) -> list:
+    """(file, line, module.name) of every private name that a package source
+    takes from a sibling module: ``from .m import _x``, or ``m._x`` where m
+    is bound by ``from . import m``.  package maps a file name to its
+    source."""
+    found = []
+    for name, source in package.items():
+        tree = ast.parse(source)
+        siblings = {alias.asname or alias.name: alias.name
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level
+                    and node.module is None
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found.extend((name, node.lineno,
+                              "%s.%s" % (node.module, alias.name))
+                             for alias in node.names if _private(alias.name))
+            elif (isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings):
+                found.append((name, node.lineno, "%s.%s"
+                              % (siblings[node.value.id], node.attr)))
+    return sorted(found)
+
+
+def test_private_reads_are_found():
+    package = {"mod.py": (
+        "from . import other, third as t\n"
+        "from .other import _hidden, public\n"
+        "from .third import _renamed as r, __version__\n"
+        "other._helper()\n"
+        "t._table[0] = 1\n"
+        "self._own = other.public + t.__doc__\n"
+        "def f(other2): return other2._field, _local()\n"
+        "def _local(): return 0\n")}
+    assert private_reads(package) == [
+        ("mod.py", 2, "other._hidden"),
+        ("mod.py", 3, "third._renamed"),
+        ("mod.py", 4, "other._helper"),
+        ("mod.py", 5, "third._table")]
+
+
+def test_no_module_reads_a_private_name_of_another():
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in SOURCES if path.parent.name == "prelie"}
+    assert private_reads(package) == []
+
+
 # the module-level tables a function may fill: sigma's, which the benchmark's
 # self-test clears, and the Bernoulli numbers, which grow in order
 MODULE_TABLES = {("trees.py", "_SIGMA"), ("exactnum.py", "_BERNOULLI")}

@@ -1,6 +1,7 @@
 """The number policy: coefficients are int or Fraction, never float, and a
 Fraction appears only where a division does; the shared slot projections;
-and the one left-iteration loop that hands out every iterate."""
+the one left-iteration loop that hands out every iterate; and the one tensor
+type of every basis, with a repr that names every term."""
 
 from fractions import Fraction
 from itertools import product
@@ -11,14 +12,14 @@ import oracles
 from prelie import freeprelie, words
 from prelie.forest import CKBasis, WordBasis, forest_formula
 from prelie.freeprelie import (
-    ForestPoly, TensorPoly, TreeSeries, brace, ck_coproduct,
+    ForestPoly, TreeSeries, brace, ck_coproduct,
     coproduct_iterates, gl_product, graft, magnus_closed_form,
     magnus_fixed_point, pairing, poly_exp, prelie_exp, sol1, tree_part,
 )
-from prelie.lincomb import iterate_coproduct, project
+from prelie.lincomb import Tensor, iterate_coproduct, project
 from prelie.trees import LEAF, Forest, enumerate_forests, enumerate_trees
-from prelie.words import (WordPoly, WordTensor, enumerate_words,
-                          word_coproduct_iterates, word_prelie_series)
+from prelie.words import (WordPoly, enumerate_words, word_coproduct_iterates,
+                          word_dual_coproduct, word_prelie_series)
 
 TREES = [t for n in range(1, 5) for t in enumerate_trees(n)]
 FORESTS = [f for n in range(4) for f in enumerate_forests(n)]
@@ -116,17 +117,17 @@ def test_project_keeps_what_the_slot_definitions_keep(flavor):
 
 def test_project_rejects_an_unknown_flavor():
     with pytest.raises(ValueError):
-        project(WordTensor(2), "nonempty")
+        project(Tensor(2), "nonempty")
 
 
 def test_every_iterate_matches_the_per_k_left_iteration():
     # one loop hands out delta^[1..k]; each must equal k-1 left steps
     # started afresh
     cases = [(freeprelie._delta_forest, {Forest((t,)): 1}, t,
-              coproduct_iterates, TensorPoly)
+              coproduct_iterates, Tensor)
              for t in TREES + enumerate_trees(5)]
     cases += [(words._delta_monomial, {(w,): 1}, WordPoly({(w,): 1}),
-               word_coproduct_iterates, WordTensor)
+               word_coproduct_iterates, Tensor)
               for w in WORDS + enumerate_words("ab", 5)]
     terms = 0
     for delta2, x_terms, x, iterates, tensor in cases:
@@ -139,3 +140,30 @@ def test_every_iterate_matches_the_per_k_left_iteration():
     assert terms > 10000
     with pytest.raises(ValueError):
         iterate_coproduct(freeprelie._delta_forest, {}, 0)
+
+
+def test_every_basis_builds_the_one_tensor_type():
+    ck, wb = CKBasis(), WordBasis("ab")
+    t, w = enumerate_trees(4)[1], "abbab"
+    by_k = [forest_formula(basis.index_of(x), 3, basis)[3]["full"]
+            for basis, x in ((ck, t), (wb, w))]
+    tensors = ([ck_coproduct(t), word_dual_coproduct(w),
+                ck.slot_tensor(by_k[0], 3), wb.slot_tensor(by_k[1], 3)]
+               + coproduct_iterates(t, 3)
+               + word_coproduct_iterates(WordPoly({(w,): 1}), 3))
+    assert [type(x) for x in tensors] == [Tensor] * 10
+    assert all(x.terms for x in tensors)
+
+
+def test_repr_names_every_term_in_any_basis():
+    t = enumerate_trees(4)[1]
+    gen = WordPoly({("ab",): 1, ("a",): 2})
+    combinations = [magnus_closed_form(4), poly_exp(TreeSeries({LEAF: 1}), 3),
+                    word_prelie_series(gen, gen), ck_coproduct(t),
+                    word_dual_coproduct("abbab")]
+    for x in combinations:
+        text = repr(x)
+        assert text.startswith(type(x).__name__ + "({") and text.endswith("})")
+        assert text.count(": ") == len(x.terms) > 1
+        for key, c in x.terms.items():
+            assert "%s: %s" % (key, c) in text, (key, text)
