@@ -6,14 +6,16 @@ iterated coproducts assembled combinatorially: sum over decorated trees T
 associated to b_i and over order-preserving maps f from the vertices of T
 onto slots 1..k of lambda(T) times the slotwise products of fiber
 decorations; this is the iterated reduced coproduct, and the bijective maps
-give its irreducible part.  The coefficient lambda(T) carries a per-vertex
-symmetry factor sym over the child forest; dropping it breaks the formula as
-soon as a vertex has two distinct child trees rooted at the same basis index.
+give its irreducible part, the part whose every slot holds one index.  The
+coefficient lambda(T) carries a per-vertex symmetry factor sym over the
+child forest; dropping it breaks the formula as soon as a vertex has two
+distinct child trees rooted at the same basis index.
 
 Two providers are included: the Connes-Kreimer basis (rooted trees, structure
 constants read off the coproduct of freeprelie) and the word basis (odd
-factorizations).  Basis indices are (grade, ordinal) pairs tied to the
-deterministic enumerations of the trees/words modules.  Each basis instance
+factorizations); one delta_bar reads both through _reduced_coproduct.
+Basis indices are (grade, ordinal) pairs tied to the deterministic
+enumerations of the trees/words modules.  Each basis instance
 keeps two plain dicts, which go with it: the decorated trees of each index
 (enumerate_decorated_trees), so delta_bar is computed once per index, and
 the native monomial of each slot that slot_tensor has converted.
@@ -37,7 +39,7 @@ from math import factorial
 from operator import itemgetter
 
 from . import freeprelie
-from .lincomb import Tensor
+from .lincomb import Tensor, project
 from .trees import (Forest, enumerate_trees, tree_by_rank, tree_from_string,
                     tree_rank)
 from .words import monomial, word_dual_coproduct
@@ -54,8 +56,9 @@ class BasisProvider(ABC):
     """Graded basis with reduced-coproduct structure constants.
 
     Indices are (grade, ordinal) pairs.  delta_bar(i) lists the terms of the
-    reduced coproduct of b_i as (i0, I, coefficient) with I a sorted tuple of
-    indices; the grades of i0 and of the indices in I sum to the grade of i.
+    reduced coproduct of b_i, read off _reduced_coproduct(i) through
+    index_of, as (i0, I, coefficient) with I a sorted tuple of indices; the
+    grades of i0 and of the indices in I sum to the grade of i.
     """
 
     def __init__(self):
@@ -67,8 +70,19 @@ class BasisProvider(ABC):
         """Raise ValueError when i is not an index of this basis."""
 
     @abstractmethod
+    def index_of(self, element) -> tuple:
+        """The index of a native basis element."""
+
+    @abstractmethod
+    def _reduced_coproduct(self, i) -> Tensor:
+        """delta_bar(b_i), one element on the left; ValueError if no index."""
+
     def delta_bar(self, i) -> tuple:
-        """The terms of delta_bar(b_i); ValueError when i is no index."""
+        """The terms of delta_bar(b_i) as (i0, I, coefficient)."""
+        index_of = self.index_of
+        return tuple((index_of(trunk), tuple(sorted(map(index_of, rest))), c)
+                     for ((trunk,), rest), c
+                     in self._reduced_coproduct(i).terms.items())
 
     @abstractmethod
     def label(self, i) -> str:
@@ -111,14 +125,8 @@ class CKBasis(BasisProvider):
     def index_of(self, t) -> tuple:
         return (t.size, tree_rank(t))
 
-    def delta_bar(self, i) -> tuple:
-        out = []
-        delta = freeprelie.ck_coproduct(self.tree(i)).terms
-        for (trunk, pruning), c in delta.items():
-            if trunk and pruning:  # skip the 1 (x) t and t (x) 1 corners
-                I = tuple(sorted(self.index_of(p) for p in pruning.trees))
-                out.append((self.index_of(trunk.trees[0]), I, c))
-        return tuple(out)
+    def _reduced_coproduct(self, i) -> Tensor:
+        return project(freeprelie.ck_coproduct(self.tree(i)), "reduced")
 
     def label(self, i) -> str:
         return self.tree(i).key
@@ -169,13 +177,8 @@ class WordBasis(BasisProvider):
             rank = rank * len(self.alphabet) + self._pos[a]
         return (len(w), rank)
 
-    def delta_bar(self, i) -> tuple:
-        w = self.word(i)
-        out = []
-        for (left, right), c in word_dual_coproduct(w).terms.items():
-            I = tuple(sorted(self.index_of(u) for u in right))
-            out.append((self.index_of(left[0]), I, c))
-        return tuple(out)
+    def _reduced_coproduct(self, i) -> Tensor:
+        return word_dual_coproduct(self.word(i))
 
     def label(self, i) -> str:
         return self.word(i)
@@ -389,26 +392,24 @@ def forest_formula(i, K: int, basis: BasisProvider) -> dict:
     each slot a sorted tuple of basis indices (empty tuple = unit, full
     flavor only); a caller that wants one k indexes the result.  One walk
     over the decorated trees fills each map onto 1..j, j = 1..min(K, |T|),
-    once: the sum for j is reduced at k = j and feeds full at every k >= j,
-    and irr at k is the part of the sum for k from trees with k vertices.
+    once: the sum for j is reduced at k = j and feeds full at every k >= j;
+    irr at k is its part whose k slots hold one index each, filled only by
+    the bijections (a bigger tree's fills hold more), so nothing cancels.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     sums = [{} for _ in range(K + 1)]  # sums[j]: maps onto 1..j
-    irr = [{} for _ in range(K + 1)]  # irr[j]: the bijections of sums[j]
     for T, lam in enumerate_decorated_trees(i, basis):
-        n, flat = T.size, _flatten(T)
-        for j in range(1, min(K, n) + 1):
-            acc = irr[j] if n == j else sums[j]
+        flat = _flatten(T)
+        for j in range(1, min(K, T.size) + 1):
+            acc = sums[j]
             for slots in _onto_fills(flat, j):
                 acc[slots] = acc.get(slots, 0) + lam
     sums = [{slots: c for slots, c in acc.items() if c} for acc in sums]
-    irr = [{slots: c for slots, c in acc.items() if c} for acc in irr]
-    for j in range(1, K + 1):
-        # irr's keys hold j indices, those of a bigger tree's fills more
-        sums[j].update(irr[j])
     return {k: {"full": _insert_units(sums, k), "reduced": sums[k],
-                "irr": irr[k]} for k in range(1, K + 1)}
+                "irr": {slots: c for slots, c in sums[k].items()
+                        if sum(map(len, slots)) == k}}
+            for k in range(1, K + 1)}
 
 
 def decorated_string(T: DecoratedTree, basis: BasisProvider) -> str:

@@ -51,7 +51,7 @@ __all__ = [
     "pairing", "tensor_pairing",
     "prelie_exp", "cm_coefficient",
     "magnus_closed_form", "magnus_fixed_point", "sol1", "poly_exp",
-    "tree_series_to_poly", "tree_part",
+    "tree_part",
 ]
 
 
@@ -77,10 +77,6 @@ class ForestPoly(TermMap):
     """Finite rational combination of forests (empty forest = the unit 1)."""
 
     __slots__ = ()
-
-
-def tree_series_to_poly(s: TreeSeries) -> ForestPoly:
-    return ForestPoly({Forest((t,)): c for t, c in s.terms.items()})
 
 
 def tree_part(p: ForestPoly) -> TreeSeries:
@@ -142,8 +138,6 @@ def prelie(a: TreeSeries, b: TreeSeries, order=None) -> TreeSeries:
 def brace(t: RootedTree, args) -> TreeSeries:
     """Symmetric brace t{args} for a forest or sequence of argument trees:
     the sum over all ways to attach every argument below some vertex of t."""
-    if isinstance(args, Forest):
-        args = args.trees
     return _brace(t, tuple(sorted(args, key=lambda u: u.key)))
 
 
@@ -193,7 +187,7 @@ def _as_forest_poly(x) -> ForestPoly:
     if isinstance(x, ForestPoly):
         return x
     if isinstance(x, TreeSeries):
-        return tree_series_to_poly(x)
+        return ForestPoly({Forest((t,)): c for t, c in x.terms.items()})
     if isinstance(x, RootedTree):
         return ForestPoly({Forest((x,)): 1})
     if isinstance(x, Forest):
@@ -211,9 +205,7 @@ def ck_coproduct(x) -> Tensor:
 def coproduct_iterates(x, k: int) -> list:
     """[delta^[1], ..., delta^[k]] of x from one left-iteration loop
     (delta^[1] is the identity); delta^[k] alone is the last."""
-    poly = _as_forest_poly(x)
-    return [Tensor(j, terms) for j, terms in
-            enumerate(iterate_coproduct(_delta_forest, poly.terms, k), 1)]
+    return iterate_coproduct(_delta_forest, _as_forest_poly(x).terms, k)
 
 
 # ---------------------------------------------------------------------------

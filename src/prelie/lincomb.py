@@ -118,6 +118,9 @@ class Tensor(TermMap):
     def _with(self, terms):
         return type(self)(self.arity, terms)
 
+    def __eq__(self, other):
+        return super().__eq__(other) and self.arity == other.arity
+
     def _check(self, other):
         super()._check(other)
         if self.arity != other.arity:
@@ -169,11 +172,11 @@ def iterate_coproduct(delta2, x_terms: dict, k: int) -> list:
     every iterate.
 
     delta2 maps a monomial key to a dict {(left, right): coeff}; entry j-1
-    of the result maps j-tuples of monomial keys to coefficients, the
-    iterate delta^[j] for j = 1..k (j = 1 wraps keys in 1-tuples), and may
-    hold zeros, which the Tensor built from it drops.  Left iteration: the
-    coproduct is applied to slot 0 at every step, so one loop hands out
-    every j <= k and a caller that wants delta^[k] alone takes the last.
+    of the result is the iterate delta^[j], j = 1..k, as a Tensor of arity j
+    over monomial keys (j = 1 wraps keys in 1-tuples), zeros dropped.  Left
+    iteration: the coproduct is applied to slot 0 at every step, so one loop
+    hands out every j <= k and a caller that wants delta^[k] alone takes the
+    last.
     """
     if k < 1:
         raise ValueError("iterated coproduct needs k >= 1, got %r" % (k,))
@@ -185,7 +188,7 @@ def iterate_coproduct(delta2, x_terms: dict, k: int) -> list:
                 key = (a, b) + slots[1:]
                 nxt[key] = nxt.get(key, 0) + c * d
         out.append(nxt)
-    return out
+    return [Tensor(j, terms) for j, terms in enumerate(out, 1)]
 
 
 def project(tensor: Tensor, flavor: str) -> Tensor:

@@ -219,12 +219,14 @@ class CumulantTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "CumulantTable":
+        if not isinstance(data, dict):
+            raise ValueError("malformed cumulant table: not a JSON object")
         try:
             brand = data["brand"]
             variables = data["variables"]
             maxlen = data["maxlen"]
             raw = data["values"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError("malformed cumulant table: %s" % exc) from None
         if not isinstance(raw, dict) or \
                 not all(isinstance(v, str) for v in raw.values()):
@@ -326,12 +328,10 @@ def _moments_to_cumulants(moments: dict, target: str, variables, maxlen) -> dict
     The unknown is set to 0 first, so the sum over all partitions is the
     sum over the others."""
     out: dict = {}
-    for n in range(1, maxlen + 1):
-        compiled = _terms(n, (target, "moment"))
-        for combo in product(variables, repeat=n):
-            w = "".join(combo)
-            out[w] = 0
-            out[w] = moments[w] - _partition_sum(out, w, compiled)
+    for w in iter_words(variables, maxlen):  # shorter words first
+        out[w] = 0
+        out[w] = moments[w] - _partition_sum(out, w,
+                                             _terms(len(w), (target, "moment")))
     return out
 
 

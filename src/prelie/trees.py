@@ -6,9 +6,10 @@ by their own encodings ("[]" is the single vertex, "[[]]" the 2-chain,
 form, i.e. per isomorphism class of rooted posets, so equality is identity
 and hashing is the object's own.  A forest is a multiset of trees, interned
 the same way; its key is the juxtaposition of the sorted member keys (empty
-string for the empty forest).  Enumeration builds each tree of size n as
-a root over a multiset of smaller trees, with no forest in between; only
-enumerate_forests interns those multisets as forests.
+string for the empty forest), and it iterates over its trees.  Enumeration
+builds each tree of size n as a root over a multiset of smaller trees, with
+no forest in between; only enumerate_forests interns those multisets as
+forests.
 
 Poset orientation: the root is MINIMAL.  A k-linearization is a surjective
 strictly order preserving map onto {1..k} (smaller labels closer to the root);
@@ -119,6 +120,9 @@ class Forest:
 
     def __len__(self):
         return len(self.trees)
+
+    def __iter__(self):
+        return iter(self.trees)
 
     def __repr__(self):
         return "Forest(%r)" % (self.key,)

@@ -148,8 +148,7 @@ def word_coproduct_iterates(x: WordPoly, k: int) -> list:
     """[delta^[1], ..., delta^[k]] of x from one left-iteration loop, delta =
     delta_bar + 1 (x) w + w (x) 1 on words and multiplicative on monomials;
     lincomb.project takes their reduced and irreducible parts."""
-    return [Tensor(j, terms) for j, terms in
-            enumerate(iterate_coproduct(_delta_monomial, x.terms, k), 1)]
+    return iterate_coproduct(_delta_monomial, x.terms, k)
 
 
 def monomial_weight(mono: tuple) -> int:

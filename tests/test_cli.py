@@ -767,6 +767,22 @@ def test_cumulants_rejects_malformed_values(tmp_path, capsys, values):
     assert code == 2 and out == "" and "values" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "malformed cumulant table: not a JSON object"),
+    ('{"variables": ["a"], "maxlen": 1, "values": {"a": "1"}}',
+     "malformed cumulant table: 'brand'"),
+    ('{"brand": "free", "variables": ["a"], "maxlen": 0, "values": {}}',
+     "maxlen must be >= 1"),
+], ids=["list", "no-brand", "maxlen-0"])
+def test_cumulants_rejects_malformed_tables(tmp_path, capsys, text, message):
+    src = tmp_path / "bad.json"
+    src.write_text(text)
+    code, out, err = run(capsys, "cumulants", "--from", "free", "--to", "moment",
+                         "--input", str(src))
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_cumulants_rejects_undecodable_file(tmp_path, capsys):
     src = tmp_path / "bad.json"
     src.write_bytes(b"\xff\xfe")

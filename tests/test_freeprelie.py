@@ -403,6 +403,8 @@ def test_poly_exp_includes_unit_and_grades():
     assert e.terms[Forest((LEAF,))] == 1
     assert e.terms[Forest((LEAF, LEAF))] == Fraction(1, 2)
     assert e.terms[Forest((LEAF, LEAF, LEAF))] == Fraction(1, 6)
+    with pytest.raises(ValueError):
+        poly_exp(ForestPoly({EMPTY_FOREST: 1}), 3)  # a grade-0 term
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +434,5 @@ def test_json_round_trip_of_series():
 def test_type_mismatch_is_rejected():
     with pytest.raises(TypeError):
         series(LEAF) + poly(Forest((LEAF,)))
+    with pytest.raises(TypeError):
+        ck_coproduct("x")

@@ -132,7 +132,8 @@ def test_every_iterate_matches_the_per_k_left_iteration():
     terms = 0
     for delta2, x_terms, x, iterates, tensor in cases:
         want = [oracles.left_iterate(delta2, x_terms, k) for k in range(1, 6)]
-        assert iterate_coproduct(delta2, x_terms, 5) == want, x
+        assert iterate_coproduct(delta2, x_terms, 5) == [
+            Tensor(k, w) for k, w in enumerate(want, 1)], x
         got = iterates(x, 5)
         assert got == [tensor(k, w) for k, w in enumerate(want, 1)], x
         assert [g.arity for g in got] == [1, 2, 3, 4, 5]
@@ -153,6 +154,16 @@ def test_every_basis_builds_the_one_tensor_type():
                + word_coproduct_iterates(WordPoly({(w,): 1}), 3))
     assert [type(x) for x in tensors] == [Tensor] * 10
     assert all(x.terms for x in tensors)
+
+
+def test_a_tensors_arity_is_part_of_its_value():
+    # delta_bar of a word shorter than 3 letters is zero, so both sides of
+    # each comparison hold no term
+    assert Tensor(2, {}) != Tensor(3, {})
+    assert word_dual_coproduct("ab") != Tensor(5, {})
+    assert word_dual_coproduct("ab") == Tensor(2, {})
+    with pytest.raises(TypeError):
+        Tensor(2, {}) + Tensor(3, {})
 
 
 def test_repr_names_every_term_in_any_basis():

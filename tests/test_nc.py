@@ -66,6 +66,8 @@ def test_partition_validation():
         NCPartition([()])              # an empty block
     with pytest.raises(ValueError):
         NCPartition([(1,), ()])
+    with pytest.raises(ValueError):
+        enumerate_nc(0)
     pi = NCPartition(((2,), (1, 3)))
     assert pi.blocks == ((1, 3), (2,))  # blocks sort by minimum
 

@@ -205,6 +205,8 @@ def test_rank_roundtrip():
     for n in range(1, 8):
         for t in enumerate_trees(n):
             assert tree_by_rank(n, tree_rank(t)) == t
+    with pytest.raises(ValueError):
+        tree_by_rank(3, 99)  # there are 2 trees of size 3
 
 
 def test_b_plus_b_minus_roundtrip():
@@ -267,6 +269,8 @@ def test_k_linearization_boundaries():
     assert count_weak_k_linearizations(EMPTY_FOREST, 3) == 1
     with pytest.raises(ValueError):
         count_k_linearizations(Forest((LEAF,)), 0)
+    with pytest.raises(ValueError):
+        count_weak_k_linearizations(LEAF, -1)
 
 
 def test_top_k_linearization_count_is_linear_extension_count():
