@@ -13,7 +13,10 @@ at each suite's cap in SUITES.
 The trees table and the series are lists of flat records, built once as
 tuples of str and int.  ``_json_records`` writes them as
 ``json.dumps(..., indent=2)`` would write the same rows as dicts, and
-``csv.writer`` writes the trees CSV from the same tuples.
+``csv.writer`` writes the trees CSV from the same tuples.  The forest dump
+renders each distinct row once, from the per-tree counts of
+``forest.slot_counts``, and writes it once per map; its index spellings and
+slot texts are the basis's own.
 
 Called as the process entry (``main()`` with no argv, as the ``prelie``
 script and ``python -m prelie.cli`` call it), ``main`` freezes the heap with
@@ -30,8 +33,8 @@ import gc
 import io
 import json
 import os
-import re
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from math import factorial
 
@@ -39,7 +42,7 @@ from . import checks, nc
 from .checks import FOREST_CAP, ROUTES, SUITES, TREE_CAP
 from .exactnum import format_rational
 from .forest import (CKBasis, WordBasis, decorated_string,
-                     enumerate_decorated_trees, slot_maps)
+                     enumerate_decorated_trees, slot_counts)
 from .trees import enumerate_trees, murua_omega, sigma, tree_factorial
 
 # caps as in checks.TREE_CAP, measured times in the README.  Table maxlen,
@@ -47,9 +50,6 @@ from .trees import enumerate_trees, murua_omega, sigma, tree_factorial
 CUMULANT_CAP = 8
 # forest --k, for the grade-8 corolla in full flavor (time and peak RSS):
 K_CAP = 6
-# a grade:ordinal index in ASCII digits; int() would also take "+1", " 2",
-# "1_0" and non-ASCII digits
-_GRADE_ORDINAL = re.compile(r"([0-9]+):([0-9]+)")
 # the columns of the trees table, in the order of its row tuples
 _TREE_FIELDS = ("tree", "order", "index", "sigma", "factorial", "linext", "cm",
                 "omega")
@@ -83,9 +83,10 @@ def _csv_records(fields, rows) -> str:
 
 
 def _write_output(text: str, path) -> int:
-    """Write text, ended by a newline, to stdout or to path, the same bytes
-    either way; the exit code, 2 if path cannot be written."""
-    end = "" if text.endswith("\n") else "\n"
+    """Write text, ended by a newline unless it is empty, to stdout or to
+    path, the same bytes either way; the exit code, 2 if path cannot be
+    written."""
+    end = "\n" if text and not text.endswith("\n") else ""
     if path is None:
         print(text, end=end)
         return 0
@@ -198,55 +199,36 @@ def cmd_forest(args) -> int:
             basis = WordBasis(args.alphabet)
         except ValueError as exc:
             return _input_error("bad --alphabet: %s" % exc)
-    # the grade is read off the text and checked before the index is:
-    # validating G:O, or ranking a bracket tree (one "[" per vertex), lists
-    # every basis element of grade G
     try:
-        if ":" in args.index:
-            m = _GRADE_ORDINAL.fullmatch(args.index)
-            if m is None:
-                raise ValueError("%r is not grade:ordinal in ASCII digits"
-                                 % (args.index,))
-            index = (int(m[1]), int(m[2]))
-            grade = index[0]
-        else:
-            index = None
-            grade = args.index.count("[") if args.basis == "ck" \
-                else len(args.index)
+        grade = basis.index_grade(args.index)
         if grade > FOREST_CAP and not args.unsafe_uncapped:
             return _over_cap("index grade", grade, FOREST_CAP)
-        if index is None:
-            index = basis.parse(args.index)
-        else:
-            basis.validate(index)
+        index = basis.read_index(args.index)
     except ValueError as exc:
         return _input_error("bad --index: %s" % exc)
     if args.k < 1:
         return _input_error("--k must be >= 1")
     if args.k > K_CAP and not args.unsafe_uncapped:
         return _over_cap("--k", args.k, K_CAP)
-    lines = []
-    labels: dict = {}  # one string per distinct slot, shared by the lines
-    for T, lam in enumerate_decorated_trees(index, basis):
-        tree_str = decorated_string(T, basis)
-        for slots in slot_maps(T, args.k, args.flavor):
-            rendered = []
-            for slot in slots:
-                text = labels.get(slot)
-                if text is None:
-                    text = labels[slot] = "·".join(
-                        basis.label(j) for j in slot) or "1"
-                rendered.append(text)
-            lines.append((tree_str, rendered, lam))
-    lines.sort(key=lambda row: (row[0], row[1]))
+    # each distinct row once, with its number of maps; decorated_string is
+    # injective, so sorting the trees by it sorts all rows by (tree, slots)
+    rows = []
+    for tree, T, lam in sorted(
+            ((decorated_string(T, basis), T, str(lam))
+             for T, lam in enumerate_decorated_trees(index, basis)),
+            key=lambda row: row[0]):
+        rows.extend(sorted(
+            ([tree, lam] + list(map(basis.slot_text, slots)), n)
+            for slots, n in slot_counts(T, args.k, args.flavor).items()))
     if args.format == "json":
-        text = "\n".join(
-            json.dumps({"tree": t, "lambda": str(lam), "slots": slots})
-            for t, slots, lam in lines)
+        text = "\n".join(chain.from_iterable(
+            repeat(json.dumps({"tree": tree, "lambda": lam, "slots": slots}),
+                   n)
+            for (tree, lam, *slots), n in rows))
     else:
         text = _csv_records(
             ["tree", "lambda"] + ["slot%d" % (j + 1) for j in range(args.k)],
-            ([t, str(lam)] + slots for t, slots, lam in lines))
+            chain.from_iterable(repeat(row, n) for row, n in rows))
     return _write_output(text, args.output)
 
 

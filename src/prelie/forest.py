@@ -15,10 +15,14 @@ Two providers are included: the Connes-Kreimer basis (rooted trees, structure
 constants read off the coproduct of freeprelie) and the word basis (odd
 factorizations); one delta_bar reads both through _reduced_coproduct.
 Basis indices are (grade, ordinal) pairs tied to the deterministic
-enumerations of the trees/words modules.  Each basis instance
-keeps two plain dicts, which go with it: the decorated trees of each index
-(enumerate_decorated_trees), so delta_bar is computed once per index, and
-the native monomial of each slot that slot_tensor has converted.
+enumerations of the trees/words modules.  A basis also owns the text of the
+forest dump: an index spelled as a label or as grade:ordinal, whose grade is
+read off the text (index_grade, read_index), and a slot as its labels joined
+by "·", "1" for the unit (slot_text).  Each basis instance keeps three plain
+dicts, which go with it: the decorated trees of each index
+(enumerate_decorated_trees), so delta_bar is computed once per index, the
+native monomial of each slot that slot_tensor has converted, and the text
+of each slot that slot_text has rendered.
 
 The onto maps depend only on a decorated tree's shape and are enumerated
 once per (shape, j) for the process; a walk flattens each tree to its shape
@@ -26,10 +30,13 @@ once.  The full iterated coproduct is the unit insertion of the sums over
 maps onto 1..j, pushed along each increasing [j] -> [k].
 Those sums do not depend on k, so forest_formula(i, K, basis) walks the
 decorated trees of i once and returns the three flavors for every k <= K.
+slot_counts(T, k, flavor) gives one decorated tree's maps counted by slot
+contents, for a dump that writes each distinct row once per map.
 """
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import cache
@@ -47,9 +54,13 @@ from .words import monomial, word_dual_coproduct
 __all__ = [
     "BasisProvider", "CKBasis", "WordBasis",
     "DecoratedTree", "leaf", "sym", "lambda_coeff",
-    "enumerate_decorated_trees", "forest_formula", "slot_maps",
+    "enumerate_decorated_trees", "forest_formula", "slot_counts",
     "decorated_string",
 ]
+
+# an index spelled grade:ordinal in ASCII digits; int() would also take "+1",
+# " 2", "1_0" and non-ASCII digits
+_GRADE_ORDINAL = re.compile(r"([0-9]+):([0-9]+)")
 
 
 class BasisProvider(ABC):
@@ -64,6 +75,7 @@ class BasisProvider(ABC):
     def __init__(self):
         self._enum_cache: dict = {}  # index -> its decorated trees
         self._slot_cache: dict = {}  # sorted index tuple -> native monomial
+        self._text_cache: dict = {}  # sorted index tuple -> its dump text
 
     @abstractmethod
     def validate(self, i) -> None:
@@ -91,6 +103,39 @@ class BasisProvider(ABC):
     @abstractmethod
     def parse(self, text: str):
         ...
+
+    @abstractmethod
+    def _label_grade(self, text: str) -> int:
+        """The grade of the element a label spells, read off the text."""
+
+    def index_grade(self, text: str) -> int:
+        """The grade of an index spelled as read_index reads it, read off the
+        text: reading the index may list every basis element of that grade."""
+        if ":" not in text:
+            return self._label_grade(text)
+        m = _GRADE_ORDINAL.fullmatch(text)
+        if m is None:
+            raise ValueError("%r is not grade:ordinal in ASCII digits"
+                             % (text,))
+        return int(m[1])
+
+    def read_index(self, text: str) -> tuple:
+        """The index spelled as a label or as grade:ordinal."""
+        if ":" not in text:
+            return self.parse(text)
+        # index_grade raises unless the text is grade:ordinal in ASCII digits
+        i = (self.index_grade(text), int(text.partition(":")[2]))
+        self.validate(i)
+        return i
+
+    def slot_text(self, slot: tuple) -> str:
+        """A slot's labels joined by "·", or "1" for the unit slot; each
+        distinct slot is rendered once per basis instance."""
+        text = self._text_cache.get(slot)
+        if text is None:
+            text = self._text_cache[slot] = "·".join(
+                map(self.label, slot)) or "1"
+        return text
 
     @abstractmethod
     def _slot_element(self, slot: tuple):
@@ -133,6 +178,9 @@ class CKBasis(BasisProvider):
 
     def parse(self, text: str):
         return self.index_of(tree_from_string(text))
+
+    def _label_grade(self, text: str) -> int:
+        return text.count("[")
 
     def _slot_element(self, slot: tuple):
         return Forest(tuple(self.tree(j) for j in slot))
@@ -187,6 +235,9 @@ class WordBasis(BasisProvider):
         if not text:
             raise ValueError("the empty word is not a basis element")
         return self.index_of(text)
+
+    def _label_grade(self, text: str) -> int:
+        return len(text)
 
     def _slot_element(self, slot: tuple):
         return monomial(self.word(j) for j in slot)
@@ -365,20 +416,20 @@ def _insert_units(sums: list, k: int) -> dict:
     return full
 
 
-def slot_maps(T: DecoratedTree, k: int, flavor: str):
-    """Strictly order-preserving maps from T's vertices to 1..k, yielded as
-    slot contents (tuple of sorted index tuples built from d2 decorations).
-    reduced: surjective; irr: bijective; full: unconstrained, the onto maps
-    to every image with units inserted."""
+def slot_counts(T: DecoratedTree, k: int, flavor: str) -> dict:
+    """The strictly order-preserving maps from T's vertices to 1..k, counted
+    by slot contents (tuple of sorted index tuples built from d2
+    decorations).  reduced: surjective; irr: bijective; full: unconstrained,
+    the onto maps to every image with units inserted."""
     n = T.size
     if flavor == "full":
         flat = _flatten(T)
         sums = [Counter(_onto_fills(flat, j)) if 0 < j <= n else {}
                 for j in range(k + 1)]
-        return Counter(_insert_units(sums, k)).elements()
+        return _insert_units(sums, k)
     if n == k or n > k and flavor == "reduced":
-        return _onto_fills(_flatten(T), k)
-    return iter(())
+        return Counter(_onto_fills(_flatten(T), k))
+    return {}
 
 
 def forest_formula(i, K: int, basis: BasisProvider) -> dict:

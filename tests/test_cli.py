@@ -491,13 +491,51 @@ def test_forest_ck_cherry_irr(capsys):
      "127878ee5081b62fd665af220893a5204047dc20dc7b38dfa4d9a736072427f1"),
     ("--basis words --index abaab --k 4 --flavor full --format csv",
      "0ab4967842f30efcb6267a5a315622d9a251be4414b6079727aad5b7328f518f"),
+    ("--basis ck --index [[][][][][]] --k 5 --flavor full",
+     "7112bb61a56d9c12ff9b947b59861a10b3bb41f6d0728166db6029b1f6e32d2c"),
+    ("--basis ck --index [[][][][][]] --k 5 --flavor full --format csv",
+     "be0f7316ad584378fe66c8b3443a28c9adc44405cb1a57bebe978d45a34ffcd8"),
 ])
 def test_forest_dump_is_byte_stable(capsys, argv, digest):
     # every row of each flavor's dump, the grade-8 chain's full dump at the
-    # --k cap among them (187 KB)
+    # --k cap among them (187 KB), and the grade-6 corolla's, whose 1,799
+    # rows repeat 210 distinct ones
     code, out, err = run(capsys, "forest", *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_forest_renders_each_distinct_row_once(capsys, monkeypatch):
+    calls = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, **kwargs):
+        calls.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", counting_dumps)
+    code, out, _ = run(capsys, "forest", "--basis", "ck", "--index",
+                       "[[][][][][]]", "--k", "5", "--flavor", "full")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1799 and len(calls) == len(set(lines)) == 210
+
+
+@pytest.mark.parametrize("argv", [
+    "--basis ck --index [[]] --k 3 --flavor irr",
+    "--basis words --index ab --k 2 --flavor reduced",
+])
+def test_forest_empty_dump_is_empty(capsys, tmp_path, argv):
+    # no row: 0 bytes of JSON Lines, where a blank line would be no JSON
+    # line; the CSV dump keeps its header
+    code, out, err = run(capsys, "forest", *argv.split())
+    assert (code, out, err) == (0, "", "")
+    path = tmp_path / "dump.json"
+    code, out, _ = run(capsys, "forest", *argv.split(), "--output", str(path))
+    assert code == 0 and out == "" and path.read_bytes() == b""
+    code, out, _ = run(capsys, "forest", *argv.split(), "--format", "csv")
+    assert code == 0 and out.startswith("tree,lambda,slot1,")
+    assert out.count("\n") == 1
 
 
 def test_forest_index_spellings_agree(capsys):

@@ -9,8 +9,8 @@ import prelie.forest
 from prelie import checks, cli, freeprelie, words
 from prelie.forest import (
     CKBasis, DecoratedTree, WordBasis, decorated_string,
-    enumerate_decorated_trees, forest_formula, lambda_coeff, leaf, slot_maps,
-    sym,
+    enumerate_decorated_trees, forest_formula, lambda_coeff, leaf,
+    slot_counts, sym,
 )
 from prelie.lincomb import project
 from prelie.trees import LEAF, RootedTree, enumerate_trees
@@ -269,7 +269,7 @@ def _preorder(T):
     return d2s, tuple(parents)
 
 
-def test_slot_maps_match_brute_force_through_one_shared_memo():
+def test_slot_counts_match_brute_force_through_one_shared_memo():
     # one process-wide cache of onto maps for every tree and j: a cache keyed
     # without j would hand one call the maps of another.  One call's walk
     # must credit every k <= K and each flavor with exactly the
@@ -300,7 +300,7 @@ def test_slot_maps_match_brute_force_through_one_shared_memo():
                         slots[v - 1].append(d2)
                     want[tuple(tuple(sorted(s)) for s in slots)] += 1
                 where = (decorated_string(T, basis), k, flavor)
-                assert Counter(slot_maps(T, k, flavor)) == want, where
+                assert slot_counts(T, k, flavor) == want, where
                 for slots, m in want.items():
                     sums[k, flavor][slots] += lam * m
         for K in Ks:
@@ -465,6 +465,7 @@ def test_bad_indices_raise_where_they_are_decoded():
 
 
 def test_index_label_parse_round_trip():
+    # both spellings of an index read back to it, and give its grade
     ck = CKBasis()
     for n in range(1, 5):
         for t in enumerate_trees(n):
@@ -472,6 +473,8 @@ def test_index_label_parse_round_trip():
             assert i[0] == n
             assert ck.parse(ck.label(i)) == i
             assert ck.tree(i) == t
+            for text in (ck.label(i), "%d:%d" % i):
+                assert ck.index_grade(text) == n and ck.read_index(text) == i
     wb = WordBasis("ab")
     for n in range(1, 4):
         for w in words.enumerate_words("ab", n):
@@ -479,6 +482,8 @@ def test_index_label_parse_round_trip():
             assert i[0] == n
             assert wb.parse(wb.label(i)) == i
             assert wb.word(i) == w
+            for text in (wb.label(i), "%d:%d" % i):
+                assert wb.index_grade(text) == n and wb.read_index(text) == i
 
 
 def test_decorated_tree_constructor_guards():
