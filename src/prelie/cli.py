@@ -10,11 +10,15 @@ run, read with the routes from ROUTES; forest-formula indices at FOREST_CAP
 and the forest --k at K_CAP; cumulant word lengths at CUMULANT_CAP; verify
 at each suite's cap in SUITES.
 
-The trees table and the series are lists of flat records, built once as
-tuples of str and int.  ``_json_records`` writes them as
-``json.dumps(..., indent=2)`` would write the same rows as dicts, and
-``csv.writer`` writes the trees CSV from the same tuples.  The forest dump
-renders each distinct row once, from the per-tree counts of
+Every command writes through ``_write_output``, which opens stdout or the
+--output file before the first row is made and then writes the output in
+pieces as the rows are made, one write per batch of at most ``_BATCH`` rows,
+so no command holds the text of its whole output.  The trees table and the
+series are flat records of str and int, made one tree at a time;
+``_json_records`` writes each batch of them as ``json.dumps(..., indent=2)``
+would write the same rows as dicts, and ``_csv_records`` puts each batch of
+the trees CSV through ``csv.writer``.  The forest dump renders each distinct
+row of a decorated tree once, from the per-tree counts of
 ``forest.slot_counts``, and writes it once per map; its index spellings and
 slot texts are the basis's own.
 
@@ -34,7 +38,7 @@ import io
 import json
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from math import factorial
 
@@ -55,47 +59,81 @@ _TREE_FIELDS = ("tree", "order", "index", "sigma", "factorial", "linext", "cm",
                 "omega")
 
 
-def _json_records(fields, rows) -> str:
+# rows per write: a write of the whole output would hold all of its text,
+# and a write per row is one system call per row on an unbuffered stdout
+# (PYTHONUNBUFFERED)
+_BATCH = 1024
+
+
+def _batches(items, size: int):
+    """The items in lists of size, the last one shorter."""
+    items = iter(items)
+    while batch := list(islice(items, size)):
+        yield batch
+
+
+def _json_records(fields, rows, batch: int = _BATCH):
     """``json.dumps([dict(zip(fields, row)) for row in rows], indent=2)``
-    for rows of str and int values, each column of one type.
+    for rows of str and int values, each column of one type, in pieces: one
+    per batch of rows, then the closing bracket.
 
     The pure-Python encoder that json.dumps falls back to under ``indent``
-    is skipped: the strings go through its C escaper column by column, and
-    each row is one %-format of a template built from the field names."""
-    if not rows:
-        return "[]"
+    is skipped: the strings of a batch go through its C escaper column by
+    column, and each row is one %-format of a template built from the field
+    names."""
     template = "  {\n%s\n  }" % ",\n".join(
         "    %s: %%s" % _json_string(f).replace("%", "%%") for f in fields)
-    columns = list(zip(*rows))
-    for j, value in enumerate(rows[0]):
-        if isinstance(value, str):
-            columns[j] = map(_json_string, columns[j])
-    return "[\n%s\n]" % ",\n".join(map(template.__mod__, zip(*columns)))
+    head = "[\n"
+    for chunk in _batches(rows, batch):
+        columns = list(zip(*chunk))
+        for j, value in enumerate(chunk[0]):
+            if isinstance(value, str):
+                columns[j] = map(_json_string, columns[j])
+        yield head + ",\n".join(map(template.__mod__, zip(*columns)))
+        head = ",\n"
+    yield "[]" if head == "[\n" else "\n]"
 
 
-def _csv_records(fields, rows) -> str:
-    """The header row fields, then rows, as ``csv.writer`` writes them."""
+def _csv_records(fields, rows):
+    """The header row fields, then rows, as ``csv.writer`` writes them, in
+    pieces of one batch of rows each."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(fields)
-    writer.writerows(rows)
-    return buf.getvalue()
+    for chunk in _batches(rows, _BATCH):
+        writer.writerows(chunk)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+    yield buf.getvalue()
 
 
-def _write_output(text: str, path) -> int:
-    """Write text, ended by a newline unless it is empty, to stdout or to
-    path, the same bytes either way; the exit code, 2 if path cannot be
-    written."""
-    end = "\n" if text and not text.endswith("\n") else ""
+def _write_output(pieces, path) -> int:
+    """Write the pieces of text, one write each, ended by a newline unless
+    the text is empty, to stdout or to path, the same bytes either way.
+    path is opened before the first piece is made; the exit code, 2 if it
+    cannot be opened or written."""
     if path is None:
-        print(text, end=end)
+        _write_pieces(pieces, sys.stdout)
         return 0
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            print(text, end=end, file=fh)
+            _write_pieces(pieces, fh)
     except OSError as exc:
         return _input_error("cannot write output: %s" % exc)
     return 0
+
+
+def _write_pieces(pieces, out) -> None:
+    """Write each nonempty piece to out, then a newline unless the text is
+    empty or ends with one."""
+    last = ""
+    for piece in pieces:
+        if piece:
+            out.write(piece)
+            last = piece
+    if last and not last.endswith("\n"):
+        out.write("\n")
 
 
 def _input_error(message: str) -> int:
@@ -116,22 +154,25 @@ def cmd_trees(args) -> int:
         return _over_cap("--max-order", args.max_order, TREE_CAP)
     if args.max_order < 1:
         return _input_error("--max-order must be >= 1")
-    rows = []
-    for n in range(1, args.max_order + 1):
+    rows = _tree_rows(args.max_order)
+    if args.format == "json":
+        return _write_output(_json_records(_TREE_FIELDS, rows), args.output)
+    return _write_output(_csv_records(_TREE_FIELDS, rows), args.output)
+
+
+def _tree_rows(max_order: int):
+    """The rows of the trees table, one tuple per tree, made as they are
+    read."""
+    for n in range(1, max_order + 1):
         top = factorial(n)
         for idx, t in enumerate(enumerate_trees(n)):
             s, fac = sigma(t), tree_factorial(t)
             # both exact: num_linearizations and freeprelie.cm_coefficient
             # assert the divisibility
             linext = top // fac
-            rows.append((t.key, n, "%d:%d" % (n, idx), str(s), str(fac),
-                         str(linext), str(linext // s),
-                         format_rational(murua_omega(t))))
-    if args.format == "json":
-        text = _json_records(_TREE_FIELDS, rows)
-    else:
-        text = _csv_records(_TREE_FIELDS, rows)
-    return _write_output(text, args.output)
+            yield (t.key, n, "%d:%d" % (n, idx), str(s), str(fac),
+                   str(linext), str(linext // s),
+                   format_rational(murua_omega(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +201,7 @@ def cmd_series(args) -> int:
             return 1
     return _write_output(_json_records(
         ("forest", "coeff"),
-        [(t.key, str(c)) for t, c in series.items()]), args.output)
+        ((t.key, str(c)) for t, c in series.items())), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +226,7 @@ def cmd_cumulants(args) -> int:
         out = nc.convert(table, args.target, route=args.route).to_json()
     except ValueError as exc:
         return _input_error(str(exc))
-    return _write_output(json.dumps(out, indent=2), args.output)
+    return _write_output([json.dumps(out, indent=2)], args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -210,26 +251,31 @@ def cmd_forest(args) -> int:
         return _input_error("--k must be >= 1")
     if args.k > K_CAP and not args.unsafe_uncapped:
         return _over_cap("--k", args.k, K_CAP)
-    # each distinct row once, with its number of maps; decorated_string is
-    # injective, so sorting the trees by it sorts all rows by (tree, slots)
-    rows = []
+    rows = _forest_rows(basis, index, args.k, args.flavor)
+    if args.format == "json":
+        lines = chain.from_iterable(
+            repeat(json.dumps({"tree": tree, "lambda": lam, "slots": slots})
+                   + "\n", n)
+            for (tree, lam, *slots), n in rows)
+        return _write_output(map("".join, _batches(lines, _BATCH)),
+                             args.output)
+    return _write_output(_csv_records(
+        ["tree", "lambda"] + ["slot%d" % (j + 1) for j in range(args.k)],
+        chain.from_iterable(repeat(row, n) for row, n in rows)), args.output)
+
+
+def _forest_rows(basis, index, k: int, flavor: str):
+    """The distinct rows of the dump with their numbers of maps, sorted by
+    (tree, slots), made one decorated tree at a time: decorated_string is
+    injective, so sorting the trees by it and then each tree's rows sorts
+    all rows."""
     for tree, T, lam in sorted(
             ((decorated_string(T, basis), T, str(lam))
              for T, lam in enumerate_decorated_trees(index, basis)),
             key=lambda row: row[0]):
-        rows.extend(sorted(
+        yield from sorted(
             ([tree, lam] + list(map(basis.slot_text, slots)), n)
-            for slots, n in slot_counts(T, args.k, args.flavor).items()))
-    if args.format == "json":
-        text = "\n".join(chain.from_iterable(
-            repeat(json.dumps({"tree": tree, "lambda": lam, "slots": slots}),
-                   n)
-            for (tree, lam, *slots), n in rows))
-    else:
-        text = _csv_records(
-            ["tree", "lambda"] + ["slot%d" % (j + 1) for j in range(args.k)],
-            chain.from_iterable(repeat(row, n) for row, n in rows))
-    return _write_output(text, args.output)
+            for slots, n in slot_counts(T, k, flavor).items())
 
 
 # ---------------------------------------------------------------------------

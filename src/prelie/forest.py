@@ -47,8 +47,7 @@ from operator import itemgetter
 
 from . import freeprelie
 from .lincomb import Tensor, project
-from .trees import (Forest, enumerate_trees, tree_by_rank, tree_from_string,
-                    tree_rank)
+from .trees import Forest, tree_by_rank, tree_from_string, tree_rank
 from .words import monomial, word_dual_coproduct
 
 __all__ = [
@@ -96,9 +95,15 @@ class BasisProvider(ABC):
                      for ((trunk,), rest), c
                      in self._reduced_coproduct(i).terms.items())
 
-    @abstractmethod
     def label(self, i) -> str:
-        ...
+        """The text of b_i; ValueError if i is not an index."""
+        self.validate(i)
+        return self._label(i)
+
+    @abstractmethod
+    def _label(self, i) -> str:
+        """The text of b_i for an index known to be valid, as the indices
+        read off delta_bar are: the dump renders them unchecked."""
 
     @abstractmethod
     def parse(self, text: str):
@@ -134,7 +139,7 @@ class BasisProvider(ABC):
         text = self._text_cache.get(slot)
         if text is None:
             text = self._text_cache[slot] = "·".join(
-                map(self.label, slot)) or "1"
+                map(self._label, slot)) or "1"
         return text
 
     @abstractmethod
@@ -160,12 +165,15 @@ class CKBasis(BasisProvider):
     """Rooted-tree basis with the Connes-Kreimer reduced coproduct."""
 
     def validate(self, i) -> None:
-        if not (_is_pair(i) and 0 <= i[1] < len(enumerate_trees(i[0]))):
-            raise ValueError("not a tree index: %r" % (i,))
+        self.tree(i)
 
     def tree(self, i):
-        self.validate(i)
-        return tree_by_rank(i[0], i[1])
+        if _is_pair(i):
+            try:
+                return tree_by_rank(i[0], i[1])
+            except ValueError:
+                pass
+        raise ValueError("not a tree index: %r" % (i,))
 
     def index_of(self, t) -> tuple:
         return (t.size, tree_rank(t))
@@ -173,8 +181,8 @@ class CKBasis(BasisProvider):
     def _reduced_coproduct(self, i) -> Tensor:
         return project(freeprelie.ck_coproduct(self.tree(i)), "reduced")
 
-    def label(self, i) -> str:
-        return self.tree(i).key
+    def _label(self, i) -> str:
+        return tree_by_rank(i[0], i[1]).key
 
     def parse(self, text: str):
         return self.index_of(tree_from_string(text))
@@ -208,7 +216,9 @@ class WordBasis(BasisProvider):
             raise ValueError("not a word index: %r" % (i,))
 
     def word(self, i) -> str:
-        self.validate(i)
+        return self.label(i)
+
+    def _label(self, i) -> str:
         n, rank = i
         base = len(self.alphabet)
         letters = []
@@ -227,9 +237,6 @@ class WordBasis(BasisProvider):
 
     def _reduced_coproduct(self, i) -> Tensor:
         return word_dual_coproduct(self.word(i))
-
-    def label(self, i) -> str:
-        return self.word(i)
 
     def parse(self, text: str):
         if not text:
@@ -464,8 +471,10 @@ def forest_formula(i, K: int, basis: BasisProvider) -> dict:
 
 
 def decorated_string(T: DecoratedTree, basis: BasisProvider) -> str:
-    """Bracket rendering with (d1;d2) annotations, single labels on leaves."""
+    """Bracket rendering with (d1;d2) annotations, single labels on leaves.
+    The indices are rendered unchecked: T is one of
+    enumerate_decorated_trees(i, basis), whose indices come from delta_bar."""
     if not T.children:
-        return "(%s)" % basis.label(T.d1)
+        return "(%s)" % basis._label(T.d1)
     inner = "".join(decorated_string(c, basis) for c in T.children)
-    return "(%s;%s)[%s]" % (basis.label(T.d1), basis.label(T.d2), inner)
+    return "(%s;%s)[%s]" % (basis._label(T.d1), basis._label(T.d2), inner)

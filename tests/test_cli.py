@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from prelie import checks, cli, freeprelie
 from prelie.exactnum import format_rational
+from prelie.forest import WordBasis, enumerate_decorated_trees, slot_counts
 from prelie.freeprelie import TreeSeries
 from prelie.nc import BRANDS, CumulantTable, convert, iter_words
 from prelie.trees import (enumerate_trees, murua_omega, num_linearizations,
@@ -100,12 +101,37 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, command, bad):
     assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
 
+def _refuse(*args):
+    raise AssertionError("a row was made before the output was opened")
+
+
+@pytest.mark.parametrize("argv, step", [
+    (["trees", "--max-order", "3"], "murua_omega"),
+    (["forest", "--basis", "ck", "--index", "[[]]", "--k", "2"], "slot_counts"),
+])
+def test_unwritable_output_is_rejected_before_any_row(tmp_path, capsys,
+                                                      monkeypatch, argv, step):
+    monkeypatch.setattr(cli, step, _refuse)
+    code, out, err = run(capsys, *argv, "--output",
+                         str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+
+# commands whose output crosses batches of cli._BATCH rows: the 1205 trees
+# of order <= 10, and a dump of 6878 rows from 102 decorated trees, one of
+# which alone has more rows than a batch
+_MULTI_BATCH_DUMP = "forest --basis words --index abaabab --k 5 --flavor full"
+
+
 @pytest.mark.parametrize("argv", [
     "trees --max-order 3", "trees --max-order 3 --format csv",
+    "trees --max-order 10", "trees --max-order 10 --format csv",
     "series --which exp --order 4", "series --which magnus --order 4 --check",
     "cumulants --from free --to monotone --input {src}",
     "forest --basis ck --index [[][]] --k 2",
     "forest --basis words --index abab --k 3 --flavor full --format csv",
+    _MULTI_BATCH_DUMP, _MULTI_BATCH_DUMP + " --format csv",
 ])
 def test_output_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
     # a JSON dump ends without a newline, which both sinks add, and a CSV
@@ -125,7 +151,7 @@ def test_output_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
     ("csv", "c40a5ef06b71d45acd6620b263ecf36b32c16d5772cbc4db9261d62ac93941dc"),
 ])
 def test_tree_table_is_byte_stable(capsys, fmt, digest):
-    # every statistic of the 1842 trees of order <= 10, as the benchmark
+    # every statistic of the 1205 trees of order <= 10, as the benchmark
     # checks it
     code, out, err = run(capsys, "trees", "--max-order", "10", "--format", fmt)
     assert code == 0 and err == ""
@@ -213,11 +239,62 @@ def _records(draw):
     return fields, rows
 
 
-@given(_records())
-def test_json_records_equals_json_dumps_with_indent(records):
+# batches of 1 to 3 rows, so the lists of up to 4 rows cross them
+@given(_records(), st.integers(1, 3))
+def test_json_records_equals_json_dumps_with_indent(records, batch):
     fields, rows = records
-    assert cli._json_records(fields, rows) == json.dumps(
+    assert "".join(cli._json_records(fields, rows, batch)) == json.dumps(
         [dict(zip(fields, row)) for row in rows], indent=2)
+
+
+class _Recorder(io.StringIO):
+    """A stdout that logs each write, in order with other events."""
+
+    def __init__(self, events):
+        super().__init__()
+        self.events = events
+
+    def write(self, text):
+        self.events.append(("write", text))
+        return super().write(text)
+
+
+def _streamed(monkeypatch, argv, step):
+    """The writes of cli.main(argv) and the index of the last call of
+    cli.<step> among them, with stdout recorded."""
+    events = []
+    real = getattr(cli, step)
+
+    def logged(*args):
+        events.append(("step", None))
+        return real(*args)
+
+    monkeypatch.setattr(cli, step, logged)
+    monkeypatch.setattr(sys, "stdout", _Recorder(events))
+    assert cli.main(argv) == 0
+    last_step = max(j for j, (kind, _) in enumerate(events) if kind == "step")
+    return [(j, text) for j, (kind, text) in enumerate(events)
+            if kind == "write"], last_step
+
+
+def test_trees_table_is_written_as_it_is_made(monkeypatch):
+    writes, last_omega = _streamed(monkeypatch, ["trees", "--max-order", "10"],
+                                   "murua_omega")
+    assert len(writes) > 1 and writes[0][0] < last_omega
+    assert max(text.count('"tree": ') for _, text in writes) <= cli._BATCH
+    assert len(json.loads("".join(text for _, text in writes))) == 1205
+
+
+def test_forest_dump_is_written_as_it_is_made(monkeypatch):
+    basis = WordBasis("ab")
+    assert max(sum(slot_counts(T, 5, "full").values()) for T, _
+               in enumerate_decorated_trees(basis.read_index("abaabab"),
+                                            basis)) > cli._BATCH
+    writes, last_tree = _streamed(monkeypatch, _MULTI_BATCH_DUMP.split(),
+                                  "slot_counts")
+    assert len(writes) > 1 and writes[0][0] < last_tree
+    assert max(text.count("\n") for _, text in writes) <= cli._BATCH
+    assert "".join(text for _, text in writes).count("\n") == 6878
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -233,14 +310,18 @@ def _spawn(argv, buffered, stdout):
 
 
 # buffered, a small output fails only when main flushes stdout; unbuffered,
-# it fails in the command's own write or print.  Help text is written
-# inside argument parsing, whose stock writer drops the error
+# it fails in the command's own write or print, and a multi-batch output
+# fails in a write made while its rows are still being made, either way.
+# Help text is written inside argument parsing, whose stock writer drops
+# the error
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize("argv", [
     ["trees", "--max-order", "3"],
     ["verify", "--suite", "trees", "--max-order", "3"],
     ["--help"],
     ["forest", "--help"],
+    ["trees", "--max-order", "10"],
+    _MULTI_BATCH_DUMP.split(),
 ])
 @pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
 def test_failed_stdout_write_is_an_input_error(argv, buffered, sink):

@@ -443,9 +443,9 @@ def test_index_validation():
 
 
 def test_bad_indices_raise_where_they_are_decoded():
-    # delta_bar and label validate no index of their own: decoding it as a
-    # tree or a word does.  A fresh basis each time, so no cached
-    # enumeration answers first
+    # delta_bar validates no index of its own: decoding it as a tree or a
+    # word does; label checks it before it renders.  A fresh basis each
+    # time, so no cached enumeration answers first
     for make, out_of_range in ((CKBasis, (3, 2)),
                                (lambda: WordBasis("ab"), (2, 4))):
         for i in (out_of_range, (1, "0"), (1.5, 0)):
