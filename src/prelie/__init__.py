@@ -11,18 +11,15 @@ Modules:
     forest      forest formulas for iterated coproducts over a basis
     nc          non-crossing partitions and cumulant conversions
     checks      the cross-route identities that `prelie verify` reruns
+    caps        the order caps and the names the command line offers
     cli         command line entry points
 
 All arithmetic is exact: int or fractions.Fraction, never float; a Fraction
 appears where a division does.
-"""
 
-from .exactnum import Rational, bernoulli, format_rational, parse_rational
-from .trees import (
-    Forest, LEAF, RootedTree, enumerate_forests, enumerate_trees,
-    forest_from_string, murua_omega, murua_omega_recursive, sigma,
-    tree_factorial, tree_from_string,
-)
+Importing the package loads no layer module: each name of ``__all__`` is
+read from its module on first access.
+"""
 
 __all__ = [
     "Rational", "bernoulli", "format_rational", "parse_rational",
@@ -30,3 +27,16 @@ __all__ = [
     "enumerate_trees", "enumerate_forests", "sigma", "tree_factorial",
     "murua_omega", "murua_omega_recursive",
 ]
+
+
+def __getattr__(name: str):
+    """Each name of ``__all__`` from exactnum or trees, imported on first
+    access (PEP 562), so that importing the package loads no layer module;
+    trees imports exactnum, so the two load together."""
+    if name not in __all__:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from . import exactnum, trees
+    value = getattr(exactnum if hasattr(exactnum, name) else trees, name)
+    globals()[name] = value
+    return value

@@ -2,63 +2,64 @@
 ``prelie verify`` reruns.
 
 ``ROUTES`` maps each series ``prelie series`` prints (``--which``) to the
-routes that compute it (``--method``), each with its order cap; ``series``
-runs one and ``series --check`` compares them all, as the magnus suite does.
-Each identity is a generator named after it, ``_`` for ``-``, that yields
-one ``(instance record, got, want)`` per instance; the two sides come from
-routes that do not call each other.  ``run`` counts and compares them.
+routes that compute it (``--method``), each with its order cap from
+``prelie.caps``; ``series`` runs one and ``series --check`` compares them
+all, as the magnus suite does.  Each identity is a generator named after it,
+``_`` for ``-``, that yields one ``(instance record, got, want)`` per
+instance; the two sides come from routes that do not call each other.
+``run`` counts and compares them.  ``SUITES`` groups the identities, with
+each suite's default order and cap from ``prelie.caps``.
+
+At the top level this module loads ``freeprelie`` and the layers it
+imports, which ``ROUTES`` needs; an identity that reads ``nc``, ``words`` or
+``forest`` imports it when it runs, so ``series`` and each suite load only
+the layers they call.
 """
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
 
-from . import freeprelie, nc, words
-from .forest import CKBasis, WordBasis, forest_formula
+from . import freeprelie
+from .caps import BRANDS, SERIES_CAPS, SUITE_CAPS
 from .freeprelie import ForestPoly, TreeSeries
 from .lincomb import Tensor, project
 from .trees import (LEAF, enumerate_forests, enumerate_trees,
                     count_k_linearizations, count_weak_k_linearizations,
                     murua_omega, murua_omega_recursive, sigma)
 
-# each cap is the last order that finishes within a few seconds, the next
-# taking about three times as long or more; the measured times are in the
-# README.  Tree orders (series --method fixed-point):
-TREE_CAP = 12
-# forest-formula grades (the forest suite, forest --index):
-FOREST_CAP = 8
-
 # the one-vertex tree, the generator of every series in ROUTES
 _GENERATOR = TreeSeries({LEAF: 1})
 
-# which -> method -> (series_of_order, cap): series_of_order(n) is the series
-# `series --which` prints, truncated at order n, and cap is the last order
-# its route runs at by default.  Every route looks its freeprelie function up
-# per call, so that whatever rebinds the module's names also sees the calls.
-ROUTES = {
+# which -> method -> series_of_order: series_of_order(n) is the series
+# `series --which` prints, truncated at order n.  Every route looks its
+# freeprelie function up per call, so that whatever rebinds the module's
+# names also sees the calls.
+_SERIES = {
     "exp": {  # as Connes-Moscovici integers, |t|! times each coefficient
-        "closed": (lambda n: TreeSeries(
+        "closed": lambda n: TreeSeries(
             {t: freeprelie.cm_coefficient(t)
              for k in range(1, n + 1) for t in enumerate_trees(k)}),
-            TREE_CAP),
-        "fixed-point": (lambda n: TreeSeries(
+        "fixed-point": lambda n: TreeSeries(
             {t: c * factorial(t.size) for t, c in
              freeprelie.prelie_exp(_GENERATOR, n).terms.items()}),
-            TREE_CAP),
     },
     "magnus": {
-        "closed": (lambda n: freeprelie.magnus_closed_form(n), TREE_CAP),
-        "fixed-point": (lambda n: freeprelie.magnus_fixed_point(_GENERATOR, n),
-                        TREE_CAP),
-        # sol1 costs the most of the three, so it has a cap of its own
-        "sol1": (lambda n: freeprelie.tree_part(freeprelie.sol1(
-            freeprelie.poly_exp(_GENERATOR, n))), 9),
+        "closed": lambda n: freeprelie.magnus_closed_form(n),
+        "fixed-point": lambda n: freeprelie.magnus_fixed_point(_GENERATOR, n),
+        "sol1": lambda n: freeprelie.tree_part(freeprelie.sol1(
+            freeprelie.poly_exp(_GENERATOR, n))),
     },
 }
+
+# which -> method -> (series_of_order, cap), the routes and caps of
+# caps.SERIES_CAPS: cap is the last order the route runs at by default
+ROUTES = {which: {method: (_SERIES[which][method], cap)
+                  for method, cap in methods.items()}
+          for which, methods in SERIES_CAPS.items()}
 
 
 def tree_counts_vs_recursion(order: int):
@@ -151,6 +152,7 @@ def exp_after_magnus_identity(order: int):
 
 def brace_coproduct_duality(order: int):
     """<alpha{gammas}, w> = <alpha (x) gammas, delta_bar w>, all lengths."""
+    from . import nc, words
     for w in nc.iter_words("ab", order):
         L = len(w)
         delta = words.word_dual_coproduct(w)
@@ -167,6 +169,7 @@ def brace_coproduct_duality(order: int):
 
 def coproduct_grading(order: int):
     """Every term of delta_bar w splits the letters of w."""
+    from . import nc, words
     for w in nc.iter_words("ab", order):
         for l, r in words.word_dual_coproduct(w).terms:
             yield {"w": w}, len(l[0]) + sum(len(u) for u in r), len(w)
@@ -177,11 +180,12 @@ def _forest_formula_vs_direct(basis, key, elements, iterates):
     direct iterates(element, 4), for k = 2, 3, 4: one forest-formula call
     and one left iteration per element, whose k-th iterate's projections are
     the three flavors; each record names the element's label under key."""
+    from . import forest
     for element in elements:
         i = basis.index_of(element)
         label = basis.label(i)
         direct = iterates(element, 4)
-        by_k = forest_formula(i, 4, basis)
+        by_k = forest.forest_formula(i, 4, basis)
         for k in range(2, 5):
             for flavor in ("full", "reduced", "irr"):
                 yield ({key: label, "k": k, "flavor": flavor},
@@ -190,6 +194,7 @@ def _forest_formula_vs_direct(basis, key, elements, iterates):
 
 
 def ck_forest_formula_vs_direct(order: int):
+    from .forest import CKBasis
     yield from _forest_formula_vs_direct(
         CKBasis(), "tree",
         (t for n in range(1, order + 1) for t in enumerate_trees(n)),
@@ -197,6 +202,8 @@ def ck_forest_formula_vs_direct(order: int):
 
 
 def word_forest_formula_vs_direct(order: int):
+    from . import words
+    from .forest import WordBasis
     yield from _forest_formula_vs_direct(
         WordBasis("ab"), "word",
         (w for n in range(1, min(order, 5) + 1)
@@ -207,16 +214,19 @@ def word_forest_formula_vs_direct(order: int):
 
 def _random_tables(order: int) -> list:
     """Tables on a, b up to length min(order, 6) from one seeded generator:
-    one per brand in nc.BRANDS order (moments first), then monotone again."""
+    one per brand in BRANDS order (moments first), then monotone again."""
+    import random
+    from . import nc
     rng = random.Random(20210917)
     maxlen = min(order, 6)
     return [nc.CumulantTable(brand, ("a", "b"), maxlen, {
                 w: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                 for w in nc.iter_words(("a", "b"), maxlen)})
-            for brand in nc.BRANDS + ("monotone",)]
+            for brand in BRANDS + ("monotone",)]
 
 
 def moment_roundtrips(order: int):
+    from . import nc
     moments = _random_tables(order)[0]
     for brand in ("free", "boolean", "monotone"):
         yield ({"brand": brand},
@@ -226,7 +236,8 @@ def moment_roundtrips(order: int):
 def direct_vs_via_moments(order: int):
     # cumulant brands only: from = to copies the table, and with moments on
     # either side via-moments is the direct route (moment-roundtrips has them)
-    tables = dict(zip(nc.BRANDS, _random_tables(order)))
+    from . import nc
+    tables = dict(zip(BRANDS, _random_tables(order)))
     del tables["moment"]
     for src, table in tables.items():
         for tgt in tables:
@@ -239,6 +250,7 @@ def direct_vs_via_moments(order: int):
 def exp_magnus_functionals(order: int):
     # boolean = exp(monotone), free = -exp(-monotone), monotone = Omega(boolean)
     # = -Omega(-free) under insertion of words, against both lattice routes
+    from . import nc, words
     _, nu, beta, _, rho = _random_tables(order)
     exp, omega = freeprelie.prelie_exp, freeprelie.magnus_fixed_point
     for source, target, op, sign in (
@@ -253,25 +265,23 @@ def exp_magnus_functionals(order: int):
                    (sign * got.coeff((w,)), d), (via[w], via[w]))
 
 
-# order is the suite's default order; cap is the last order the suite
-# finishes within a few seconds, as for TREE_CAP (cumulants' tables stop at
-# length 6)
+# order is the suite's default order and cap the last order it runs at by
+# default, both from caps.SUITE_CAPS
 Suite = namedtuple("Suite", "identities order cap")
 
-
-SUITES = {
-    "trees": Suite((tree_counts_vs_recursion, cayley_sum,
-                    omega_direct_vs_recursive, weak_vs_surjective_binomial),
-                   6, 10),
-    "hopf": Suite((gl_ck_duality, coassociativity), 6, 8),
-    "magnus": Suite((magnus_three_way, exp_after_magnus_identity), 6,
-                    min(cap for _, cap in ROUTES["magnus"].values())),
-    "words": Suite((brace_coproduct_duality, coproduct_grading), 5, 6),
-    "forest": Suite((ck_forest_formula_vs_direct,
-                     word_forest_formula_vs_direct), 5, FOREST_CAP),
-    "cumulants": Suite((moment_roundtrips, direct_vs_via_moments,
-                        exp_magnus_functionals), 6, TREE_CAP),
+_IDENTITIES = {
+    "trees": (tree_counts_vs_recursion, cayley_sum, omega_direct_vs_recursive,
+              weak_vs_surjective_binomial),
+    "hopf": (gl_ck_duality, coassociativity),
+    "magnus": (magnus_three_way, exp_after_magnus_identity),
+    "words": (brace_coproduct_duality, coproduct_grading),
+    "forest": (ck_forest_formula_vs_direct, word_forest_formula_vs_direct),
+    "cumulants": (moment_roundtrips, direct_vs_via_moments,
+                  exp_magnus_functionals),
 }
+
+SUITES = {name: Suite(_IDENTITIES[name], order, cap)
+          for name, (order, cap) in SUITE_CAPS.items()}
 
 
 def run(suite: str, order: int):

@@ -5,10 +5,17 @@ Exit codes: 0 success, 1 verification failure, 2 input error (an output
 that cannot be written, stdout included, counts as one).  Output is
 deterministic for a given configuration; rationals are always rendered as
 strings ("p/q").  Unless --unsafe-uncapped is given, enumeration orders are
-capped: tree tables at TREE_CAP; series at the least cap of the routes that
-run, read with the routes from ROUTES; forest-formula indices at FOREST_CAP
-and the forest --k at K_CAP; cumulant word lengths at CUMULANT_CAP; verify
-at each suite's cap in SUITES.
+capped, each cap read from ``prelie.caps``: tree tables at TREE_CAP; series
+at the least cap in SERIES_CAPS of the routes that run; forest-formula
+indices at FOREST_CAP and the forest --k at K_CAP; cumulant word lengths at
+CUMULANT_CAP; verify at each suite's cap in SUITE_CAPS.
+
+At the top level this module imports the standard library and
+``prelie.caps`` only: the parser takes its choices and caps from that table,
+and each command imports the layer modules it calls when it runs and reads
+their functions as module attributes, so ``--help`` loads no layer and a
+command only its own, and whatever rebinds a layer's names (a test's patch,
+the benchmark's tracer) reaches the command.
 
 Every command writes through ``_write_output``, which opens stdout or the
 --output file before the first row is made and then writes the output in
@@ -42,18 +49,9 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from math import factorial
 
-from . import checks, nc
-from .checks import FOREST_CAP, ROUTES, SUITES, TREE_CAP
-from .exactnum import format_rational
-from .forest import (CKBasis, WordBasis, decorated_string,
-                     enumerate_decorated_trees, slot_counts)
-from .trees import enumerate_trees, murua_omega, sigma, tree_factorial
+from .caps import (BRANDS, CUMULANT_CAP, FOREST_CAP, K_CAP, SERIES_CAPS,
+                   SUITE_CAPS, TREE_CAP)
 
-# caps as in checks.TREE_CAP, measured times in the README.  Table maxlen,
-# for a 2-variable free -> monotone conversion through moments:
-CUMULANT_CAP = 8
-# forest --k, for the grade-8 corolla in full flavor (time and peak RSS):
-K_CAP = 6
 # the columns of the trees table, in the order of its row tuples
 _TREE_FIELDS = ("tree", "order", "index", "sigma", "factorial", "linext", "cm",
                 "omega")
@@ -163,16 +161,17 @@ def cmd_trees(args) -> int:
 def _tree_rows(max_order: int):
     """The rows of the trees table, one tuple per tree, made as they are
     read."""
+    from . import exactnum, trees
     for n in range(1, max_order + 1):
         top = factorial(n)
-        for idx, t in enumerate(enumerate_trees(n)):
-            s, fac = sigma(t), tree_factorial(t)
+        for idx, t in enumerate(trees.enumerate_trees(n)):
+            s, fac = trees.sigma(t), trees.tree_factorial(t)
             # both exact: num_linearizations and freeprelie.cm_coefficient
             # assert the divisibility
             linext = top // fac
             yield (t.key, n, "%d:%d" % (n, idx), str(s), str(fac),
                    str(linext), str(linext // s),
-                   format_rational(murua_omega(t)))
+                   exactnum.format_rational(trees.murua_omega(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +180,16 @@ def _tree_rows(max_order: int):
 def cmd_series(args) -> int:
     if args.order < 1:
         return _input_error("--order must be >= 1")
-    routes = ROUTES[args.which]
-    if args.method not in routes:
+    route_caps = SERIES_CAPS[args.which]
+    if args.method not in route_caps:
         return _input_error("--which %s does not support --method %s"
                             % (args.which, args.method))
-    others = [m for m in routes if args.check and m != args.method]
-    cap = min(routes[m][1] for m in [args.method] + others)
+    others = [m for m in route_caps if args.check and m != args.method]
+    cap = min(route_caps[m] for m in [args.method] + others)
     if args.order > cap and not args.unsafe_uncapped:
         return _over_cap("--order", args.order, cap)
+    from . import checks
+    routes = checks.ROUTES[args.which]
     series = routes[args.method][0](args.order)
     for m in others:
         other = routes[m][0](args.order)
@@ -208,6 +209,7 @@ def cmd_series(args) -> int:
 # cumulants
 
 def cmd_cumulants(args) -> int:
+    from . import nc
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -233,11 +235,12 @@ def cmd_cumulants(args) -> int:
 # forest
 
 def cmd_forest(args) -> int:
+    from . import forest
     if args.basis == "ck":
-        basis = CKBasis()
+        basis = forest.CKBasis()
     else:
         try:
-            basis = WordBasis(args.alphabet)
+            basis = forest.WordBasis(args.alphabet)
         except ValueError as exc:
             return _input_error("bad --alphabet: %s" % exc)
     try:
@@ -269,13 +272,14 @@ def _forest_rows(basis, index, k: int, flavor: str):
     (tree, slots), made one decorated tree at a time: decorated_string is
     injective, so sorting the trees by it and then each tree's rows sorts
     all rows."""
+    from . import forest
     for tree, T, lam in sorted(
-            ((decorated_string(T, basis), T, str(lam))
-             for T, lam in enumerate_decorated_trees(index, basis)),
+            ((forest.decorated_string(T, basis), T, str(lam))
+             for T, lam in forest.enumerate_decorated_trees(index, basis)),
             key=lambda row: row[0]):
         yield from sorted(
             ([tree, lam] + list(map(basis.slot_text, slots)), n)
-            for slots, n in slot_counts(T, k, flavor).items())
+            for slots, n in forest.slot_counts(T, k, flavor).items())
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +288,15 @@ def _forest_rows(basis, index, k: int, flavor: str):
 def cmd_verify(args) -> int:
     if args.max_order is not None and args.max_order < 1:
         return _input_error("--max-order must be >= 1")
-    selected = list(SUITES) if args.suite == "all" else [args.suite]
-    orders = {name: args.max_order or SUITES[name].order for name in selected}
+    selected = list(SUITE_CAPS) if args.suite == "all" else [args.suite]
+    orders = {name: args.max_order or SUITE_CAPS[name][0] for name in selected}
     over = [name for name, order in orders.items()
-            if order > SUITES[name].cap and not args.unsafe_uncapped]
+            if order > SUITE_CAPS[name][1] and not args.unsafe_uncapped]
     for name in over:
-        _over_cap("%s suite order" % name, orders[name], SUITES[name].cap)
+        _over_cap("%s suite order" % name, orders[name], SUITE_CAPS[name][1])
     if over:
         return 2
+    from . import checks
     failures = 0
     for name, order in orders.items():
         for identity, instances, failure in checks.run(name, order):
@@ -334,18 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="pre-Lie exponential or Magnus series of "
                                       "the one-vertex tree")
-    p.add_argument("--which", choices=tuple(ROUTES), required=True)
+    p.add_argument("--which", choices=tuple(SERIES_CAPS), required=True)
     p.add_argument("--order", type=int, default=6)
     p.add_argument("--method", default="closed", choices=sorted(
-        {method for routes in ROUTES.values() for method in routes}))
+        {method for methods in SERIES_CAPS.values() for method in methods}))
     p.add_argument("--check", action="store_true",
                    help="recompute with every method and compare")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("cumulants", help="convert a cumulant/moment table")
-    p.add_argument("--from", dest="source", choices=nc.BRANDS, required=True)
-    p.add_argument("--to", dest="target", choices=nc.BRANDS, required=True)
+    p.add_argument("--from", dest="source", choices=BRANDS, required=True)
+    p.add_argument("--to", dest="target", choices=BRANDS, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--route", choices=("direct", "via-moments"), default="direct")
@@ -364,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forest)
 
     p = sub.add_parser("verify", help="run the identity verification suites")
-    p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
+    p.add_argument("--suite", choices=tuple(SUITE_CAPS) + ("all",),
+                   default="all")
     p.add_argument("--max-order", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -35,6 +35,7 @@ from functools import cache
 from itertools import combinations, islice, product
 from math import lcm
 
+from .caps import BRANDS
 from .exactnum import parse_rational
 from .trees import EMPTY_FOREST, Forest, RootedTree, forest_factorial
 from .trees import murua_omega_forest as forest_omega
@@ -45,8 +46,6 @@ __all__ = [
     "nesting_forest",
     "convert",
 ]
-
-BRANDS = ("moment", "free", "boolean", "monotone")
 
 
 class NCPartition:

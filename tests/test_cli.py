@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prelie import checks, cli, freeprelie
+from prelie import checks, cli, forest, freeprelie, trees
 from prelie.exactnum import format_rational
 from prelie.forest import WordBasis, enumerate_decorated_trees, slot_counts
 from prelie.freeprelie import TreeSeries
@@ -105,17 +105,34 @@ def _refuse(*args):
     raise AssertionError("a row was made before the output was opened")
 
 
-@pytest.mark.parametrize("argv, step", [
+# a command and the layer function it calls once per row or decorated tree
+_ROW_STEPS = [
     (["trees", "--max-order", "3"], "murua_omega"),
     (["forest", "--basis", "ck", "--index", "[[]]", "--k", "2"], "slot_counts"),
-])
+]
+# the layer module whose attribute each command reads per call
+_STEP_LAYER = {"murua_omega": trees, "slot_counts": forest}
+
+
+@pytest.mark.parametrize("argv, step", _ROW_STEPS)
 def test_unwritable_output_is_rejected_before_any_row(tmp_path, capsys,
                                                       monkeypatch, argv, step):
-    monkeypatch.setattr(cli, step, _refuse)
+    monkeypatch.setattr(_STEP_LAYER[step], step, _refuse)
     code, out, err = run(capsys, *argv, "--output",
                          str(tmp_path / "missing" / "x.json"))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, step", _ROW_STEPS)
+def test_writable_output_reaches_the_patched_row_step(tmp_path, monkeypatch,
+                                                      argv, step):
+    # the counterpart of the test above: with a path that can be written,
+    # the command does call the step patched there, so that test's patch is
+    # in the command's path
+    monkeypatch.setattr(_STEP_LAYER[step], step, _refuse)
+    with pytest.raises(AssertionError, match="a row was made"):
+        cli.main(argv + ["--output", str(tmp_path / "x.json")])
 
 
 # commands whose output crosses batches of cli._BATCH rows: the 1205 trees
@@ -259,17 +276,17 @@ class _Recorder(io.StringIO):
         return super().write(text)
 
 
-def _streamed(monkeypatch, argv, step):
+def _streamed(monkeypatch, argv, layer, step):
     """The writes of cli.main(argv) and the index of the last call of
-    cli.<step> among them, with stdout recorded."""
+    layer.<step> among them, with stdout recorded."""
     events = []
-    real = getattr(cli, step)
+    real = getattr(layer, step)
 
     def logged(*args):
         events.append(("step", None))
         return real(*args)
 
-    monkeypatch.setattr(cli, step, logged)
+    monkeypatch.setattr(layer, step, logged)
     monkeypatch.setattr(sys, "stdout", _Recorder(events))
     assert cli.main(argv) == 0
     last_step = max(j for j, (kind, _) in enumerate(events) if kind == "step")
@@ -279,7 +296,7 @@ def _streamed(monkeypatch, argv, step):
 
 def test_trees_table_is_written_as_it_is_made(monkeypatch):
     writes, last_omega = _streamed(monkeypatch, ["trees", "--max-order", "10"],
-                                   "murua_omega")
+                                   trees, "murua_omega")
     assert len(writes) > 1 and writes[0][0] < last_omega
     assert max(text.count('"tree": ') for _, text in writes) <= cli._BATCH
     assert len(json.loads("".join(text for _, text in writes))) == 1205
@@ -291,7 +308,7 @@ def test_forest_dump_is_written_as_it_is_made(monkeypatch):
                in enumerate_decorated_trees(basis.read_index("abaabab"),
                                             basis)) > cli._BATCH
     writes, last_tree = _streamed(monkeypatch, _MULTI_BATCH_DUMP.split(),
-                                  "slot_counts")
+                                  forest, "slot_counts")
     assert len(writes) > 1 and writes[0][0] < last_tree
     assert max(text.count("\n") for _, text in writes) <= cli._BATCH
     assert "".join(text for _, text in writes).count("\n") == 6878
@@ -811,9 +828,9 @@ def test_verify_reports_the_first_failing_instance(capsys, monkeypatch):
         for instance, got, want in checks.cayley_sum(order):
             yield instance, got, want + (instance["order"] >= 2)
 
-    trees = checks.SUITES["trees"]
+    suite = checks.SUITES["trees"]
     monkeypatch.setitem(checks.SUITES, "trees",
-                        trees._replace(identities=(cayley_sum,)))
+                        suite._replace(identities=(cayley_sum,)))
     code, out, err = run(capsys, "verify", "--suite", "trees", "--max-order", "3")
     assert code == 1
     assert out.splitlines() == ["FAIL trees.cayley-sum (3 instances)"]

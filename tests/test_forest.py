@@ -329,7 +329,8 @@ def test_forest_suite_walks_each_index_once(monkeypatch, capsys):
     # which fills each (decorated tree, j) once; one call per k = 2, 3, 4
     # made 441 walks and 24,566 fills at order 7
     walks, fills = Counter(), [0]
-    formula, onto_fills = checks.forest_formula, prelie.forest._onto_fills
+    formula = prelie.forest.forest_formula
+    onto_fills = prelie.forest._onto_fills
 
     def counted_formula(i, K, basis):
         walks[type(basis).__name__, i] += 1
@@ -340,7 +341,7 @@ def test_forest_suite_walks_each_index_once(monkeypatch, capsys):
             fills[0] += 1
             yield slots
 
-    monkeypatch.setattr(checks, "forest_formula", counted_formula)
+    monkeypatch.setattr(prelie.forest, "forest_formula", counted_formula)
     monkeypatch.setattr(prelie.forest, "_onto_fills", counted_fills)
     assert cli.main(["verify", "--suite", "forest", "--max-order", "7"]) == 0
     assert capsys.readouterr().out.count("PASS ") == 2
@@ -356,7 +357,7 @@ def _irr_from_every_tree(i, K, basis):
 @pytest.mark.parametrize("flavor, patch", [
     # irr summed over the trees of every size, not only those with k vertices
     ("irr", lambda monkeypatch: monkeypatch.setattr(
-        checks, "forest_formula", _irr_from_every_tree)),
+        prelie.forest, "forest_formula", _irr_from_every_tree)),
     # reduced summed over every map into 1..k, not only the onto ones
     ("reduced", lambda monkeypatch: monkeypatch.setattr(
         prelie.forest, "_onto_maps",
