@@ -26,7 +26,7 @@ from math import comb, factorial
 from . import freeprelie
 from .caps import BRANDS, SERIES_CAPS, SUITE_CAPS
 from .freeprelie import ForestPoly, TreeSeries
-from .lincomb import Tensor, project
+from .lincomb import Tensor, iterate_coproduct, project
 from .trees import (LEAF, enumerate_forests, enumerate_trees,
                     count_k_linearizations, count_weak_k_linearizations,
                     murua_omega, murua_omega_recursive, sigma)
@@ -175,30 +175,46 @@ def coproduct_grading(order: int):
             yield {"w": w}, len(l[0]) + sum(len(u) for u in r), len(w)
 
 
-def _forest_formula_vs_direct(basis, key, elements, iterates):
-    """The forest formula of each element's index in basis against the
-    direct iterates(element, 4), for k = 2, 3, 4: one forest-formula call
-    and one left iteration per element, whose k-th iterate's projections are
-    the three flavors; each record names the element's label under key."""
+def _forest_formula_vs_direct(basis, key, elements):
+    """The forest formula of each element's index i in basis against the
+    direct iterates of b_i, for k = 2, 3, 4, both in index space: tensors
+    over tuples of sorted index tuples, so no term is converted back to a
+    native monomial.  One forest-formula call and one left iteration per
+    element; the k-th iterate's projections are the three flavors, irr
+    projected from reduced, and each record names the element's label under
+    key.
+
+    The two sides read different structure constants.  The formula reads
+    delta_bar (basis.delta_bar, the reduced coproduct of one basis element:
+    freeprelie.ck_coproduct projected, or words.word_dual_coproduct) and
+    sums over decorated trees and onto maps.  The direct side reads the full
+    coproduct of each monomial it meets (basis.slot_coproduct: ck_coproduct
+    or words.word_coproduct_iterates) and iterates it with
+    lincomb.iterate_coproduct; it reads neither delta_bar, the decorated
+    trees nor the maps.  Shared by design: the layer's coproduct of one
+    basis element (freeprelie's cut coproduct of a tree, of which delta_bar
+    is the reduced part, or words.word_dual_coproduct, which is delta_bar),
+    the thing the formula iterates, and the basis's index_of."""
     from . import forest
     for element in elements:
         i = basis.index_of(element)
         label = basis.label(i)
-        direct = iterates(element, 4)
+        direct = iterate_coproduct(basis.slot_coproduct, {(i,): 1}, 4)
         by_k = forest.forest_formula(i, 4, basis)
         for k in range(2, 5):
+            want = direct[k - 1]
             for flavor in ("full", "reduced", "irr"):
+                # each flavor's terms are a part of the one before's
+                want = project(want, flavor)
                 yield ({key: label, "k": k, "flavor": flavor},
-                       basis.slot_tensor(by_k[k][flavor], k),
-                       project(direct[k - 1], flavor))
+                       Tensor(k, by_k[k][flavor]), want)
 
 
 def ck_forest_formula_vs_direct(order: int):
     from .forest import CKBasis
     yield from _forest_formula_vs_direct(
         CKBasis(), "tree",
-        (t for n in range(1, order + 1) for t in enumerate_trees(n)),
-        freeprelie.coproduct_iterates)
+        (t for n in range(1, order + 1) for t in enumerate_trees(n)))
 
 
 def word_forest_formula_vs_direct(order: int):
@@ -207,9 +223,7 @@ def word_forest_formula_vs_direct(order: int):
     yield from _forest_formula_vs_direct(
         WordBasis("ab"), "word",
         (w for n in range(1, min(order, 5) + 1)
-         for w in words.enumerate_words("ab", n)),
-        lambda w, k: words.word_coproduct_iterates(
-            words.WordPoly({(w,): 1}), k))
+         for w in words.enumerate_words("ab", n)))
 
 
 def _random_tables(order: int) -> list:

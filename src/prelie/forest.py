@@ -18,11 +18,15 @@ Basis indices are (grade, ordinal) pairs tied to the deterministic
 enumerations of the trees/words modules.  A basis also owns the text of the
 forest dump: an index spelled as a label or as grade:ordinal, whose grade is
 read off the text (index_grade, read_index), and a slot as its labels joined
-by "·", "1" for the unit (slot_text).  Each basis instance keeps three plain
-dicts, which go with it: the decorated trees of each index
+by "·", "1" for the unit (slot_text).  For a check of the formula in index
+space, a basis also gives the full coproduct of a slot's monomial with both
+sides relabelled to sorted index tuples (slot_coproduct), read through the
+layer's own coproduct and not through delta_bar.  Each basis instance keeps
+five plain dicts, which go with it: the decorated trees of each index
 (enumerate_decorated_trees), so delta_bar is computed once per index, the
-native monomial of each slot that slot_tensor has converted, and the text
-of each slot that slot_text has rendered.
+native monomial of each slot that slot_tensor has converted, the text of
+each slot that slot_text has rendered, and the relabelled coproduct of each
+slot with the index tuple of each native monomial it met (slot_coproduct).
 
 The onto maps depend only on a decorated tree's shape and are enumerated
 once per (shape, j) for the process; a walk flattens each tree to its shape
@@ -48,7 +52,8 @@ from operator import itemgetter
 from . import freeprelie
 from .lincomb import Tensor, project
 from .trees import Forest, tree_by_rank, tree_from_string, tree_rank
-from .words import monomial, word_dual_coproduct
+from .words import (WordPoly, monomial, word_coproduct_iterates,
+                    word_dual_coproduct)
 
 __all__ = [
     "BasisProvider", "CKBasis", "WordBasis",
@@ -75,6 +80,9 @@ class BasisProvider(ABC):
         self._enum_cache: dict = {}  # index -> its decorated trees
         self._slot_cache: dict = {}  # sorted index tuple -> native monomial
         self._text_cache: dict = {}  # sorted index tuple -> its dump text
+        # sorted index tuple -> its full coproduct over sorted index tuples
+        self._coproduct_cache: dict = {}
+        self._index_cache: dict = {}  # native monomial -> sorted index tuple
 
     @abstractmethod
     def validate(self, i) -> None:
@@ -155,6 +163,29 @@ class BasisProvider(ABC):
         return Tensor(arity, {tuple(map(known.__getitem__, slots)): c
                               for slots, c in terms.items()})
 
+    @abstractmethod
+    def _full_coproduct(self, element) -> Tensor:
+        """The full coproduct of a native monomial, read through its layer's
+        public coproduct, not through delta_bar."""
+
+    def slot_coproduct(self, slot: tuple) -> dict:
+        """The full coproduct of the monomial of a sorted tuple of indices,
+        as {(left, right): coefficient} with both slots relabelled to sorted
+        index tuples: the binary coproduct that iterate_coproduct iterates
+        in index space.  Each distinct slot is built as a native monomial
+        and its coproduct relabelled once per basis instance, and each
+        distinct native monomial is relabelled once, to one shared tuple."""
+        out = self._coproduct_cache.get(slot)
+        if out is None:
+            terms = self._full_coproduct(self._slot_element(slot)).terms
+            known, index_of = self._index_cache, self.index_of
+            for native in set(chain.from_iterable(terms)).difference(known):
+                known[native] = tuple(sorted(map(index_of, native)))
+            out = self._coproduct_cache[slot] = {
+                (known[left], known[right]): c
+                for (left, right), c in terms.items()}
+        return out
+
 
 def _is_pair(i) -> bool:
     return (isinstance(i, tuple) and len(i) == 2
@@ -192,6 +223,9 @@ class CKBasis(BasisProvider):
 
     def _slot_element(self, slot: tuple):
         return Forest(tuple(self.tree(j) for j in slot))
+
+    def _full_coproduct(self, element) -> Tensor:
+        return freeprelie.ck_coproduct(element)
 
 
 class WordBasis(BasisProvider):
@@ -249,6 +283,9 @@ class WordBasis(BasisProvider):
     def _slot_element(self, slot: tuple):
         return monomial(self.word(j) for j in slot)
 
+    def _full_coproduct(self, element) -> Tensor:
+        return word_coproduct_iterates(WordPoly({element: 1}), 2)[1]
+
 
 class DecoratedTree:
     """Rooted tree whose internal vertices carry index pairs (d1;d2) and
@@ -291,13 +328,15 @@ def _multinomial(counts) -> int:
 def sym(children) -> int:
     """Symmetry coefficient of a decorated forest: group the trees by the
     basis index their roots are associated to; each class contributes the
-    multinomial of the multiplicities of its distinct trees."""
+    multinomial of the multiplicities of its distinct trees, so a class of
+    one tree contributes 1 and its nested key is never hashed."""
     classes: dict = {}
     for c in children:
-        classes.setdefault(c.d1, Counter())[c.key] += 1
+        classes.setdefault(c.d1, []).append(c)
     out = 1
-    for counter in classes.values():
-        out *= _multinomial(tuple(counter.values()))
+    for trees in classes.values():
+        if len(trees) > 1:
+            out *= _multinomial(tuple(Counter(c.key for c in trees).values()))
     return out
 
 

@@ -26,7 +26,8 @@ under a diagonal weight.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import eq
 
 __all__ = ["TermMap", "Tensor", "bilinear", "multiplicative_coproduct",
            "iterate_coproduct", "project", "pair"]
@@ -38,6 +39,10 @@ def _exact(c):
     return c if type(c) is int or type(c) is Fraction else Fraction(c)
 
 
+# the coefficient types kept as given
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 class TermMap:
     __slots__ = ("terms",)
 
@@ -45,16 +50,19 @@ class TermMap:
         data: dict = {}
         if isinstance(terms, dict):
             data.update(terms)  # distinct keys: copied in C, nothing summed
-            for k, c in terms.items():
-                if type(c) is not int and type(c) is not Fraction:
-                    data[k] = Fraction(c)
+            # one pass in C over the types; the loop only when one is off
+            if not _EXACT_TYPES.issuperset(map(type, data.values())):
+                for k, c in terms.items():
+                    if type(c) is not int and type(c) is not Fraction:
+                        data[k] = Fraction(c)
         elif terms is not None:
             for k, c in terms:  # an iterable of (key, coefficient) pairs
                 c = _exact(c)
                 acc = data.get(k)
                 data[k] = c if acc is None else acc + c
-        for k in [k for k, c in data.items() if not c]:
-            del data[k]
+        if not all(data.values()):  # one pass for zeros, the loop on a hit
+            for k in [k for k, c in data.items() if not c]:
+                del data[k]
         self.terms = data
 
     def _with(self, terms):
@@ -111,9 +119,12 @@ class Tensor(TermMap):
     def __init__(self, arity, terms=None):
         super().__init__(terms)
         self.arity = arity
-        for key in self.terms:
-            if len(key) != arity:
-                raise ValueError("tensor term %r does not have arity %d" % (key, arity))
+        # one pass in C over the key lengths; the loop finds the bad key
+        if not all(map(eq, map(len, self.terms), repeat(arity))):
+            for key in self.terms:
+                if len(key) != arity:
+                    raise ValueError("tensor term %r does not have arity %d"
+                                     % (key, arity))
 
     def _with(self, terms):
         return type(self)(self.arity, terms)
@@ -198,7 +209,7 @@ def project(tensor: Tensor, flavor: str) -> Tensor:
     'full' returns the tensor itself, 'reduced' ((Id - unit counit) in every
     slot) keeps the terms whose every slot is nonempty, 'irr' those whose
     every slot is a single generator.  len() runs once per distinct slot,
-    the per-term test is a set operation.
+    the per-term test is a set operation, mapped over the terms in C.
     """
     if flavor == "full":
         return tensor
@@ -209,8 +220,9 @@ def project(tensor: Tensor, flavor: str) -> Tensor:
         keep = {s for s in slots_seen if len(s) == 1}
     else:
         raise ValueError("flavor must be full, reduced or irr")
-    return tensor._with({slots: c for slots, c in tensor.terms.items()
-                         if keep.issuperset(slots)})
+    terms = tensor.terms
+    return tensor._with(dict(compress(terms.items(),
+                                      map(keep.issuperset, terms))))
 
 
 def pair(a: dict, b: dict, weight):

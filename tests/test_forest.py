@@ -12,7 +12,7 @@ from prelie.forest import (
     enumerate_decorated_trees, forest_formula, lambda_coeff, leaf,
     slot_counts, sym,
 )
-from prelie.lincomb import project
+from prelie.lincomb import iterate_coproduct, project
 from prelie.trees import LEAF, RootedTree, enumerate_trees
 
 CHAIN2 = RootedTree((LEAF,))
@@ -75,6 +75,25 @@ def test_sym_counts_repeats_within_same_top_index():
     assert sym((c, d)) == 2          # distinct trees sharing a top index
     assert sym((a, c, d)) == 2       # the i1 class contributes 1, the i2 class 2
     assert sym((c, c, d)) == 3       # multinomial 3!/(2!1!)
+
+
+class _KeylessChild:
+    """A child with a root index and no key to hash."""
+
+    def __init__(self, d1):
+        self.d1 = d1
+
+    @property
+    def key(self):
+        raise AssertionError("a class of one child had its key read")
+
+
+def test_sym_reads_no_key_of_a_class_of_one():
+    ck = CKBasis()
+    i1, i2 = ck.index_of(LEAF), ck.index_of(CHAIN2)
+    assert sym((_KeylessChild(i1), _KeylessChild(i2))) == 1
+    c, d = leaf(i2), DecoratedTree(i2, i1, (leaf(i1),))
+    assert sym((_KeylessChild(i1), c, d)) == 2
 
 
 def test_lambda_on_the_13_vertex_example():
@@ -349,6 +368,63 @@ def test_forest_suite_walks_each_index_once(monkeypatch, capsys):
     assert fills[0] == 17276
 
 
+def _raise(*args):
+    raise AssertionError("the direct side reached the forest formula")
+
+
+def test_direct_iterates_read_no_forest_formula(monkeypatch):
+    # the suite's direct side iterates each monomial's full coproduct in
+    # index space; it reads neither the formula, the decorated trees, the
+    # onto maps nor delta_bar, and converted back to native monomials it is
+    # the layer's own left iteration
+    for name in ("forest_formula", "enumerate_decorated_trees", "_onto_maps"):
+        monkeypatch.setattr(prelie.forest, name, _raise)
+    monkeypatch.setattr(prelie.forest.BasisProvider, "delta_bar", _raise)
+    ck, wb = CKBasis(), WordBasis("ab")
+    jobs = [(ck, t, freeprelie.coproduct_iterates(t, 4))
+            for n in range(1, 6) for t in enumerate_trees(n)]
+    jobs += [(wb, w, words.word_coproduct_iterates(
+                 words.WordPoly({(w,): 1}), 4))
+             for n in range(1, 6) for w in words.enumerate_words("ab", n)]
+    terms = 0
+    for basis, x, native in jobs:
+        direct = iterate_coproduct(
+            basis.slot_coproduct, {(basis.index_of(x),): 1}, 4)
+        assert [d.arity for d in direct] == [1, 2, 3, 4]
+        for k, d in enumerate(direct, 1):
+            assert basis.slot_tensor(d.terms, k) == native[k - 1], (x, k)
+            terms += len(d.terms)
+    assert terms > 5000
+
+
+def _swap_grade_3(slot):
+    # trade the two grade-3 indices (3, 0) and (3, 1) within one slot
+    swap = {(3, 0): (3, 1), (3, 1): (3, 0)}
+    return tuple(sorted(swap.get(j, j) for j in slot))
+
+
+@pytest.mark.parametrize("make, key, name", [
+    (CKBasis, "tree", "ck-forest-formula-vs-direct"),
+    (lambda: WordBasis("ab"), "word", "word-forest-formula-vs-direct"),
+])
+def test_forest_suite_catches_a_wrong_relabelling(monkeypatch, make, key,
+                                                  name):
+    # a direct side whose relabelling to indices trades two grade-3
+    # elements must fail on an element of grade 3 or more, while the other
+    # basis still passes
+    slot_coproduct = prelie.forest.BasisProvider.slot_coproduct
+
+    def swapped(self, slot):
+        return {(_swap_grade_3(a), _swap_grade_3(b)): c
+                for (a, b), c in slot_coproduct(self, slot).items()}
+
+    monkeypatch.setattr(type(make()), "slot_coproduct", swapped)
+    failures = {n: failure for n, _, failure in checks.run("forest", 4)}
+    failed = failures.pop(name)["instance"]
+    assert make().index_grade(failed[key]) >= 3, failed
+    assert list(failures.values()) == [None]
+
+
 def _irr_from_every_tree(i, K, basis):
     return {k: dict(out, irr=out["reduced"])
             for k, out in forest_formula(i, K, basis).items()}
@@ -378,9 +454,9 @@ def test_forest_suite_catches_a_wrong_map_filter(monkeypatch, flavor, patch):
 # providers and guards
 
 def test_a_basis_is_freed_without_the_cycle_collector():
-    # the slot table is a plain dict of monomials on the basis, which holds
-    # no reference back to it, so a basis and everything it cached go as soon
-    # as the last reference does
+    # the slot and coproduct tables are plain dicts of monomials and of
+    # index tuples on the basis, which hold no reference back to it, so a
+    # basis and everything it cached go as soon as the last reference does
     gc.disable()
     try:
         for make, label in ((CKBasis, "[[]]"),
@@ -388,7 +464,8 @@ def test_a_basis_is_freed_without_the_cycle_collector():
             basis = make()
             i = basis.parse(label)
             basis.slot_tensor(forest_formula(i, 2, basis)[2]["full"], 2)
-            assert basis._slot_cache
+            iterate_coproduct(basis.slot_coproduct, {(i,): 1}, 3)
+            assert basis._slot_cache and basis._coproduct_cache
             ref = weakref.ref(basis)
             del basis
             assert ref() is None, label

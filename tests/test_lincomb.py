@@ -16,7 +16,7 @@ from prelie.freeprelie import (
     coproduct_iterates, gl_product, graft, magnus_closed_form,
     magnus_fixed_point, pairing, poly_exp, prelie_exp, sol1, tree_part,
 )
-from prelie.lincomb import Tensor, iterate_coproduct, project
+from prelie.lincomb import Tensor, TermMap, iterate_coproduct, project
 from prelie.trees import LEAF, Forest, enumerate_forests, enumerate_trees
 from prelie.words import (WordPoly, enumerate_words, word_coproduct_iterates,
                           word_dual_coproduct, word_prelie_series)
@@ -178,3 +178,39 @@ def test_repr_names_every_term_in_any_basis():
         assert text.count(": ") == len(x.terms) > 1
         for key, c in x.terms.items():
             assert "%s: %s" % (key, c) in text, (key, text)
+
+
+def test_dict_input_turns_float_and_bool_coefficients_into_fractions():
+    # ints and Fractions are kept as given, anything else becomes the
+    # Fraction of its exact value, in a TermMap and in a Tensor alike
+    terms = {"a": 0.5, "b": True, "c": 3, "d": Fraction(1, 3), "e": -0.25}
+    for got in (TermMap(terms).terms,
+                {k[0]: c for k, c in Tensor(1, {(k,): c for k, c
+                                                in terms.items()}).terms.items()}):
+        assert got == {"a": Fraction(1, 2), "b": 1, "c": 3,
+                       "d": Fraction(1, 3), "e": Fraction(-1, 4)}
+        assert [type(c) for c in got.values()] == [
+            Fraction, Fraction, int, Fraction, Fraction]
+    assert terms["a"] == 0.5  # the caller's dict is not touched
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), 0.0, -0.0, False])
+def test_zero_coefficients_are_dropped(zero):
+    for terms in ({"a": zero, "b": 2}, [("a", zero), ("b", 2)],
+                  [("a", 1), ("b", 2), ("a", -1)]):
+        assert TermMap(terms).terms == {"b": 2}, terms
+    assert TermMap({"a": zero}).terms == {}
+    assert Tensor(2, {("a", "b"): zero}) == Tensor(2)
+    # a dropped term is not checked for arity
+    assert Tensor(2, {("a",): zero, ("a", "b"): 1}).terms == {("a", "b"): 1}
+
+
+def test_an_arity_mismatch_names_the_first_bad_term():
+    terms = [(("a", "b"), 1), (("c",), 2), (("d", "e", "f"), 3)]
+    for given in (dict(terms), terms, iter(terms)):
+        with pytest.raises(ValueError) as err:
+            Tensor(2, given)
+        assert str(err.value) == "tensor term ('c',) does not have arity 2"
+    with pytest.raises(ValueError) as err:
+        Tensor(3, {("a", "b", "c"): 1, (): Fraction(1, 2)})
+    assert str(err.value) == "tensor term () does not have arity 3"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from prelie import trees
+from prelie.exactnum import bernoulli
 from prelie.trees import (
     EMPTY_FOREST, Forest, LEAF, RootedTree, b_minus, b_plus,
     count_k_linearizations, count_weak_k_linearizations, enumerate_forests,
@@ -299,6 +300,23 @@ def test_omega_paper_values():
     assert murua_omega(CHERRY) == Fraction(1, 6)
     assert murua_omega(CHAIN3) == Fraction(1, 3)
     assert murua_omega(CHAIN4) == Fraction(-1, 4)
+
+
+def test_closed_forms_on_ladders_and_corollas():
+    # the chain (ladder) and the corolla of n vertices: omega(ladder_n) =
+    # (-1)^(n-1)/n, omega(corolla_n) = B_(n-1) with B_1 = -1/2, t!(ladder_n)
+    # = n! and sigma(corolla_n) = (n-1)!; both omega routes
+    ladder = LEAF
+    for n in range(1, 13):
+        corolla = RootedTree((LEAF,) * (n - 1))
+        assert ladder.size == corolla.size == n
+        for omega in (murua_omega, murua_omega_recursive):
+            assert omega(ladder) == Fraction((-1) ** (n - 1), n), n
+            assert omega(corolla) == bernoulli(n - 1), n
+        assert tree_factorial(ladder) == factorial(n)
+        assert sigma(corolla) == factorial(n - 1)
+        ladder = RootedTree((ladder,))
+    assert bernoulli(1) == Fraction(-1, 2)
 
 
 def test_omega_forest_is_multiplicative():
