@@ -2,18 +2,18 @@
 ``prelie verify`` reruns.
 
 ``ROUTES`` maps each series ``prelie series`` prints (``--which``) to the
-routes that compute it (``--method``), each with its order cap from
-``prelie.caps``; ``series`` runs one and ``series --check`` compares them
-all, as the magnus suite does.  Each identity is a generator named after it,
-``_`` for ``-``, that yields one ``(instance record, got, want)`` per
-instance; the two sides come from routes that do not call each other.
-``run`` counts and compares them.  ``SUITES`` groups the identities, with
+routes that compute it (``--method``), whose names and order caps are
+``prelie.caps.SERIES_CAPS``; ``series`` runs one and ``series --check``
+compares them all, as the magnus suite does.  Each identity is a generator
+named after it, ``_`` for ``-``, that yields one ``(instance record, got,
+want)`` per instance; the two sides come from routes that do not call each
+other.  ``run`` counts and compares them.  ``SUITES`` groups the identities, with
 each suite's default order and cap from ``prelie.caps``.
 
 At the top level this module loads ``freeprelie`` and the layers it
 imports, which ``ROUTES`` needs; an identity that reads ``nc``, ``words`` or
-``forest`` imports it when it runs, so ``series`` and each suite load only
-the layers they call.
+``forest`` imports it when it runs (the words identities ``words`` alone),
+so ``series`` and each suite load only the layers they call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from . import freeprelie
-from .caps import BRANDS, SERIES_CAPS, SUITE_CAPS
+from .caps import BRANDS, SUITE_CAPS
 from .freeprelie import ForestPoly, TreeSeries
 from .lincomb import Tensor, iterate_coproduct, project
 from .trees import (LEAF, enumerate_forests, enumerate_trees,
@@ -35,10 +35,10 @@ from .trees import (LEAF, enumerate_forests, enumerate_trees,
 _GENERATOR = TreeSeries({LEAF: 1})
 
 # which -> method -> series_of_order: series_of_order(n) is the series
-# `series --which` prints, truncated at order n.  Every route looks its
-# freeprelie function up per call, so that whatever rebinds the module's
-# names also sees the calls.
-_SERIES = {
+# `series --which` prints, truncated at order n; the names and caps of the
+# routes are caps.SERIES_CAPS.  Every route looks its freeprelie function up
+# per call, so that whatever rebinds the module's names also sees the calls.
+ROUTES = {
     "exp": {  # as Connes-Moscovici integers, |t|! times each coefficient
         "closed": lambda n: TreeSeries(
             {t: freeprelie.cm_coefficient(t)
@@ -54,12 +54,6 @@ _SERIES = {
             freeprelie.poly_exp(_GENERATOR, n))),
     },
 }
-
-# which -> method -> (series_of_order, cap), the routes and caps of
-# caps.SERIES_CAPS: cap is the last order the route runs at by default
-ROUTES = {which: {method: (_SERIES[which][method], cap)
-                  for method, cap in methods.items()}
-          for which, methods in SERIES_CAPS.items()}
 
 
 def tree_counts_vs_recursion(order: int):
@@ -131,8 +125,8 @@ def magnus_three_way(order: int):
     """Each tree's coefficient: every other Magnus route of ROUTES against
     the closed form."""
     routes = ROUTES["magnus"]
-    closed = routes["closed"][0](order)
-    others = [series(order) for method, (series, _) in routes.items()
+    closed = routes["closed"](order)
+    others = [series(order) for method, series in routes.items()
               if method != "closed"]
     for n in range(1, order + 1):
         for t in enumerate_trees(n):
@@ -150,10 +144,17 @@ def exp_after_magnus_identity(order: int):
                {LEAF: 1} if n == 1 else {})
 
 
+def _two_letter_words(order: int) -> list:
+    """The words over a, b of lengths 1..order, shorter words first."""
+    from . import words
+    return [w for n in range(1, order + 1)
+            for w in words.enumerate_words("ab", n)]
+
+
 def brace_coproduct_duality(order: int):
     """<alpha{gammas}, w> = <alpha (x) gammas, delta_bar w>, all lengths."""
-    from . import nc, words
-    for w in nc.iter_words("ab", order):
+    from . import words
+    for w in _two_letter_words(order):
         L = len(w)
         delta = words.word_dual_coproduct(w)
         for ncuts in range(1, L):
@@ -169,8 +170,8 @@ def brace_coproduct_duality(order: int):
 
 def coproduct_grading(order: int):
     """Every term of delta_bar w splits the letters of w."""
-    from . import nc, words
-    for w in nc.iter_words("ab", order):
+    from . import words
+    for w in _two_letter_words(order):
         for l, r in words.word_dual_coproduct(w).terms:
             yield {"w": w}, len(l[0]) + sum(len(u) for u in r), len(w)
 

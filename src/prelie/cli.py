@@ -166,8 +166,8 @@ def _tree_rows(max_order: int):
         top = factorial(n)
         for idx, t in enumerate(trees.enumerate_trees(n)):
             s, fac = trees.sigma(t), trees.tree_factorial(t)
-            # both exact: num_linearizations and freeprelie.cm_coefficient
-            # assert the divisibility
+            # both exact: t! divides |t|! and sigma divides |t|!/t!, as
+            # freeprelie.cm_coefficient asserts
             linext = top // fac
             yield (t.key, n, "%d:%d" % (n, idx), str(s), str(fac),
                    str(linext), str(linext // s),
@@ -190,9 +190,9 @@ def cmd_series(args) -> int:
         return _over_cap("--order", args.order, cap)
     from . import checks
     routes = checks.ROUTES[args.which]
-    series = routes[args.method][0](args.order)
+    series = routes[args.method](args.order)
     for m in others:
-        other = routes[m][0](args.order)
+        other = routes[m](args.order)
         if other != series:
             t = min((t for t in set(series.terms) | set(other.terms)
                      if series.coeff(t) != other.coeff(t)), key=series.sort_key)

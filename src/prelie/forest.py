@@ -22,11 +22,11 @@ by "·", "1" for the unit (slot_text).  For a check of the formula in index
 space, a basis also gives the full coproduct of a slot's monomial with both
 sides relabelled to sorted index tuples (slot_coproduct), read through the
 layer's own coproduct and not through delta_bar.  Each basis instance keeps
-five plain dicts, which go with it: the decorated trees of each index
+four plain dicts, which go with it: the decorated trees of each index
 (enumerate_decorated_trees), so delta_bar is computed once per index, the
-native monomial of each slot that slot_tensor has converted, the text of
-each slot that slot_text has rendered, and the relabelled coproduct of each
-slot with the index tuple of each native monomial it met (slot_coproduct).
+text of each slot that slot_text has rendered, and the relabelled coproduct
+of each slot with the index tuple of each native monomial it met
+(slot_coproduct).
 
 The onto maps depend only on a decorated tree's shape and are enumerated
 once per (shape, j) for the process; a walk flattens each tree to its shape
@@ -57,7 +57,7 @@ from .words import (WordPoly, monomial, word_coproduct_iterates,
 
 __all__ = [
     "BasisProvider", "CKBasis", "WordBasis",
-    "DecoratedTree", "leaf", "sym", "lambda_coeff",
+    "DecoratedTree", "leaf", "sym",
     "enumerate_decorated_trees", "forest_formula", "slot_counts",
     "decorated_string",
 ]
@@ -78,7 +78,6 @@ class BasisProvider(ABC):
 
     def __init__(self):
         self._enum_cache: dict = {}  # index -> its decorated trees
-        self._slot_cache: dict = {}  # sorted index tuple -> native monomial
         self._text_cache: dict = {}  # sorted index tuple -> its dump text
         # sorted index tuple -> its full coproduct over sorted index tuples
         self._coproduct_cache: dict = {}
@@ -153,15 +152,6 @@ class BasisProvider(ABC):
     @abstractmethod
     def _slot_element(self, slot: tuple):
         """The native monomial of a sorted tuple of indices."""
-
-    def slot_tensor(self, terms: dict, arity: int) -> Tensor:
-        """The Tensor of native monomials of a {slot-index-tuples: coeff}
-        map; each distinct slot is converted once per basis instance."""
-        known = self._slot_cache
-        for slot in set(chain.from_iterable(terms)).difference(known):
-            known[slot] = self._slot_element(slot)
-        return Tensor(arity, {tuple(map(known.__getitem__, slots)): c
-                              for slots, c in terms.items()})
 
     @abstractmethod
     def _full_coproduct(self, element) -> Tensor:
@@ -337,27 +327,6 @@ def sym(children) -> int:
     for trees in classes.values():
         if len(trees) > 1:
             out *= _multinomial(tuple(Counter(c.key for c in trees).values()))
-    return out
-
-
-def lambda_coeff(T: DecoratedTree, basis: BasisProvider):
-    """The coefficient lambda(T): per-vertex structure constants times
-    symmetry factors of child forests, 1 on leaves.  An int for both bases
-    here, whose structure constants count cuts or factorizations."""
-    basis.validate(T.d1)
-    if not T.children:
-        return 1
-    I = tuple(sorted(c.d1 for c in T.children))
-    const = 0
-    for i0, terms_I, c in basis.delta_bar(T.d1):
-        if i0 == T.d2 and terms_I == I:
-            const = c
-            break
-    if not const:
-        return 0
-    out = const * sym(T.children)
-    for c in T.children:
-        out *= lambda_coeff(c, basis)
     return out
 
 

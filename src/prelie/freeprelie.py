@@ -69,9 +69,6 @@ class TreeSeries(TermMap):
         """Terms in printed order: by size, then by canonical key."""
         return sorted(self.terms.items(), key=lambda kv: self.sort_key(kv[0]))
 
-    def to_json(self):
-        return [{"forest": t.key, "coeff": str(c)} for t, c in self.items()]
-
 
 class ForestPoly(TermMap):
     """Finite rational combination of forests (empty forest = the unit 1)."""

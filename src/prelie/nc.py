@@ -42,8 +42,7 @@ from .trees import murua_omega_forest as forest_omega
 
 __all__ = [
     "NCPartition", "CumulantTable", "BRANDS",
-    "enumerate_nc", "enumerate_nc_irr", "enumerate_interval",
-    "nesting_forest",
+    "enumerate_nc", "nesting_forest",
     "convert",
 ]
 
@@ -130,14 +129,6 @@ def enumerate_nc(n: int) -> list:
     if n < 1:
         raise ValueError("n must be >= 1")
     return [NCPartition(blocks) for blocks in _nc_blocks(n)]
-
-
-def enumerate_nc_irr(n: int) -> list:
-    return [p for p in enumerate_nc(n) if p.is_irreducible()]
-
-
-def enumerate_interval(n: int) -> list:
-    return [p for p in enumerate_nc(n) if p.is_interval()]
 
 
 def nesting_forest(pi: NCPartition) -> Forest:

@@ -17,7 +17,7 @@ the weak version drops surjectivity.  All linearization counts are counts of
 maps on a concrete vertex set, not of maps up to isomorphism.
 
 Statistics: sigma(t) is the automorphism count, tree_factorial the usual
-t! = |t| * (branch factorials), num_linearizations m(t) = |t|!/t!, and
+t! = |t| * (branch factorials), so that t has |t|!/t! linear extensions, and
 murua_omega the alternating sum over k of k-linearization counts a_k.  The
 a_k are the coefficients of the order polynomial W_t(x), the number of
 strictly order preserving maps from t into {1..x}, in the binomial basis:
@@ -52,7 +52,7 @@ __all__ = [
     "tree_from_string", "forest_from_string",
     "enumerate_trees", "enumerate_forests", "tree_rank", "tree_by_rank",
     "b_plus", "b_minus",
-    "sigma", "tree_factorial", "forest_factorial", "num_linearizations",
+    "sigma", "tree_factorial", "forest_factorial",
     "count_k_linearizations", "count_weak_k_linearizations",
     "murua_omega", "murua_omega_forest", "murua_omega_recursive",
     "LabeledForest",
@@ -269,13 +269,6 @@ def forest_factorial(f: Forest) -> int:
     for t in f.trees:
         out *= tree_factorial(t)
     return out
-
-
-def num_linearizations(t: RootedTree) -> int:
-    """m(t) = |t|!/t!, the number of linear extensions of the tree poset."""
-    top, fac = factorial(t.size), tree_factorial(t)
-    assert top % fac == 0
-    return top // fac
 
 
 def _as_forest(p) -> Forest:

@@ -5,13 +5,15 @@ viable algorithm (exhaustive enumeration over labelings, maps, edge subsets,
 set partitions) so that agreement with the package is meaningful.  Nothing
 imports package internals beyond the public tree/word containers needed to
 exchange values and ``nc._SUMS``, the description of the cumulant partition
-sums (which partitions, which sign, which nesting-forest weight).
+sums (which partitions, which sign, which nesting-forest weight); the
+forest-formula helpers read only the public methods of the basis they are
+given (validate, delta_bar, index_of).
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
 from prelie.nc import _SUMS
 from prelie.trees import Forest, LabeledForest, RootedTree
@@ -62,6 +64,16 @@ def brute_linear_extensions(f: Forest) -> int:
     return count
 
 
+def num_linearizations(t: RootedTree) -> int:
+    """m(t), the linear extensions of the tree poset, by the multinomial
+    recursion: the root comes first, then the branches' extensions
+    interleave in (|t| - 1)! / prod |c|! ways."""
+    out = factorial(t.size - 1)
+    for c in t.children:
+        out = out // factorial(c.size) * num_linearizations(c)
+    return out
+
+
 def brute_k_linearizations(f: Forest, k: int, weak: bool = False) -> int:
     """Surjective (or arbitrary, weak=True) strictly order-preserving maps
     onto 1..k, counted by exhausting all k^n candidate maps."""
@@ -105,6 +117,40 @@ def left_iterate(delta2, x_terms: dict, k: int) -> dict:
                 nxt[key] = nxt.get(key, 0) + c * d
         cur = nxt
     return cur
+
+
+def index_terms(basis, tensor) -> dict:
+    """A tensor of native monomials in index space, as the forest formula
+    gives its terms: each slot becomes the sorted tuple of the indices
+    (basis.index_of) of its trees or words."""
+    out: dict = {}
+    for slots, c in tensor.terms.items():
+        key = tuple(tuple(sorted(map(basis.index_of, slot))) for slot in slots)
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def lambda_coeff(T, basis):
+    """lambda(T) of a decorated tree by its recursive definition: 1 on a
+    leaf; else the structure constant of delta_bar(b_d1) at (d2; the
+    children's d1), times, per class of children sharing a d1, the number of
+    distinct orders of the class, times the children's lambdas."""
+    basis.validate(T.d1)
+    if not T.children:
+        return 1
+    I = tuple(sorted(c.d1 for c in T.children))
+    out = sum(c for i0, J, c in basis.delta_bar(T.d1) if (i0, J) == (T.d2, I))
+    for d1 in set(I):
+        out *= len(set(permutations(
+            c.key for c in T.children if c.d1 == d1)))
+    for c in T.children:
+        out *= lambda_coeff(c, basis)
+    return out
+
+
+def series_json(series) -> list:
+    """The records `prelie series` prints for a TreeSeries, in printed order."""
+    return [{"forest": t.key, "coeff": str(c)} for t, c in series.items()]
 
 
 def brute_automorphisms(t: RootedTree) -> int:

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from prelie import checks, cli, forest, freeprelie, trees
 from prelie.exactnum import format_rational
 from prelie.forest import WordBasis, enumerate_decorated_trees, slot_counts
 from prelie.freeprelie import TreeSeries
 from prelie.nc import BRANDS, CumulantTable, convert, iter_words
-from prelie.trees import (enumerate_trees, murua_omega, num_linearizations,
-                          sigma, tree_factorial, tree_from_string)
+from prelie.trees import (enumerate_trees, murua_omega, sigma, tree_factorial,
+                          tree_from_string)
 
 
 def run(capsys, *argv):
@@ -202,12 +203,13 @@ def test_series_check_is_byte_stable(capsys):
 
 
 # oracles for the trees and series output: json.dumps under indent and
-# csv.DictWriter on the rows as dicts, built from the library functions
+# csv.DictWriter on the rows as dicts, built from the library functions and
+# the linear-extension and series-record oracles
 
 def _dict_tree_rows(max_order):
     return [{"tree": t.key, "order": n, "index": "%d:%d" % (n, idx),
              "sigma": str(sigma(t)), "factorial": str(tree_factorial(t)),
-             "linext": str(num_linearizations(t)),
+             "linext": str(oracles.num_linearizations(t)),
              "cm": str(freeprelie.cm_coefficient(t)),
              "omega": format_rational(murua_omega(t))}
             for n in range(1, max_order + 1)
@@ -234,11 +236,11 @@ def test_trees_match_the_dict_renderers(capsys, fmt):
     (which, method) for which in checks.ROUTES for method in checks.ROUTES[which]])
 def test_series_match_the_dict_renderer(capsys, which, method):
     for order in (1, 5):
-        series = checks.ROUTES[which][method][0](order)
+        series = checks.ROUTES[which][method](order)
         code, out, err = run(capsys, "series", "--which", which,
                              "--method", method, "--order", str(order))
         assert code == 0 and err == ""
-        assert out == json.dumps(series.to_json(), indent=2) + "\n"
+        assert out == json.dumps(oracles.series_json(series), indent=2) + "\n"
 
 
 # quotes, backslashes, control characters, line separators and non-ASCII
@@ -453,10 +455,10 @@ def test_series_sol1_cap(capsys, argv):
 @pytest.fixture
 def wrong_sol1(monkeypatch):
     """checks.ROUTES with a sol1 route that is off by 1 at [[]]."""
-    sol1, cap = checks.ROUTES["magnus"]["sol1"]
+    sol1 = checks.ROUTES["magnus"]["sol1"]
     chain2 = tree_from_string("[[]]")
-    monkeypatch.setitem(checks.ROUTES["magnus"], "sol1", (
-        lambda n: sol1(n) + TreeSeries({chain2: 1}), cap))
+    monkeypatch.setitem(checks.ROUTES["magnus"], "sol1",
+                        lambda n: sol1(n) + TreeSeries({chain2: 1}))
 
 
 def test_series_check_reports_the_first_disagreement(capsys, wrong_sol1):
@@ -492,7 +494,7 @@ def test_routes_look_up_freeprelie_at_call_time(monkeypatch):
             return _f(*args)
         monkeypatch.setattr(freeprelie, name, counted)
     for routes in checks.ROUTES.values():
-        for series_of_order, _ in routes.values():
+        for series_of_order in routes.values():
             series_of_order(2)
     assert called == names
 

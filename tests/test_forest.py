@@ -9,8 +9,7 @@ import prelie.forest
 from prelie import checks, cli, freeprelie, words
 from prelie.forest import (
     CKBasis, DecoratedTree, WordBasis, decorated_string,
-    enumerate_decorated_trees, forest_formula, lambda_coeff, leaf,
-    slot_counts, sym,
+    enumerate_decorated_trees, forest_formula, leaf, slot_counts, sym,
 )
 from prelie.lincomb import iterate_coproduct, project
 from prelie.trees import LEAF, RootedTree, enumerate_trees
@@ -119,7 +118,7 @@ def test_lambda_on_the_13_vertex_example():
         DecoratedTree(i2, i1, (leaf(i3), leaf(i0))),
         DecoratedTree(i1, i0, (leaf(i0), leaf(i0))),
     ))
-    assert lambda_coeff(T, ck) == 6
+    assert oracles.lambda_coeff(T, ck) == 6
 
 
 def test_lambda_zero_when_not_a_coproduct_term():
@@ -128,7 +127,7 @@ def test_lambda_zero_when_not_a_coproduct_term():
     i2 = ck.index_of(CHAIN2)
     # delta_bar of the 2-chain never produces trunk=2-chain
     T = DecoratedTree(i2, i2, (leaf(i1),))
-    assert lambda_coeff(T, ck) == 0
+    assert oracles.lambda_coeff(T, ck) == 0
 
 
 def test_lambda_positive_on_enumerated_trees():
@@ -138,11 +137,11 @@ def test_lambda_positive_on_enumerated_trees():
         for t in enumerate_trees(n):
             for T, lam in enumerate_decorated_trees(ck.index_of(t), ck):
                 assert lam > 0
-                assert lambda_coeff(T, ck) == lam
+                assert oracles.lambda_coeff(T, ck) == lam
         for w in words.enumerate_words("ab", n):
             for T, lam in enumerate_decorated_trees(wb.index_of(w), wb):
                 assert lam > 0
-                assert lambda_coeff(T, wb) == lam
+                assert oracles.lambda_coeff(T, wb) == lam
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +176,9 @@ def test_ck_formula_matches_direct_iterates():
             iterates = freeprelie.coproduct_iterates(t, 3)
             for k in (2, 3):
                 for flavor in ("full", "reduced", "irr"):
-                    got = ck.slot_tensor(
-                        forest_formula(i, k, ck)[k][flavor], k)
-                    assert got == project(iterates[k - 1], flavor), \
+                    assert forest_formula(i, k, ck)[k][flavor] == \
+                        oracles.index_terms(
+                            ck, project(iterates[k - 1], flavor)), \
                         (t.key, k, flavor)
 
 
@@ -192,9 +191,9 @@ def test_word_formula_matches_direct_iterates():
                 words.WordPoly({(w,): 1}), 3)
             for k in (2, 3):
                 for flavor in ("full", "reduced", "irr"):
-                    got = wb.slot_tensor(
-                        forest_formula(i, k, wb)[k][flavor], k)
-                    assert got == project(iterates[k - 1], flavor), \
+                    assert forest_formula(i, k, wb)[k][flavor] == \
+                        oracles.index_terms(
+                            wb, project(iterates[k - 1], flavor)), \
                         (w, k, flavor)
 
 
@@ -209,9 +208,9 @@ def test_word_formula_through_length_six():
                 words.WordPoly({(w,): 1}), 4)
             for k in (2, 3, 4):
                 for flavor in ("full", "reduced", "irr"):
-                    got = wb.slot_tensor(
-                        forest_formula(i, k, wb)[k][flavor], k)
-                    assert got == project(iterates[k - 1], flavor), \
+                    assert forest_formula(i, k, wb)[k][flavor] == \
+                        oracles.index_terms(
+                            wb, project(iterates[k - 1], flavor)), \
                         (w, k, flavor)
 
 
@@ -266,8 +265,8 @@ def test_symmetry_factor_is_load_bearing(monkeypatch):
     monkeypatch.undo()
     again = CKBasis()
     assert forest_formula(again.index_of(t), 3, again)[3]["reduced"] == honest
-    assert fresh.slot_tensor(honest, 3) == project(
-        freeprelie.coproduct_iterates(t, 3)[2], "reduced")
+    assert honest == oracles.index_terms(fresh, project(
+        freeprelie.coproduct_iterates(t, 3)[2], "reduced"))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +374,8 @@ def _raise(*args):
 def test_direct_iterates_read_no_forest_formula(monkeypatch):
     # the suite's direct side iterates each monomial's full coproduct in
     # index space; it reads neither the formula, the decorated trees, the
-    # onto maps nor delta_bar, and converted back to native monomials it is
-    # the layer's own left iteration
+    # onto maps nor delta_bar, and it is the layer's own left iteration
+    # relabelled into index space
     for name in ("forest_formula", "enumerate_decorated_trees", "_onto_maps"):
         monkeypatch.setattr(prelie.forest, name, _raise)
     monkeypatch.setattr(prelie.forest.BasisProvider, "delta_bar", _raise)
@@ -392,7 +391,8 @@ def test_direct_iterates_read_no_forest_formula(monkeypatch):
             basis.slot_coproduct, {(basis.index_of(x),): 1}, 4)
         assert [d.arity for d in direct] == [1, 2, 3, 4]
         for k, d in enumerate(direct, 1):
-            assert basis.slot_tensor(d.terms, k) == native[k - 1], (x, k)
+            assert d.terms == oracles.index_terms(basis, native[k - 1]), \
+                (x, k)
             terms += len(d.terms)
     assert terms > 5000
 
@@ -454,50 +454,26 @@ def test_forest_suite_catches_a_wrong_map_filter(monkeypatch, flavor, patch):
 # providers and guards
 
 def test_a_basis_is_freed_without_the_cycle_collector():
-    # the slot and coproduct tables are plain dicts of monomials and of
-    # index tuples on the basis, which hold no reference back to it, so a
-    # basis and everything it cached go as soon as the last reference does
+    # the text and coproduct tables are plain dicts of strings, monomials
+    # and index tuples on the basis, which hold no reference back to it, so
+    # a basis and everything it cached go as soon as the last reference does
     gc.disable()
     try:
         for make, label in ((CKBasis, "[[]]"),
                             (lambda: WordBasis("ab"), "ab")):
             basis = make()
             i = basis.parse(label)
-            basis.slot_tensor(forest_formula(i, 2, basis)[2]["full"], 2)
+            for slots in forest_formula(i, 2, basis)[2]["full"]:
+                for slot in slots:
+                    basis.slot_text(slot)
             iterate_coproduct(basis.slot_coproduct, {(i,): 1}, 3)
-            assert basis._slot_cache and basis._coproduct_cache
+            assert (basis._text_cache and basis._coproduct_cache
+                    and basis._index_cache)
             ref = weakref.ref(basis)
             del basis
             assert ref() is None, label
     finally:
         gc.enable()
-
-
-def test_slot_table_converts_each_new_slot_once():
-    # a second call with overlapping slots converts only the slots it adds,
-    # and both tensors equal those of a basis that has converted nothing
-    for make, label in ((CKBasis, "[[[]][]]"),
-                        (lambda: WordBasis("ab"), "abab")):
-        basis, converted = make(), Counter()
-        element = basis._slot_element
-
-        def counted_element(slot):
-            converted[slot] += 1
-            return element(slot)
-
-        basis._slot_element = counted_element
-        by_k = forest_formula(basis.parse(label), 3, basis)
-        first, second = by_k[3]["reduced"], by_k[2]["full"]
-        old = {slot for slots in first for slot in slots}
-        new = {slot for slots in second for slot in slots}
-        assert old & new and new - old
-        got = basis.slot_tensor(first, 3)
-        assert basis._slot_cache.keys() == converted.keys() == old
-        assert got == make().slot_tensor(first, 3)
-        got = basis.slot_tensor(second, 2)
-        assert basis._slot_cache.keys() == converted.keys() == old | new
-        assert set(converted.values()) == {1}
-        assert got == make().slot_tensor(second, 2)
 
 
 def test_index_validation():

@@ -425,7 +425,7 @@ def test_tensor_arity_validation():
 
 def test_json_round_trip_of_series():
     m = magnus_closed_form(4)
-    data = json.loads(json.dumps(m.to_json()))
+    data = json.loads(json.dumps(oracles.series_json(m)))
     rebuilt = TreeSeries({tree_from_string(row["forest"]): Fraction(row["coeff"])
                           for row in data})
     assert rebuilt == m

@@ -1,5 +1,7 @@
-"""Every name a module of the package or of the tests imports is used, and
-every private module-level helper of the package is read somewhere."""
+"""Every name a module of the package or of the tests imports is used,
+every private module-level helper of the package is read somewhere, and
+every public name of the package is read by the package or declared as
+library surface."""
 
 import ast
 from pathlib import Path
@@ -7,6 +9,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "prelie").glob("*.py")) + sorted(
     (ROOT / "tests").glob("*.py"))
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
 def unused_imports(source: str) -> list:
@@ -25,9 +32,7 @@ def unused_imports(source: str) -> list:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__"
-                      for t in node.targets)):
+        elif _is_all(node):
             used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
@@ -112,6 +117,106 @@ def test_no_private_helper_is_left_unread():
     others = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
               for path in SOURCES if path.parent.name != "prelie"}
     assert orphaned_helpers(package, others) == []
+
+
+# the public names of the package that no package source reads, each kept as
+# library surface for the reason given
+DECLARED_SURFACE = {
+    "freeprelie.brace": "named in the README; the B-series, word-basis GL and "
+                        "chronological-algebra routes on the roadmap build "
+                        "on it",
+    "nc.NCPartition.is_irreducible": "named in the README with NCPartition",
+    "nc.NCPartition.is_interval": "named in the README with NCPartition",
+    "nc.enumerate_nc": "named in the README",
+    "nc.nesting_forest": "named in the README",
+    "trees.forest_from_string": "in the package's __all__",
+    "cli._Parser.print_help": "argparse calls it",
+}
+
+
+def _loads(node) -> set:
+    """The names node reads: loaded names, loaded attribute names, and the
+    names a ``from ... import`` takes (``import x as y`` reads x)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def unread_public_names(package: dict) -> list:
+    """(file, line, name) of every public module-level function or class,
+    and every public method (Class.method), of the package sources that no
+    package source reads outside its own definition and outside __all__.
+    Dunders and names starting with "_" are not public; package maps a file
+    name to its source."""
+    defined = []
+    read = set()
+    for name, source in package.items():
+        for node in ast.parse(source).body:
+            if _is_all(node):
+                continue
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                read |= _loads(node)
+                continue
+            if not node.name.startswith("_"):
+                defined.append((name, node.lineno, node.name, node.name))
+            if isinstance(node, ast.FunctionDef):
+                read |= _loads(node) - {node.name}  # recursion is no reader
+                continue
+            for sub in node.body:
+                reads = _loads(sub)
+                if isinstance(sub, ast.FunctionDef):
+                    reads.discard(sub.name)
+                    if not sub.name.startswith("_"):
+                        defined.append((name, sub.lineno, sub.name,
+                                        "%s.%s" % (node.name, sub.name)))
+                read |= reads - {node.name}
+            read |= set().union(*map(_loads, node.decorator_list + node.bases))
+    return sorted((name, line, qual) for name, line, bare, qual in defined
+                  if bare not in read)
+
+
+def test_unread_public_names_are_found():
+    package = {"mod.py": (
+        "from .other import helper as alias\n"
+        "__all__ = ['listed', 'used']\n"
+        "def unread(): pass\n"
+        "def listed(): pass\n"
+        "def used(): return alias()\n"
+        "def recursive(n): return n and recursive(n - 1)\n"
+        "class Box:\n"
+        "    def __eq__(self, other): return isinstance(other, Box)\n"
+        "    def opened(self): return self.shut()\n"
+        "    def shut(self): return self.size\n"
+        "    def unread_method(self): return self.unread_method()\n"
+        "def _private(): pass\n"
+        "def __getattr__(name): raise AttributeError(name)\n"),
+        "other.py": (
+        "from . import mod\n"
+        "def helper(): return mod.used()\n"
+        "mod.Box().opened()\n")}
+    assert unread_public_names(package) == [
+        ("mod.py", 3, "unread"),
+        ("mod.py", 4, "listed"),
+        ("mod.py", 6, "recursive"),
+        ("mod.py", 11, "Box.unread_method")]
+
+
+def test_every_public_name_is_read_or_declared():
+    # a name that only tests call is a test oracle (tests/oracles.py) or is
+    # deleted; a declared entry that the package now reads, or that is gone,
+    # is dropped from DECLARED_SURFACE
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in SOURCES if path.parent.name == "prelie"}
+    found = {"%s.%s" % (name[:-3], qual)
+             for name, _, qual in unread_public_names(package)}
+    assert found - DECLARED_SURFACE.keys() == set()
+    assert DECLARED_SURFACE.keys() - found == set()
 
 
 def _private(name: str) -> bool:

@@ -146,10 +146,10 @@ def test_every_iterate_matches_the_per_k_left_iteration():
 def test_every_basis_builds_the_one_tensor_type():
     ck, wb = CKBasis(), WordBasis("ab")
     t, w = enumerate_trees(4)[1], "abbab"
-    by_k = [forest_formula(basis.index_of(x), 3, basis)[3]["full"]
-            for basis, x in ((ck, t), (wb, w))]
-    tensors = ([ck_coproduct(t), word_dual_coproduct(w),
-                ck.slot_tensor(by_k[0], 3), wb.slot_tensor(by_k[1], 3)]
+    in_index_space = [iterate_coproduct(basis.slot_coproduct,
+                                        {(basis.index_of(x),): 1}, 3)[2]
+                      for basis, x in ((ck, t), (wb, w))]
+    tensors = ([ck_coproduct(t), word_dual_coproduct(w)] + in_index_space
                + coproduct_iterates(t, 3)
                + word_coproduct_iterates(WordPoly({(w,): 1}), 3))
     assert [type(x) for x in tensors] == [Tensor] * 10

@@ -8,9 +8,8 @@ import oracles
 from prelie import nc, words
 from prelie.freeprelie import magnus_fixed_point, prelie_exp
 from prelie.nc import (
-    BRANDS, CumulantTable, NCPartition, _SUMS, convert, enumerate_interval,
-    enumerate_nc, enumerate_nc_irr, forest_factorial, forest_omega,
-    iter_words, nesting_forest,
+    BRANDS, CumulantTable, NCPartition, _SUMS, convert, enumerate_nc,
+    forest_factorial, forest_omega, iter_words, nesting_forest,
 )
 from prelie.trees import LEAF, RootedTree, murua_omega
 from prelie.words import WordPoly, word_prelie_series
@@ -25,11 +24,11 @@ CHERRY = RootedTree((LEAF, LEAF))
 def test_counts_match_catalan_two_ways():
     table = oracles.catalan_by_convolution(7)
     for n in range(1, 8):
-        nc_n = len(enumerate_nc(n))
-        assert nc_n == oracles.catalan(n)
-        assert nc_n == table[n]
-        assert len(enumerate_nc_irr(n)) == oracles.catalan(n - 1)
-        assert len(enumerate_interval(n)) == 2 ** (n - 1)
+        all_nc = enumerate_nc(n)
+        assert len(all_nc) == oracles.catalan(n)
+        assert len(all_nc) == table[n]
+        assert sum(p.is_irreducible() for p in all_nc) == oracles.catalan(n - 1)
+        assert sum(p.is_interval() for p in all_nc) == 2 ** (n - 1)
 
 
 def test_enumeration_matches_filtered_set_partitions():
@@ -43,14 +42,18 @@ def test_enumeration_matches_filtered_set_partitions():
 
 
 def test_irreducible_and_interval_split():
+    # the two filters against the filtered set partitions: 1 and n share a
+    # block, and every block is a run of consecutive integers
     for n in range(1, 7):
+        brute = [tuple(sorted(tuple(sorted(b)) for b in pi))
+                 for pi in oracles.brute_set_partitions(n)
+                 if oracles.is_noncrossing_by_interval_peeling(pi)]
         all_nc = enumerate_nc(n)
-        irr = [pi for pi in all_nc if pi.is_irreducible()]
-        assert sorted(p.blocks for p in irr) == sorted(
-            p.blocks for p in enumerate_nc_irr(n))
-        ivals = [pi for pi in all_nc if pi.is_interval()]
-        assert sorted(p.blocks for p in ivals) == sorted(
-            p.blocks for p in enumerate_interval(n))
+        assert sorted(p.blocks for p in all_nc if p.is_irreducible()) == \
+            sorted(pi for pi in brute if any(1 in b and n in b for b in pi))
+        assert sorted(p.blocks for p in all_nc if p.is_interval()) == \
+            sorted(pi for pi in brute
+                   if all(b[-1] - b[0] + 1 == len(b) for b in pi))
 
 
 def test_partition_validation():

@@ -62,6 +62,8 @@ _LAYERS = {
         {"checks", "freeprelie", "lincomb", "trees", "exactnum"},
     "forest --basis ck --index [[]] --k 2":
         {"forest", "freeprelie", "lincomb", "trees", "words", "exactnum"},
+    "verify --suite words --max-order 3":
+        {"checks", "freeprelie", "lincomb", "trees", "words", "exactnum"},
     "verify --suite forest --max-order 3":
         {"checks", "forest", "freeprelie", "lincomb", "trees", "words",
          "exactnum"},
@@ -112,8 +114,8 @@ def test_an_unknown_package_attribute_is_an_attribute_error():
 # the interface the table serves
 
 def test_routes_suites_and_brands_are_the_tables():
-    assert {which: {method: cap for method, (_, cap) in routes.items()}
-            for which, routes in checks.ROUTES.items()} == caps.SERIES_CAPS
+    assert {which: set(routes) for which, routes in checks.ROUTES.items()} \
+        == {which: set(methods) for which, methods in caps.SERIES_CAPS.items()}
     assert list(checks.SUITES) == list(caps.SUITE_CAPS)
     assert {name: (suite.order, suite.cap)
             for name, suite in checks.SUITES.items()} == caps.SUITE_CAPS
