@@ -2,11 +2,11 @@
 offers, in one table that imports nothing.
 
 ``prelie.cli`` builds its parser and checks every cap from this table alone,
-so parsing argv loads no layer module; ``checks.SUITES`` and ``nc.BRANDS``
-take their names and caps from it, and ``checks.ROUTES`` has one route per
-method of ``SERIES_CAPS``.  Each cap is the last order that finishes within
-a few seconds, the next taking about three times as long or more; the
-measured times are in the README.
+so parsing argv loads no layer module; ``nc.BRANDS`` is its ``BRANDS``,
+``checks.SUITES`` has one entry per suite of ``SUITE_CAPS``, in its order,
+and ``checks.ROUTES`` one route per method of ``SERIES_CAPS``.  Each cap is
+the last order that finishes within a few seconds, the next taking about
+three times as long or more; the measured times are in the README.
 """
 
 # tree orders: the trees table and series --method fixed-point

@@ -7,8 +7,9 @@ routes that compute it (``--method``), whose names and order caps are
 compares them all, as the magnus suite does.  Each identity is a generator
 named after it, ``_`` for ``-``, that yields one ``(instance record, got,
 want)`` per instance; the two sides come from routes that do not call each
-other.  ``run`` counts and compares them.  ``SUITES`` groups the identities, with
-each suite's default order and cap from ``prelie.caps``.
+other.  ``run`` counts and compares them.  ``SUITES`` groups the identities
+by suite, in the order of ``prelie.caps.SUITE_CAPS``, which holds each
+suite's default order and cap.
 
 At the top level this module loads ``freeprelie`` and the layers it
 imports, which ``ROUTES`` needs; an identity that reads ``nc``, ``words`` or
@@ -18,13 +19,12 @@ so ``series`` and each suite load only the layers they call.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
 
 from . import freeprelie
-from .caps import BRANDS, SUITE_CAPS
+from .caps import BRANDS
 from .freeprelie import ForestPoly, TreeSeries
 from .lincomb import Tensor, iterate_coproduct, project
 from .trees import (LEAF, enumerate_forests, enumerate_trees,
@@ -185,17 +185,17 @@ def _forest_formula_vs_direct(basis, key, elements):
     projected from reduced, and each record names the element's label under
     key.
 
-    The two sides read different structure constants.  The formula reads
-    delta_bar (basis.delta_bar, the reduced coproduct of one basis element:
-    freeprelie.ck_coproduct projected, or words.word_dual_coproduct) and
-    sums over decorated trees and onto maps.  The direct side reads the full
-    coproduct of each monomial it meets (basis.slot_coproduct: ck_coproduct
-    or words.word_coproduct_iterates) and iterates it with
-    lincomb.iterate_coproduct; it reads neither delta_bar, the decorated
-    trees nor the maps.  Shared by design: the layer's coproduct of one
-    basis element (freeprelie's cut coproduct of a tree, of which delta_bar
-    is the reduced part, or words.word_dual_coproduct, which is delta_bar),
-    the thing the formula iterates, and the basis's index_of."""
+    Both sides read the basis's one structure hook, basis._coproduct, the
+    full coproduct of a slot's monomial (freeprelie.ck_coproduct, or
+    words.word_coproduct_iterates at k = 2).  The formula reads it on
+    one-index slots only, through delta_bar, and sums over decorated trees
+    and onto maps.  The direct side reads it on every monomial it meets,
+    through basis.slot_coproduct, which relabels it with code of its own,
+    and iterates it with lincomb.iterate_coproduct; it reads neither
+    delta_bar, the decorated trees nor the maps.  Shared by design:
+    the layer's coproduct of one basis element (freeprelie's cut coproduct
+    of a tree, or a word's odd factorizations with its two unit terms), the
+    thing the formula iterates, and the basis's index_of."""
     from . import forest
     for element in elements:
         i = basis.index_of(element)
@@ -280,11 +280,9 @@ def exp_magnus_functionals(order: int):
                    (sign * got.coeff((w,)), d), (via[w], via[w]))
 
 
-# order is the suite's default order and cap the last order it runs at by
-# default, both from caps.SUITE_CAPS
-Suite = namedtuple("Suite", "identities order cap")
-
-_IDENTITIES = {
+# suite -> its identities, in the order of caps.SUITE_CAPS, which holds each
+# suite's default order and cap
+SUITES = {
     "trees": (tree_counts_vs_recursion, cayley_sum, omega_direct_vs_recursive,
               weak_vs_surjective_binomial),
     "hopf": (gl_ck_duality, coassociativity),
@@ -295,15 +293,12 @@ _IDENTITIES = {
                   exp_magnus_functionals),
 }
 
-SUITES = {name: Suite(_IDENTITIES[name], order, cap)
-          for name, (order, cap) in SUITE_CAPS.items()}
-
 
 def run(suite: str, order: int):
     """Yield ``(name, instances, failure)`` per identity of ``suite``;
     ``failure`` is None, the first failing ``{"instance": record}`` or
     ``{"reason": "no instances"}``."""
-    for identity in SUITES[suite].identities:
+    for identity in SUITES[suite]:
         instances, failure = 0, None
         for instance, got, want in identity(order):
             instances += 1

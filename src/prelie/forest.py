@@ -13,16 +13,17 @@ distinct child trees rooted at the same basis index.
 
 Two providers are included: the Connes-Kreimer basis (rooted trees, structure
 constants read off the coproduct of freeprelie) and the word basis (odd
-factorizations); one delta_bar reads both through _reduced_coproduct.
+factorizations).  Each gives one structure hook, _coproduct(slot): the full
+coproduct of the monomial of a sorted index tuple, read through its layer's
+public coproduct.  delta_bar reads the reduced part of a one-index slot's.
 Basis indices are (grade, ordinal) pairs tied to the deterministic
 enumerations of the trees/words modules.  A basis also owns the text of the
 forest dump: an index spelled as a label or as grade:ordinal, whose grade is
 read off the text (index_grade, read_index), and a slot as its labels joined
 by "·", "1" for the unit (slot_text).  For a check of the formula in index
-space, a basis also gives the full coproduct of a slot's monomial with both
-sides relabelled to sorted index tuples (slot_coproduct), read through the
-layer's own coproduct and not through delta_bar.  Each basis instance keeps
-four plain dicts, which go with it: the decorated trees of each index
+space, slot_coproduct relabels _coproduct(slot) on both sides to sorted index
+tuples, without going through delta_bar.  Each basis instance keeps four
+plain dicts, which go with it: the decorated trees of each index
 (enumerate_decorated_trees), so delta_bar is computed once per index, the
 text of each slot that slot_text has rendered, and the relabelled coproduct
 of each slot with the index tuple of each native monomial it met
@@ -52,8 +53,7 @@ from operator import itemgetter
 from . import freeprelie
 from .lincomb import Tensor, project
 from .trees import Forest, tree_by_rank, tree_from_string, tree_rank
-from .words import (WordPoly, monomial, word_coproduct_iterates,
-                    word_dual_coproduct)
+from .words import WordPoly, monomial, word_coproduct_iterates
 
 __all__ = [
     "BasisProvider", "CKBasis", "WordBasis",
@@ -68,12 +68,15 @@ _GRADE_ORDINAL = re.compile(r"([0-9]+):([0-9]+)")
 
 
 class BasisProvider(ABC):
-    """Graded basis with reduced-coproduct structure constants.
+    """Graded basis whose one structure hook is _coproduct(slot), the full
+    coproduct of a slot's monomial.
 
     Indices are (grade, ordinal) pairs.  delta_bar(i) lists the terms of the
-    reduced coproduct of b_i, read off _reduced_coproduct(i) through
-    index_of, as (i0, I, coefficient) with I a sorted tuple of indices; the
-    grades of i0 and of the indices in I sum to the grade of i.
+    reduced part of _coproduct((i,)), read through index_of, as
+    (i0, I, coefficient) with I a sorted tuple of indices; the grades of i0
+    and of the indices in I sum to the grade of i.  The forest formula reads
+    delta_bar; slot_coproduct relabels _coproduct(slot) whole, for the
+    direct iterates, with a relabelling of its own.
     """
 
     def __init__(self):
@@ -92,15 +95,17 @@ class BasisProvider(ABC):
         """The index of a native basis element."""
 
     @abstractmethod
-    def _reduced_coproduct(self, i) -> Tensor:
-        """delta_bar(b_i), one element on the left; ValueError if no index."""
+    def _coproduct(self, slot: tuple) -> Tensor:
+        """The full coproduct of the native monomial of a sorted tuple of
+        indices, read through its layer's public coproduct; ValueError if
+        an index is not one of this basis."""
 
     def delta_bar(self, i) -> tuple:
         """The terms of delta_bar(b_i) as (i0, I, coefficient)."""
         index_of = self.index_of
+        reduced = project(self._coproduct((i,)), "reduced")
         return tuple((index_of(trunk), tuple(sorted(map(index_of, rest))), c)
-                     for ((trunk,), rest), c
-                     in self._reduced_coproduct(i).terms.items())
+                     for ((trunk,), rest), c in reduced.terms.items())
 
     def label(self, i) -> str:
         """The text of b_i; ValueError if i is not an index."""
@@ -149,25 +154,16 @@ class BasisProvider(ABC):
                 map(self._label, slot)) or "1"
         return text
 
-    @abstractmethod
-    def _slot_element(self, slot: tuple):
-        """The native monomial of a sorted tuple of indices."""
-
-    @abstractmethod
-    def _full_coproduct(self, element) -> Tensor:
-        """The full coproduct of a native monomial, read through its layer's
-        public coproduct, not through delta_bar."""
-
     def slot_coproduct(self, slot: tuple) -> dict:
         """The full coproduct of the monomial of a sorted tuple of indices,
         as {(left, right): coefficient} with both slots relabelled to sorted
         index tuples: the binary coproduct that iterate_coproduct iterates
-        in index space.  Each distinct slot is built as a native monomial
-        and its coproduct relabelled once per basis instance, and each
-        distinct native monomial is relabelled once, to one shared tuple."""
+        in index space.  Each distinct slot's _coproduct is relabelled
+        once per basis instance, and each distinct native monomial once, to
+        one shared tuple."""
         out = self._coproduct_cache.get(slot)
         if out is None:
-            terms = self._full_coproduct(self._slot_element(slot)).terms
+            terms = self._coproduct(slot).terms
             known, index_of = self._index_cache, self.index_of
             for native in set(chain.from_iterable(terms)).difference(known):
                 known[native] = tuple(sorted(map(index_of, native)))
@@ -199,9 +195,6 @@ class CKBasis(BasisProvider):
     def index_of(self, t) -> tuple:
         return (t.size, tree_rank(t))
 
-    def _reduced_coproduct(self, i) -> Tensor:
-        return project(freeprelie.ck_coproduct(self.tree(i)), "reduced")
-
     def _label(self, i) -> str:
         return tree_by_rank(i[0], i[1]).key
 
@@ -211,11 +204,8 @@ class CKBasis(BasisProvider):
     def _label_grade(self, text: str) -> int:
         return text.count("[")
 
-    def _slot_element(self, slot: tuple):
-        return Forest(tuple(self.tree(j) for j in slot))
-
-    def _full_coproduct(self, element) -> Tensor:
-        return freeprelie.ck_coproduct(element)
+    def _coproduct(self, slot: tuple) -> Tensor:
+        return freeprelie.ck_coproduct(Forest(tuple(map(self.tree, slot))))
 
 
 class WordBasis(BasisProvider):
@@ -239,9 +229,6 @@ class WordBasis(BasisProvider):
         if not (_is_pair(i) and 0 <= i[1] < len(self.alphabet) ** i[0]):
             raise ValueError("not a word index: %r" % (i,))
 
-    def word(self, i) -> str:
-        return self.label(i)
-
     def _label(self, i) -> str:
         n, rank = i
         base = len(self.alphabet)
@@ -259,9 +246,6 @@ class WordBasis(BasisProvider):
             rank = rank * len(self.alphabet) + self._pos[a]
         return (len(w), rank)
 
-    def _reduced_coproduct(self, i) -> Tensor:
-        return word_dual_coproduct(self.word(i))
-
     def parse(self, text: str):
         if not text:
             raise ValueError("the empty word is not a basis element")
@@ -270,11 +254,9 @@ class WordBasis(BasisProvider):
     def _label_grade(self, text: str) -> int:
         return len(text)
 
-    def _slot_element(self, slot: tuple):
-        return monomial(self.word(j) for j in slot)
-
-    def _full_coproduct(self, element) -> Tensor:
-        return word_coproduct_iterates(WordPoly({element: 1}), 2)[1]
+    def _coproduct(self, slot: tuple) -> Tensor:
+        return word_coproduct_iterates(
+            WordPoly({monomial(map(self.label, slot)): 1}), 2)[1]
 
 
 class DecoratedTree:

@@ -12,7 +12,8 @@ from prelie.forest import (
     enumerate_decorated_trees, forest_formula, leaf, slot_counts, sym,
 )
 from prelie.lincomb import iterate_coproduct, project
-from prelie.trees import LEAF, RootedTree, enumerate_trees
+from prelie.trees import (EMPTY_FOREST, LEAF, Forest, RootedTree,
+                          enumerate_trees)
 
 CHAIN2 = RootedTree((LEAF,))
 CHERRY = RootedTree((LEAF, LEAF))
@@ -142,6 +143,41 @@ def test_lambda_positive_on_enumerated_trees():
             for T, lam in enumerate_decorated_trees(wb.index_of(w), wb):
                 assert lam > 0
                 assert oracles.lambda_coeff(T, wb) == lam
+
+
+def _delta_bar_terms(basis, i) -> dict:
+    out = {(i0, I): c for i0, I, c in basis.delta_bar(i)}
+    assert len(out) == len(basis.delta_bar(i))  # each term once
+    return out
+
+
+def test_ck_delta_bar_is_the_nonempty_admissible_cuts():
+    # delta_bar projects the full coproduct of a one-tree slot; brute-force
+    # cut enumeration gives the same terms, trunk (x) nonempty pruning
+    ck = CKBasis()
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            terms = _delta_bar_terms(ck, ck.index_of(t))
+            got = {(ck.label(i0), Forest(tuple(map(ck.tree, I))).key): c
+                   for (i0, I), c in terms.items()}
+            want = {key: c
+                    for key, c in oracles.brute_admissible_cuts(t).items()
+                    if key[1] != EMPTY_FOREST.key}
+            assert got == want, t.key
+
+
+@pytest.mark.parametrize("alphabet, top", [("ab", 6), ("xyz", 4)])
+def test_word_delta_bar_is_the_odd_factorizations(alphabet, top):
+    # delta_bar projects the full coproduct of a one-word slot; the odd
+    # factorizations of words.word_dual_coproduct give the same terms
+    wb = WordBasis(alphabet)
+    for n in range(1, top + 1):
+        for w in words.enumerate_words(alphabet, n):
+            want = {(wb.index_of(left),
+                     tuple(sorted(map(wb.index_of, right)))): c
+                    for ((left,), right), c
+                    in words.word_dual_coproduct(w).terms.items()}
+            assert _delta_bar_terms(wb, wb.index_of(w)) == want, w
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +571,7 @@ def test_index_label_parse_round_trip():
             i = wb.index_of(w)
             assert i[0] == n
             assert wb.parse(wb.label(i)) == i
-            assert wb.word(i) == w
+            assert wb.label(i) == w
             for text in (wb.label(i), "%d:%d" % i):
                 assert wb.index_grade(text) == n and wb.read_index(text) == i
 

@@ -1,9 +1,14 @@
 """Every name a module of the package or of the tests imports is used,
-every private module-level helper of the package is read somewhere, and
-every public name of the package is read by the package or declared as
-library surface."""
+every private module-level helper of the package is read somewhere, every
+public name of the package is read by the package or declared as library
+surface, and every memo is a cache worker or an object's table that the
+commands hit."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -391,3 +396,86 @@ def test_every_memo_is_a_cache_worker_or_an_object_table():
     package = {path.name: path.read_text(encoding="utf-8")
                for path in SOURCES if path.parent.name == "prelie"}
     assert memo_policy_violations(package) == []
+
+
+def cache_workers(package: dict) -> list:
+    """(module, name) of every function of the package sources decorated
+    with functools.cache, as @cache or @functools.cache."""
+    return sorted(
+        (Path(name).stem, node.name)
+        for name, source in package.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(d, ast.Name) and d.id == "cache"
+                or isinstance(d, ast.Attribute) and d.attr == "cache"
+                for d in node.decorator_list))
+
+
+def test_cache_workers_are_found():
+    package = {"mod.py": (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@cache\n"
+        "def _a(n): return n\n"
+        "@functools.cache\n"
+        "def _b(n): return n\n"
+        "@lru_cache(8)\n"
+        "def _c(n): return n\n"
+        "class K:\n"
+        "    @cache\n"
+        "    def m(self): return 0\n")}
+    assert cache_workers(package) == [("mod", "_a"), ("mod", "_b"),
+                                      ("mod", "m")]
+
+
+# every command once, so each cache worker's hits and misses in the child
+# come from the commands alone: the whole verification, the trees table,
+# both series checks, a small cumulant conversion and a dump per basis
+_COMMANDS_SCRIPT = """
+import importlib, json, pkgutil, sys
+from fractions import Fraction
+import prelie
+from prelie import cli
+from prelie.nc import CumulantTable, iter_words
+table = CumulantTable("free", ("a", "b"), 3, {
+    w: Fraction(len(w)) for w in iter_words(("a", "b"), 3)})
+with open(sys.argv[1], "w") as f:
+    json.dump(table.to_json(), f)
+for argv in (["verify", "--suite", "all"], ["trees", "--max-order", "6"],
+             ["series", "--which", "exp", "--check"],
+             ["series", "--which", "magnus", "--check"],
+             ["cumulants", "--from", "free", "--to", "monotone",
+              "--input", sys.argv[1]],
+             ["forest", "--basis", "ck", "--index", "[[][]]", "--k", "3",
+              "--flavor", "full"],
+             ["forest", "--basis", "words", "--index", "abab", "--k", "3"]):
+    if cli.main(argv):
+        sys.exit("failed: %r" % (argv,))
+sys.stdout.flush()
+stats = {}
+for info in pkgutil.iter_modules(prelie.__path__):
+    module = importlib.import_module("prelie." + info.name)
+    for name, obj in vars(module).items():
+        if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+            stats[info.name + "." + name] = obj.cache_info()[:2]
+print(json.dumps(stats), file=sys.stderr)
+"""
+
+
+def test_every_cache_worker_is_hit_by_a_command(tmp_path):
+    # a memo stays only where a command hits it: each cache worker is
+    # reached (a miss) and answers from its cache (a hit) at least once.
+    # A fresh process, so no earlier test supplies the hits
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_SCRIPT, str(tmp_path / "t.json")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(proc.stderr.splitlines()[-1])
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in SOURCES if path.parent.name == "prelie"}
+    assert sorted(tuple(name.split(".")) for name in stats) \
+        == cache_workers(package)
+    assert {name: (hits, misses) for name, (hits, misses) in stats.items()
+            if not hits or not misses} == {}
